@@ -9,13 +9,12 @@ fractions under accuracy, flash, and SRAM budgets.
 
 from .bundle import ModelBundle, RunResult, bundle_from_masks, \
     bundle_from_model, gradients_from_bundle, model_from_bundle, run_bundle
-from .convops import ComputeSchedule, LaneConfig, conv_csr, conv_dense, \
-    conv_fwcs, conv_fwcs_reordered, conv_structured
+from .convops import conv_csr, conv_dense, conv_fwcs, conv_structured
 from .costmodel import Budget, LatencyParams, StrategyVector, \
     fit_latency_params, layer_latency, model_size, normalized_mse, \
     runtime_memory, total_time
-from .cyclesim import CycleTrace, Instruction, MachineConfig, layer_cycles, \
-    lower_schedule, simulate
+from .cyclesim import ComputeSchedule, CycleTrace, Instruction, MachineConfig, \
+    layer_cycles, lower_schedule, simulate
 from .errors import FilterletError
 from .fwcs import CsrLayer, FilterletMask, FwcsLayer, decode_csr, decode_fwcs, \
     encode_csr, encode_fwcs, storage_footprint
@@ -28,5 +27,8 @@ from .scheduler import ScheduleProblem, ScheduleResult, anneal, feasible, \
     plan_and_pack
 from .tensor import ConvLayerSpec, QuantParams, Tensor, dequantize, \
     extract_patch, flat_index, quantize, read_tensor, write_tensor
+
+# former name of the vector-unit config, still used by the benchmark harness
+LaneConfig = MachineConfig
 
 __version__ = "0.1.0"

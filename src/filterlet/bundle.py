@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convops import ComputeSchedule, LaneConfig, conv_csr, conv_dense, \
-    conv_fwcs, conv_fwcs_reordered
-from .cyclesim import MachineConfig, csr_counts, schedule_counts
+from .convops import conv_csr, conv_dense, conv_fwcs
+from .cyclesim import ComputeSchedule, MachineConfig, csr_counts, \
+    schedule_counts
 from .errors import CorruptionError, DataError, FormatError
 from .fwcs import CsrLayer, FilterletMask, FwcsLayer, decode_csr, decode_fwcs, \
     encode_csr, encode_fwcs, read_csr, read_fwcs, write_csr, write_fwcs
@@ -189,9 +189,12 @@ class ModelBundle:
 def _bias_block(layer: LayerDef) -> bytes:
     if layer.bias is None:
         return b""
-    # biases travel as float32; desk-scale integer biases round-trip exactly
-    return write_tensor(Tensor.from_array(
-        np.asarray(layer.bias, dtype=np.float32), "float32"))
+    # biases travel as float32, which holds integers exactly only up to 2^24
+    packed = layer.bias.astype(np.float32)
+    if np.issubdtype(layer.bias.dtype, np.integer) and \
+            np.any(packed.astype(np.int64) != layer.bias):
+        raise DataError(f"layer {layer.name}: integer bias not exact as float32")
+    return write_tensor(Tensor.from_array(packed, "float32"))
 
 
 def bundle_from_model(model: SequentialModel, role: str = "model") -> ModelBundle:
@@ -272,11 +275,11 @@ def _requantize(acc: np.ndarray, quant: LayerQuant) -> tuple[np.ndarray, bool]:
 
 def run_bundle(bundle: ModelBundle, input: Tensor,
                schedule: ComputeSchedule = ComputeSchedule.REORDERED,
-               lanes: LaneConfig = LaneConfig()) -> RunResult:
-    """Execute every layer with its format's operator; int8 layers requantize."""
+               cfg: MachineConfig = MachineConfig()) -> RunResult:
+    """Execute every layer with its format's operator; int8 layers requantize.
+    ``schedule`` and ``cfg`` set only the reported instruction counts."""
     if bundle.role != "model":
         raise DataError("can only run bundles with role 'model'")
-    cfg = MachineConfig(lanes=lanes.lanes, register_count=lanes.register_count)
     x = input
     counts = []
     saturated = False
@@ -291,9 +294,7 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
             all_kept = encode_fwcs(weights, FilterletMask.all_kept(bl.spec))
             counts.append(schedule_counts(all_kept, bl.spec, schedule, cfg))
         elif bl.fmt == "fwcs":
-            op = conv_fwcs if schedule is ComputeSchedule.DEFAULT \
-                else conv_fwcs_reordered
-            acc = op(x, packed, bl.spec, lanes, bias)
+            acc = conv_fwcs(x, packed, bl.spec, bias)
             counts.append(schedule_counts(packed, bl.spec, schedule, cfg))
         else:
             acc = conv_csr(x, packed, bl.spec, bias)

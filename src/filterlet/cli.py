@@ -13,10 +13,9 @@ import numpy as np
 
 from .bundle import ModelBundle, RunResult, bundle_from_model, \
     gradients_from_bundle, model_from_bundle, run_bundle
-from .convops import ComputeSchedule, LaneConfig
 from .costmodel import Budget, LatencyParams, load_latency_params
-from .cyclesim import DEMO_STREAMS, MachineConfig, MAC_VEC, csr_layer_cycles, \
-    dump_trace, layer_cycles, simulate
+from .cyclesim import DEMO_STREAMS, MAC_VEC, ComputeSchedule, MachineConfig, \
+    csr_layer_cycles, dump_trace, layer_cycles, simulate
 from .errors import CorruptionError, DataError, FilterletError
 from .fwcs import FilterletMask, encode_csr, encode_fwcs, kept_count, \
     storage_footprint
@@ -62,10 +61,6 @@ def _emit(report: dict, path) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text + "\n")
-
-
-def _lane_config(args) -> LaneConfig:
-    return LaneConfig(lanes=args.lanes)
 
 
 def _machine_config(args) -> MachineConfig:
@@ -133,7 +128,7 @@ def cmd_run(args) -> int:
     bundle = _load_bundle(args.bundle)
     x = _load_tensor(args.input)
     schedule = ComputeSchedule(args.schedule)
-    result: RunResult = run_bundle(bundle, x, schedule, _lane_config(args))
+    result: RunResult = run_bundle(bundle, x, schedule, _machine_config(args))
     if args.out:
         with open(args.out, "wb") as f:
             f.write(write_tensor(result.output))
@@ -284,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", choices=["default", "reordered"],
                    default="reordered")
     p.add_argument("--lanes", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_run)
@@ -294,7 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", choices=["default", "reordered"],
                    default="reordered")
     p.add_argument("--lanes", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--demo", choices=["fig9"], default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_bench)
@@ -304,14 +297,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("grads")
     p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--lanes", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("simulate", help="render a canned micro-scenario trace")
     p.add_argument("--demo", default="fig9a")
     p.add_argument("--lanes", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 

@@ -4,44 +4,16 @@ Every operator returns the raw accumulator map of shape (out_h, out_w,
 n_filters).  int8 inputs accumulate exactly in 64-bit integers; float32
 inputs accumulate in float64 and are cast back to float32 once at the end,
 so the dense path and every sparse path agree bitwise on integer data and
-to float32 rounding on real data.  Lane width only changes how the dot
-products are chunked, never what they sum to.
+to float32 rounding on real data.  The sparse formats share one gather
+kernel.  Lane width and loop order exist only in the cycle model
+(:mod:`filterlet.cyclesim`); nothing here depends on them.
 """
-
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyOutputError
+from .errors import DataError, EmptyOutputError
 from .fwcs import CsrLayer, FwcsLayer
 from .tensor import ConvLayerSpec, Tensor, patch_matrix
-
-VALID_LANES = (2, 4, 8, 16)
-
-
-@dataclass(frozen=True)
-class LaneConfig:
-    """Vector unit shape: lane count plus register budget."""
-
-    lanes: int = 4
-    register_count: int = 8
-    register_bits: int = 128
-
-    def __post_init__(self):
-        if self.lanes not in VALID_LANES:
-            raise ConfigError(f"lanes {self.lanes} not in {VALID_LANES}")
-        if self.lanes * 8 > self.register_bits:
-            raise ConfigError("lanes do not fit the register width at 8-bit elements")
-        if self.register_count < 3:
-            raise ConfigError("need at least 3 vector registers")
-
-
-class ComputeSchedule(Enum):
-    """Loop order of the sparse operator; both orders compute the same values."""
-
-    DEFAULT = "default"
-    REORDERED = "reordered"
 
 
 def _acc_dtype(t: Tensor):
@@ -78,98 +50,34 @@ def conv_dense(input: Tensor, filters: Tensor, spec: ConvLayerSpec,
     return _finish(out, spec, input.dtype, bias)
 
 
-def _chunk_bounds(size: int, lanes: int):
-    """Start/length of each lane-wide dot-product chunk, with predicated tail."""
-    bounds = []
-    k = 0
-    while k < size:
-        bounds.append((k, min(lanes, size - k)))
-        k += lanes
-    return bounds
+def _gather_conv(p: np.ndarray, cols: np.ndarray, starts: np.ndarray,
+                 vals: np.ndarray, n_filters: int) -> np.ndarray:
+    """Column n is ``p[:, cols[lo:hi]] @ vals[lo:hi]`` with lo, hi = starts[n:n + 2]."""
+    out = np.zeros((p.shape[0], n_filters), dtype=p.dtype)
+    for n in range(n_filters):
+        lo, hi = int(starts[n]), int(starts[n + 1])
+        out[:, n] = p[:, cols[lo:hi]] @ vals[lo:hi]
+    return out
 
 
 def conv_fwcs(input: Tensor, layer: FwcsLayer, spec: ConvLayerSpec,
-              lanes: LaneConfig, bias: np.ndarray | None = None,
-              sorted_accumulation: bool = False) -> np.ndarray:
-    """Sparse operator in the default order: positions outermost.
-
-    For each output position the receptive field is prefetched, then every
-    retained filterlet contributes ceil(size/lanes) chunked MACs gathered at
-    the offset its c_ptr entry names.  ``sorted_accumulation`` sums each
-    output's chunk contributions in value order instead of stream order,
-    which makes float results schedule-independent for tests.
-    """
+              bias: np.ndarray | None = None) -> np.ndarray:
+    """Sparse operator over FWCS: each retained filterlet gathers the
+    ``size`` patch columns starting at its c_ptr entry."""
     if input.dtype != layer.dtype:
         raise DataError("input/layer dtype mismatch")
     layer.validate(spec)
     acc = _acc_dtype(input)
     p = patch_matrix(input, spec).astype(acc)
-    arr = layer.arr.astype(acc)
-    chunks = _chunk_bounds(layer.size, lanes.lanes)
-    n_pos = spec.out_positions
-    out = np.zeros((n_pos, spec.n_filters), dtype=acc)
-    parts = [[[] for _ in range(spec.n_filters)] for _ in range(n_pos)] \
-        if sorted_accumulation else None
-    for pos in range(n_pos):
-        buf = p[pos]
-        for n in range(spec.n_filters):
-            for j in layer.filterlets_of(n):
-                base = int(layer.c_ptr[j])
-                off = j * layer.size
-                for k, cl in chunks:
-                    v = buf[base + k:base + k + cl] @ arr[off + k:off + k + cl]
-                    if parts is None:
-                        out[pos, n] += v
-                    else:
-                        parts[pos][n].append(v)
-    if parts is not None:
-        for pos in range(n_pos):
-            for n in range(spec.n_filters):
-                out[pos, n] = np.sum(np.sort(np.array(parts[pos][n], dtype=acc)))
+    cols = (layer.c_ptr[:, None] + np.arange(layer.size)).reshape(-1)
+    out = _gather_conv(p, cols, layer.f_idx * layer.size,
+                       layer.arr.astype(acc), spec.n_filters)
     return _finish(out, spec, input.dtype, bias)
 
 
-def conv_fwcs_reordered(input: Tensor, layer: FwcsLayer, spec: ConvLayerSpec,
-                        lanes: LaneConfig, bias: np.ndarray | None = None,
-                        sorted_accumulation: bool = False) -> np.ndarray:
-    """Sparse operator with filterlets outermost over tiles of output positions.
-
-    One filterlet's weights stay resident while every position in the tile
-    consumes them; the tile width is the register budget minus the two
-    alternating feature registers.  Same sums as :func:`conv_fwcs`.
-    """
-    if input.dtype != layer.dtype:
-        raise DataError("input/layer dtype mismatch")
-    layer.validate(spec)
-    acc = _acc_dtype(input)
-    p = patch_matrix(input, spec).astype(acc)
-    arr = layer.arr.astype(acc)
-    chunks = _chunk_bounds(layer.size, lanes.lanes)
-    tile = max(1, lanes.register_count - 2)
-    n_pos = spec.out_positions
-    out = np.zeros((n_pos, spec.n_filters), dtype=acc)
-    parts = [[[] for _ in range(spec.n_filters)] for _ in range(n_pos)] \
-        if sorted_accumulation else None
-    for t0 in range(0, n_pos, tile):
-        t1 = min(t0 + tile, n_pos)
-        pt = p[t0:t1]
-        for n in range(spec.n_filters):
-            for j in layer.filterlets_of(n):
-                base = int(layer.c_ptr[j])
-                off = j * layer.size
-                for k, cl in chunks:
-                    seg = arr[off + k:off + k + cl]
-                    vals = pt[:, base + k:base + k + cl] @ seg
-                    if parts is None:
-                        out[t0:t1, n] += vals
-                    else:
-                        for i, v in enumerate(vals):
-                            parts[t0 + i][n].append(v)
-    if parts is not None:
-        for pos in range(n_pos):
-            for n in range(spec.n_filters):
-                out[pos, n] = np.sum(np.sort(np.array(parts[pos][n], dtype=acc)))
-    return _finish(out, spec, input.dtype, bias)
+# Both schedules compute the same sums; the old name stays because the
+# benchmark tracer looks it up on this module.
+conv_fwcs_reordered = conv_fwcs
 
 
 def conv_csr(input: Tensor, layer: CsrLayer, spec: ConvLayerSpec,
@@ -180,13 +88,8 @@ def conv_csr(input: Tensor, layer: CsrLayer, spec: ConvLayerSpec,
     layer.validate(spec)
     acc = _acc_dtype(input)
     p = patch_matrix(input, spec).astype(acc)
-    arr = layer.arr.astype(acc)
-    out = np.zeros((spec.out_positions, spec.n_filters), dtype=acc)
-    for n in range(spec.n_filters):
-        lo, hi = int(layer.f_idx[n]), int(layer.f_idx[n + 1])
-        if hi > lo:
-            idxs = layer.c_ptr[lo:hi]
-            out[:, n] = p[:, idxs] @ arr[lo:hi]
+    out = _gather_conv(p, layer.c_ptr, layer.f_idx, layer.arr.astype(acc),
+                       spec.n_filters)
     return _finish(out, spec, input.dtype, bias)
 
 

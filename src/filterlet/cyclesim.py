@@ -20,9 +20,9 @@ two-register variant stalls the ALU for three cycles.
 
 import re
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 
-from .convops import ComputeSchedule
 from .errors import ConfigError, StreamError
 from .fwcs import CsrLayer, FwcsLayer
 from .tensor import ConvLayerSpec
@@ -35,6 +35,15 @@ MAC_SCALAR = "macs"
 _MEM_KINDS = (LOAD_VEC, LOAD_SCALAR)
 _ALU_KINDS = (MAC_VEC, MAC_SCALAR)
 _VEC_KINDS = (LOAD_VEC, MAC_VEC)
+
+VALID_LANES = (2, 4, 8, 16)
+
+
+class ComputeSchedule(Enum):
+    """Loop order of the simulated sparse kernel; both compute the same values."""
+
+    DEFAULT = "default"
+    REORDERED = "reordered"
 
 
 @dataclass(frozen=True)
@@ -50,8 +59,8 @@ class MachineConfig:
     def __post_init__(self):
         if self.vec_instr_cycles < 1:
             raise ConfigError("vec_instr_cycles must be >= 1")
-        if self.lanes < 1:
-            raise ConfigError("lanes must be >= 1")
+        if self.lanes not in VALID_LANES:
+            raise ConfigError(f"lanes {self.lanes} not in {VALID_LANES}")
         if self.register_count < 3:
             raise ConfigError("need at least 3 vector registers")
         if self.post_cycles < 0:

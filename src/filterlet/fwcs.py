@@ -37,6 +37,13 @@ def kept_count(total: int, alpha: float) -> int:
     return int(np.floor((1.0 - alpha) * total + 0.5))
 
 
+def _check_f_idx(f_idx: np.ndarray, spec: ConvLayerSpec) -> None:
+    if len(f_idx) != spec.n_filters + 1 or f_idx[0] != 0:
+        raise CorruptionError("f_idx length or leading entry wrong")
+    if np.any(np.diff(f_idx) < 0):
+        raise CorruptionError("f_idx not non-decreasing")
+
+
 @dataclass(frozen=True)
 class FilterletMask:
     """Per-filterlet keep/prune decision for one layer.
@@ -122,10 +129,7 @@ class FwcsLayer:
         """Structural invariants; raises CorruptionError when violated."""
         if self.size != spec.filterlet_length:
             raise CorruptionError(f"size {self.size} != channels {spec.channels}")
-        if len(self.f_idx) != spec.n_filters + 1 or self.f_idx[0] != 0:
-            raise CorruptionError("f_idx length or leading entry wrong")
-        if np.any(np.diff(self.f_idx) < 0):
-            raise CorruptionError("f_idx not non-decreasing")
+        _check_f_idx(self.f_idx, spec)
         if len(self.c_ptr) != self.n_retained:
             raise CorruptionError("c_ptr length != retained filterlet count")
         top = spec.filterlets_per_filter * spec.channels
@@ -173,8 +177,7 @@ class CsrLayer:
         return int(self.f_idx[-1])
 
     def validate(self, spec: ConvLayerSpec) -> None:
-        if len(self.f_idx) != spec.n_filters + 1 or self.f_idx[0] != 0:
-            raise CorruptionError("f_idx length or leading entry wrong")
+        _check_f_idx(self.f_idx, spec)
         top = spec.filterlets_per_filter * spec.channels
         for n in range(spec.n_filters):
             ptrs = self.c_ptr[self.f_idx[n]:self.f_idx[n + 1]]

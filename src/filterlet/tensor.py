@@ -12,6 +12,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundsError, CorruptionError, DataError
 
@@ -198,21 +199,18 @@ def extract_patch(input: Tensor, spec: ConvLayerSpec, out_h: int, out_w: int) ->
 def patch_matrix(input, spec: ConvLayerSpec) -> np.ndarray:
     """All receptive fields stacked row-wise, row index = out_h*out_w grid order.
 
-    Accepts a Tensor or a plain (input_h, input_w, channels) array.
+    Accepts a Tensor or a plain (input_h, input_w, channels) array.  The
+    result is a fresh writable array, never a view of the input.
     """
     arr = input.to_array() if isinstance(input, Tensor) else np.asarray(input)
     if arr.shape != spec.input_dims:
         raise DataError(f"input dims {arr.shape} do not match spec {spec.input_dims}")
-    k = spec.filterlets_per_filter * spec.channels
-    out = np.empty((spec.out_positions, k), dtype=arr.dtype)
-    row = 0
-    for oh in range(spec.out_h):
-        h0 = oh * spec.stride
-        for ow in range(spec.out_w):
-            w0 = ow * spec.stride
-            out[row] = arr[h0:h0 + spec.kernel_h, w0:w0 + spec.kernel_w, :].reshape(-1)
-            row += 1
-    return out
+    # window axes: row, column, channel, kernel row, kernel column
+    win = sliding_window_view(arr, (spec.kernel_h, spec.kernel_w), axis=(0, 1))
+    out = np.empty((spec.out_h, spec.out_w, spec.kernel_h, spec.kernel_w,
+                    spec.channels), dtype=arr.dtype)
+    out[...] = win[::spec.stride, ::spec.stride].transpose(0, 1, 3, 4, 2)
+    return out.reshape(spec.out_positions, -1)
 
 
 def write_tensor(t: Tensor) -> bytes:

@@ -11,12 +11,12 @@ import numpy as np
 
 from filterlet.bundle import ModelBundle, bundle_from_model, run_bundle
 from filterlet.cli import main
-from filterlet.convops import ComputeSchedule, LaneConfig, conv_csr, \
-    conv_dense, conv_fwcs, conv_fwcs_reordered
+from filterlet.convops import conv_csr, conv_dense, conv_fwcs, \
+    conv_fwcs_reordered
 from filterlet.costmodel import Budget, LatencyParams, fit_latency_params, \
     layer_latency, model_size, normalized_mse
-from filterlet.cyclesim import MachineConfig, layer_cycles, simulate, \
-    two_mac_default_stream, two_mac_pinned_stream
+from filterlet.cyclesim import ComputeSchedule, MachineConfig, layer_cycles, \
+    simulate, two_mac_default_stream, two_mac_pinned_stream
 from filterlet.fwcs import FilterletMask, decode_fwcs, encode_csr, \
     encode_fwcs, kept_count
 from filterlet.importance import ImportanceMap, apply_mask_zeroing, \
@@ -68,17 +68,15 @@ def test_criterion_1_oracle_equivalence():
     """All sparse operators match the dense oracle on 500 random instances."""
     started = time.monotonic()
     rng = np.random.default_rng(1001)
-    lanes_pool = [LaneConfig(lanes=l) for l in (2, 4, 8, 16)]
     for trial in range(500):
         dtype = "int8" if trial % 2 == 0 else "float32"
         spec, x, w, mask = _rand_instance(rng, dtype)
         layer = encode_fwcs(w, mask)
         csr = encode_csr(w, mask.to_weight_mask())
         want = conv_dense(x, decode_fwcs(layer, spec), spec)
-        lanes = lanes_pool[trial % 4]
         outs = (
-            conv_fwcs(x, layer, spec, lanes),
-            conv_fwcs_reordered(x, layer, spec, lanes),
+            conv_fwcs(x, layer, spec),
+            conv_fwcs_reordered(x, layer, spec),
             conv_csr(x, csr, spec),
         )
         for got in outs:

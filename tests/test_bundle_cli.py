@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from filterlet.bundle import ModelBundle, bundle_from_masks, \
+from filterlet.bundle import BundleLayer, ModelBundle, bundle_from_masks, \
     bundle_from_model, model_from_bundle, run_bundle
-from filterlet.cli import main
-from filterlet.convops import ComputeSchedule, conv_dense
-from filterlet.errors import CorruptionError
-from filterlet.fwcs import FilterletMask
+from filterlet.cli import _build_parser, main
+from filterlet.convops import conv_dense
+from filterlet.cyclesim import ComputeSchedule
+from filterlet.errors import CorruptionError, DataError
+from filterlet.fwcs import CsrLayer, FilterletMask, write_csr
 from filterlet.importance import GradientBundle
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
 from filterlet.tensor import ConvLayerSpec, Tensor, read_tensor, \
@@ -108,6 +109,18 @@ class TestBundleContainer:
             assert np.array_equal(a.weights.data, b.weights.data)
             assert np.array_equal(a.bias, b.bias)
             assert a.quant == b.quant
+
+    def test_inexact_integer_bias_rejected(self):
+        model = int8_chain(n_layers=1)
+        layer = model.layers[0]
+        bias = layer.bias.copy()
+        bias[0] = 2 ** 24  # still exact as float32
+        layer.bias = bias
+        assert np.array_equal(
+            model_from_bundle(bundle_from_model(model)).layers[0].bias, bias)
+        bias[0] = 2 ** 24 + 1
+        with pytest.raises(DataError):
+            bundle_from_model(model)
 
 
 class TestRunBundle:
@@ -256,6 +269,20 @@ class TestCli:
         bad.write_bytes(bytes(raw))
         assert main(["run", str(bad), str(input_path)]) == 4
 
+    def test_csr_block_with_decreasing_f_idx_exits_4(self, tmp_path, capsys):
+        spec = ConvLayerSpec(n_filters=3, kernel_h=1, kernel_w=1, channels=4,
+                             input_h=2, input_w=2)
+        block = write_csr(CsrLayer(np.array([1, 2, 3, 4], np.int8),
+                                   np.array([0, 1, 2, 3]),
+                                   np.array([0, 3, 1, 4]), "int8"))
+        quant = LayerQuant(input_scale=0.05, weight_scale=0.02, output_scale=0.4)
+        bp = tmp_path / "bad.fltb"
+        ModelBundle("bad", "model", [BundleLayer(
+            "conv0", "csr", spec, "int8", False, quant, block)]).save(bp)
+        xp = tmp_path / "x.dttn"
+        xp.write_bytes(write_tensor(Tensor.zeros(spec.input_dims, "int8")))
+        assert main(["run", str(bp), str(xp)]) == 4
+
     def test_empty_input_exits_4(self, workdir, capsys):
         tmp, _, model_path, _, _ = workdir
         empty = tmp / "empty.dttn"
@@ -328,6 +355,17 @@ class TestCli:
         assert main(["simulate", "--demo", "fig9b"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 7
+
+    def test_only_prune_takes_seed(self):
+        parser = _build_parser()
+        args = parser.parse_args(["prune", "m", "g", "o", "--flash", "1",
+                                  "--ram", "1", "--dlmax", "1", "--seed", "3"])
+        assert args.seed == 3
+        for argv in (["run", "b", "x"], ["bench", "b"], ["compare", "m", "g",
+                     "--ratio", "0.5"], ["simulate"]):
+            assert "seed" not in vars(parser.parse_args(argv))
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + ["--seed", "3"])
 
     def test_deterministic_given_seed(self, workdir, capsys, monkeypatch):
         tmp, model, model_path, grads_path, _ = workdir

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from filterlet.convops import LaneConfig, conv_csr, conv_dense, \
-    conv_fwcs, conv_fwcs_reordered, conv_structured
+from filterlet.convops import conv_csr, conv_dense, conv_fwcs, \
+    conv_fwcs_reordered, conv_structured
+from filterlet.cyclesim import MachineConfig
 from filterlet.errors import ConfigError, DataError, EmptyOutputError
 from filterlet.fwcs import FilterletMask, decode_fwcs, encode_csr, encode_fwcs
 from filterlet.tensor import ConvLayerSpec, Tensor
@@ -107,54 +108,33 @@ class TestConvDense:
 class TestConvFwcs:
     def test_all_kept_equals_dense(self):
         rng = np.random.default_rng(4)
-        lanes = LaneConfig(lanes=4)
         for trial in range(50):
             dtype = "int8" if trial % 2 else "float32"
             spec, x, w = rand_instance(rng, dtype)
             layer = encode_fwcs(w, FilterletMask.all_kept(spec))
             want = conv_dense(x, w, spec)
-            assert_matches(conv_fwcs(x, layer, spec, lanes), want, dtype)
+            assert_matches(conv_fwcs(x, layer, spec), want, dtype)
 
     def test_fully_pruned_is_zero_plus_bias(self):
         rng = np.random.default_rng(5)
         spec, x, w = rand_instance(rng, "float32")
         layer = encode_fwcs(w, FilterletMask.none_kept(spec))
         bias = rng.normal(size=spec.n_filters).astype(np.float32)
-        out = conv_fwcs(x, layer, spec, LaneConfig(), bias)
+        out = conv_fwcs(x, layer, spec, bias)
         assert np.allclose(out, np.broadcast_to(bias, out.shape))
 
     def test_masked_matches_dense_on_decoded(self):
         rng = np.random.default_rng(6)
-        lanes = LaneConfig(lanes=8)
         for trial in range(30):
             dtype = "int8" if trial % 2 else "float32"
             spec, x, w = rand_instance(rng, dtype)
             mask = rand_mask(spec, rng)
             layer = encode_fwcs(w, mask)
             want = conv_dense(x, decode_fwcs(layer, spec), spec)
-            assert_matches(conv_fwcs(x, layer, spec, lanes), want, dtype)
-
-    def test_lane_count_independence_int8(self):
-        rng = np.random.default_rng(7)
-        spec, x, w = rand_instance(rng, "int8")
-        layer = encode_fwcs(w, rand_mask(spec, rng, 0.7))
-        outs = [conv_fwcs(x, layer, spec, LaneConfig(lanes=l))
-                for l in (2, 4, 8, 16)]
-        for o in outs[1:]:
-            assert np.array_equal(o, outs[0])
+            assert_matches(conv_fwcs(x, layer, spec), want, dtype)
 
 
 class TestConvFwcsReordered:
-    def test_bitwise_equal_to_default_order_int8(self):
-        rng = np.random.default_rng(8)
-        lanes = LaneConfig(lanes=4)
-        for _ in range(20):
-            spec, x, w = rand_instance(rng, "int8")
-            layer = encode_fwcs(w, rand_mask(spec, rng))
-            a = conv_fwcs(x, layer, spec, lanes)
-            b = conv_fwcs_reordered(x, layer, spec, lanes)
-            assert np.array_equal(a, b)
-
     def test_single_filterlet_degenerates(self):
         spec = ConvLayerSpec(n_filters=1, kernel_h=1, kernel_w=1, channels=4,
                              input_h=3, input_w=3)
@@ -162,30 +142,17 @@ class TestConvFwcsReordered:
         x = Tensor.from_array(rng.integers(-50, 50, spec.input_dims).astype(np.int8))
         w = Tensor.from_array(rng.integers(-50, 50, spec.weight_dims).astype(np.int8))
         layer = encode_fwcs(w, FilterletMask.all_kept(spec))
-        lanes = LaneConfig(lanes=4)
-        assert np.array_equal(conv_fwcs(x, layer, spec, lanes),
-                              conv_fwcs_reordered(x, layer, spec, lanes))
-
-    def test_sorted_accumulation_matches_across_schedules_float(self):
-        rng = np.random.default_rng(10)
-        lanes = LaneConfig(lanes=4)
-        for _ in range(5):
-            spec, x, w = rand_instance(rng, "float32")
-            layer = encode_fwcs(w, rand_mask(spec, rng, 0.8))
-            a = conv_fwcs(x, layer, spec, lanes, sorted_accumulation=True)
-            b = conv_fwcs_reordered(x, layer, spec, lanes, sorted_accumulation=True)
-            assert np.array_equal(a, b)
+        assert np.array_equal(conv_fwcs(x, layer, spec), conv_dense(x, w, spec))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
-        lanes = LaneConfig(lanes=8)
         for trial in range(20):
             dtype = "int8" if trial % 2 else "float32"
             spec, x, w = rand_instance(rng, dtype)
             mask = rand_mask(spec, rng)
             layer = encode_fwcs(w, mask)
             want = conv_dense(x, decode_fwcs(layer, spec), spec)
-            assert_matches(conv_fwcs_reordered(x, layer, spec, lanes), want, dtype)
+            assert_matches(conv_fwcs_reordered(x, layer, spec), want, dtype)
 
 
 class TestConvCsr:
@@ -255,11 +222,7 @@ class TestConvStructured:
 class TestLaneConfig:
     def test_rejects_bad_lane_count(self):
         with pytest.raises(ConfigError):
-            LaneConfig(lanes=3)
-
-    def test_rejects_lanes_beyond_register(self):
-        with pytest.raises(ConfigError):
-            LaneConfig(lanes=16, register_bits=64)
+            MachineConfig(lanes=3)
 
     def test_dtype_mismatch_raises(self):
         spec = ConvLayerSpec(n_filters=1, kernel_h=1, kernel_w=1, channels=1,

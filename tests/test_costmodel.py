@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from filterlet.convops import ComputeSchedule
 from filterlet.costmodel import LatencyParams, StrategyVector, \
     fit_latency_params, layer_latency, load_latency_params, load_samples_csv, \
     model_size, normalized_mse, runtime_memory, save_latency_params, \
     save_samples_csv, total_time
-from filterlet.cyclesim import MachineConfig, layer_cycles
+from filterlet.cyclesim import ComputeSchedule, MachineConfig, layer_cycles
 from filterlet.errors import DataError, FitError, TopologyError
 from filterlet.fwcs import FWCS_FRAMING_BYTES, FilterletMask, encode_fwcs, \
     kept_count, write_fwcs

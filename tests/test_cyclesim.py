@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from filterlet.convops import ComputeSchedule
-from filterlet.cyclesim import Instruction, LOAD_SCALAR, LOAD_VEC, MAC_VEC, \
-    MachineConfig, csr_counts, csr_layer_cycles, dump_stream, dump_trace, \
-    layer_cycles, lds, ldv, lower_csr, lower_schedule, macv, schedule_counts, \
-    simulate, two_mac_default_stream, two_mac_pinned_stream, \
-    two_mac_two_register_stream
+from filterlet.cyclesim import ComputeSchedule, Instruction, LOAD_SCALAR, \
+    LOAD_VEC, MAC_VEC, MachineConfig, csr_counts, csr_layer_cycles, \
+    dump_stream, dump_trace, layer_cycles, lds, ldv, lower_csr, \
+    lower_schedule, macv, schedule_counts, simulate, two_mac_default_stream, \
+    two_mac_pinned_stream, two_mac_two_register_stream
 from filterlet.errors import ConfigError, StreamError
 from filterlet.fwcs import FilterletMask, encode_csr, encode_fwcs
 from filterlet.tensor import ConvLayerSpec, Tensor

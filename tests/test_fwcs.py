@@ -3,7 +3,7 @@ import pytest
 
 from filterlet.errors import CorruptionError, DataError, FormatError
 from filterlet.fwcs import CSR_FRAMING_BYTES, FWCS_FRAMING_BYTES, \
-    FilterletMask, FwcsLayer, decode_csr, decode_fwcs, encode_csr, \
+    CsrLayer, FilterletMask, FwcsLayer, decode_csr, decode_fwcs, encode_csr, \
     encode_fwcs, kept_count, read_csr, read_fwcs, storage_footprint, \
     write_csr, write_fwcs
 from filterlet.tensor import ConvLayerSpec, Tensor
@@ -150,6 +150,18 @@ class TestEncodeCsr:
         expect = w.to_array().reshape(2, 18).copy()
         expect[~mask] = 0
         assert np.array_equal(dense.reshape(2, 18), expect)
+
+    def test_rejects_decreasing_f_idx(self):
+        # filter 1 would span [3, 1) and filter 2 [1, 4): six weights from four
+        spec = make_spec(n=3, kh=1, kw=1, c=4)
+        blob = write_csr(CsrLayer(np.array([1, 2, 3, 4], np.int8),
+                                  np.array([0, 1, 2, 3]),
+                                  np.array([0, 3, 1, 4]), "int8"))
+        layer, _ = read_csr(blob, 0, "int8")
+        with pytest.raises(CorruptionError):
+            layer.validate(spec)
+        with pytest.raises(CorruptionError):
+            decode_csr(layer, spec)
 
 
 class TestFootprint:

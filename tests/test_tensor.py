@@ -165,13 +165,25 @@ class TestExtractPatch:
             extract_patch(x, spec, 3, 0)
 
     def test_patch_matrix_covers_all_receptive_fields(self):
-        spec = spec_for(2, 3, 2, ih=5, iw=6, stride=2)
+        cases = [  # kh, kw, c, ih, iw, stride, plain ndarray input
+            (2, 3, 2, 5, 6, 2, False),
+            (1, 1, 3, 4, 5, 1, False),  # 1x1 kernel
+            (3, 4, 2, 3, 4, 1, False),  # kernel equal to the input
+            (2, 2, 3, 7, 7, 2, False),  # stride 2, last row and column unused
+            (2, 3, 2, 5, 6, 1, True),   # float64 array, as forward_float64
+        ]
         rng = np.random.default_rng(3)
-        x = Tensor.from_array(rng.normal(size=(5, 6, 2)).astype(np.float32))
-        mat = patch_matrix(x, spec)
-        assert mat.shape == (spec.out_positions, 12)
-        row = 0
-        for oh in range(spec.out_h):
-            for ow in range(spec.out_w):
-                assert np.array_equal(mat[row], extract_patch(x, spec, oh, ow))
-                row += 1
+        for kh, kw, c, ih, iw, stride, plain in cases:
+            spec = spec_for(kh, kw, c, ih=ih, iw=iw, stride=stride)
+            x = Tensor.from_array(rng.normal(size=(ih, iw, c)).astype(np.float32))
+            src = x.to_array().astype(np.float64) if plain else x
+            mat = patch_matrix(src, spec)
+            assert mat.shape == (spec.out_positions, kh * kw * c)
+            assert mat.dtype == (np.float64 if plain else np.float32)
+            assert mat.flags.writeable
+            assert not np.shares_memory(mat, src if plain else x.data)
+            row = 0
+            for oh in range(spec.out_h):
+                for ow in range(spec.out_w):
+                    assert np.array_equal(mat[row], extract_patch(x, spec, oh, ow))
+                    row += 1
