@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convops import conv_csr, conv_dense, conv_fwcs
-from .cyclesim import ComputeSchedule, MachineConfig, csr_counts, \
-    schedule_counts
+from .cyclesim import ComputeSchedule, MachineConfig, _dense_stream, \
+    csr_counts, schedule_counts
 from .errors import CorruptionError, DataError, FormatError
 from .fwcs import CsrLayer, FilterletMask, FwcsLayer, decode_csr, decode_fwcs, \
     encode_csr, encode_fwcs, read_csr, read_fwcs, write_csr, write_fwcs
@@ -291,8 +291,7 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
         weights, packed, bias = bl.decode_weights()
         if bl.fmt == "dense":
             acc = conv_dense(x, weights, bl.spec, bias)
-            all_kept = encode_fwcs(weights, FilterletMask.all_kept(bl.spec))
-            counts.append(schedule_counts(all_kept, bl.spec, schedule, cfg))
+            counts.append(_dense_stream(bl.spec, schedule, cfg).counts())
         elif bl.fmt == "fwcs":
             acc = conv_fwcs(x, packed, bl.spec, bias)
             counts.append(schedule_counts(packed, bl.spec, schedule, cfg))

@@ -15,7 +15,8 @@ from .bundle import ModelBundle, RunResult, bundle_from_model, \
     gradients_from_bundle, model_from_bundle, run_bundle
 from .costmodel import Budget, LatencyParams, load_latency_params
 from .cyclesim import DEMO_STREAMS, MAC_VEC, ComputeSchedule, MachineConfig, \
-    csr_layer_cycles, dump_trace, layer_cycles, simulate
+    _dense_stream, _fwcs_stream, csr_layer_cycles, dump_trace, layer_cycles, \
+    simulate
 from .errors import CorruptionError, DataError, FilterletError
 from .fwcs import FilterletMask, encode_csr, encode_fwcs, kept_count, \
     storage_footprint
@@ -33,7 +34,8 @@ EXIT_CORRUPT = 4
 def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("DTMM_SEED", "0"))
+    return int(os.environ.get("FILTERLET_SEED",
+                              os.environ.get("DTMM_SEED", "0")))
 
 
 def _load_bundle(path) -> ModelBundle:
@@ -145,12 +147,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _fwcs_from_bundle_layer(bl):
-    weights, packed, _ = bl.decode_weights()
+def _bench_stream(bl, schedule, cfg):
+    _, packed, _ = bl.decode_weights()
     if bl.fmt == "fwcs":
-        return packed
+        return _fwcs_stream(packed.n_retained, packed.size, bl.spec, schedule, cfg)
     if bl.fmt == "dense":
-        return encode_fwcs(weights, FilterletMask.all_kept(bl.spec))
+        return _dense_stream(bl.spec, schedule, cfg)
     raise DataError(f"cannot bench layer format {bl.fmt!r}")
 
 
@@ -171,9 +173,9 @@ def cmd_bench(args) -> int:
     layers = []
     total = 0
     for bl in bundle.layers:
-        packed = _fwcs_from_bundle_layer(bl)
-        cycles = layer_cycles(packed, bl.spec, schedule, cfg)
-        layers.append({"name": bl.name, "cycles": cycles})
+        stream = _bench_stream(bl, schedule, cfg)
+        cycles = stream.cycles(cfg)
+        layers.append({"name": bl.name, "cycles": cycles, **stream.counts()})
         total += cycles
     _emit({"schedule": schedule.value, "lanes": cfg.lanes,
            "layers": layers, "total_cycles": total}, args.report)
@@ -199,13 +201,12 @@ def cmd_compare(args) -> int:
         struct_mask = FilterletMask(
             spec, kept_filters[:, None].repeat(spec.filterlets_per_filter, 1))
         struct_fw = encode_fwcs(layer.weights, struct_mask)
-        dense_all = encode_fwcs(layer.weights, FilterletMask.all_kept(spec))
         rows.append({
             "layer": layer.name,
             "dense": {
                 "bytes": storage_footprint(layer.weights, m=m_bits),
-                "cycles": layer_cycles(dense_all, spec,
-                                       ComputeSchedule.DEFAULT, cfg),
+                "cycles": _dense_stream(spec, ComputeSchedule.DEFAULT,
+                                        cfg).cycles(cfg),
             },
             "structured": {
                 "kept_filters": int(kept_filters.sum()),

@@ -16,12 +16,25 @@ Under these rules the canned two-MAC demos complete in 9 cycles (fresh
 operand pair per MAC, ALU idle for two cycles mid-stream) versus 7 cycles
 (one operand pinned, alternating feature loads, no ALU idling), and the
 two-register variant stalls the ALU for three cycles.
+
+A layer's stream is described once, as blocks of nested repeats: per output
+position (or position tile) a run of patch loads, then one unit per retained
+filterlet, where a unit's registers depend only on a small rotation phase.
+Lowering expands the description, counting multiplies each unit's counts by
+its repeats, and ``layer_cycles`` runs the same issue state as ``simulate``
+over it without expanding it.  After each unit and each block that state is
+keyed on the phase and on every time relative to the memory unit's next free
+cycle, with times that can no longer delay anything clamped.  Equal keys
+give equal futures up to a shift, so when a key recurs after P steps and D
+cycles, whole periods are skipped by adding D per period to every time, and
+only the remainder is simulated.  Every distinct unit is simulated before
+any skip, so the register checks still fire, and the cycle count is exact.
 """
 
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import ConfigError, StreamError
 from .fwcs import CsrLayer, FwcsLayer
@@ -151,43 +164,84 @@ def _check_register(name: str | None, cfg: MachineConfig) -> None:
         )
 
 
-def simulate(stream, cfg: MachineConfig = MachineConfig()) -> CycleTrace:
-    """Greedy in-order dual-unit schedule of ``stream``; cycles are 1-based."""
-    mem_free = 1
-    alu_free = 1
-    load_start: dict[str, int] = {}
-    load_end: dict[str, int] = {}
-    reader_end: dict[str, int] = {}
-    ops: list[ScheduledOp] = []
-    for ins in stream:
-        d = duration(ins, cfg)
+class _Timing:
+    """Resumable issue state of the two units; every simulation path runs it."""
+
+    def __init__(self, cfg: MachineConfig):
+        self.cfg = cfg
+        self.mem_free = 1
+        self.alu_free = 1
+        self.load_start: dict[str, int] = {}
+        self.load_end: dict[str, int] = {}
+        self.reader_end: dict[str, int] = {}
+
+    @property
+    def total(self) -> int:
+        # each unit's latest op ends the cycle before it frees; 0 if none ran
+        return max(self.mem_free, self.alu_free) - 1
+
+    def issue(self, ins: Instruction) -> int:
+        """Schedule ``ins`` after everything issued so far; return its start."""
+        d = duration(ins, self.cfg)
         if ins.kind in _MEM_KINDS:
-            _check_register(ins.dst, cfg)
-            start = mem_free
+            _check_register(ins.dst, self.cfg)
+            start = self.mem_free
             if ins.dst is not None:
                 # WAR: every earlier consumer of this register must be done
-                start = max(start, reader_end.get(ins.dst, 0) + 1)
-            mem_free = start + d
-            if ins.dst is not None:
-                load_start[ins.dst] = start
-                load_end[ins.dst] = start + d - 1
+                start = max(start, self.reader_end.get(ins.dst, 0) + 1)
+                self.load_start[ins.dst] = start
+                self.load_end[ins.dst] = start + d - 1
+            self.mem_free = start + d
         elif ins.kind in _ALU_KINDS:
-            start = alu_free
+            start = self.alu_free
             for r in ins.srcs:
-                _check_register(r, cfg)
-                if r not in load_start:
+                _check_register(r, self.cfg)
+                if r not in self.load_start:
                     raise StreamError(f"MAC reads {r} before any load wrote it")
-                ready = (load_start[r] + 1) if cfg.overlap_enabled \
-                    else (load_end[r] + 1)
+                ready = (self.load_start[r] + 1) if self.cfg.overlap_enabled \
+                    else (self.load_end[r] + 1)
                 start = max(start, ready)
-            alu_free = start + d
+            self.alu_free = start + d
             for r in ins.srcs:
-                reader_end[r] = max(reader_end.get(r, 0), start + d - 1)
+                self.reader_end[r] = max(self.reader_end.get(r, 0), start + d - 1)
         else:
             raise StreamError(f"unknown instruction kind {ins.kind!r}")
-        ops.append(ScheduledOp(ins, start, start + d - 1))
-    total = max((op.end for op in ops), default=0)
-    return CycleTrace(tuple(ops), total)
+        return start
+
+    def run(self, instructions) -> None:
+        for ins in instructions:
+            self.issue(ins)
+
+    def key(self) -> tuple:
+        """Everything that decides later issue times, relative to ``mem_free``.
+
+        A load never starts before ``mem_free`` and a MAC never before
+        ``alu_free``, both of which only grow, so a reader end below
+        ``mem_free`` and a load time below ``alu_free`` can no longer bind
+        and are clamped to one cycle before them.
+        """
+        m, a = self.mem_free, self.alu_free
+        return (a - m,
+                tuple((r, max(v, m - 1) - m) for r, v in self.reader_end.items()),
+                tuple((r, max(v, a - 1) - m) for r, v in self.load_start.items()),
+                tuple((r, max(v, a - 1) - m) for r, v in self.load_end.items()))
+
+    def shift(self, cycles: int) -> None:
+        self.mem_free += cycles
+        self.alu_free += cycles
+        for times in (self.load_start, self.load_end, self.reader_end):
+            for r in times:
+                times[r] += cycles
+
+
+def simulate(stream, cfg: MachineConfig = MachineConfig()) -> CycleTrace:
+    """Greedy in-order dual-unit schedule of ``stream``; cycles are 1-based."""
+    timing = _Timing(cfg)
+    ops: list[ScheduledOp] = []
+    for ins in stream:
+        start = timing.issue(ins)
+        ops.append(ScheduledOp(ins, start, start + duration(ins, cfg) - 1))
+    return CycleTrace(tuple(ops), timing.total)
 
 
 def two_mac_default_stream(span: int = 4) -> list[Instruction]:
@@ -224,6 +278,200 @@ def _chunk_lengths(size: int, lanes: int) -> list[int]:
     return [min(lanes, size - k) for k in range(0, size, lanes)]
 
 
+def _repeat(timing: _Timing, n: int, phase: int, step) -> int:
+    """Apply ``step`` (phase -> next phase) ``n`` times from ``phase``.
+
+    Once the phase and the clamped state repeat, with a period of P steps
+    and a gain of D cycles, the next whole periods are skipped by shifting
+    every time by D per period; the remainder is run step by step.
+    """
+    seen: dict | None = {}
+    i = 0
+    while i < n:
+        if seen is not None:
+            key = (phase, timing.key())
+            if key in seen:
+                j, mem_free = seen[key]
+                periods = (n - i) // (i - j)
+                timing.shift(periods * (timing.mem_free - mem_free))
+                i += periods * (i - j)
+                seen = None
+                continue
+            seen[key] = (i, timing.mem_free)
+        phase = step(phase)
+        i += 1
+    return phase
+
+
+@dataclass(frozen=True)
+class _Block:
+    """``repeats`` x [``head`` scalar loads, then ``units`` units].
+
+    The unit at phase ``p`` is ``variants[p]``; each unit advances the phase
+    by ``step`` (mod the number of variants), starting from ``phase``.
+    """
+
+    repeats: int
+    head: int
+    units: int
+    variants: tuple[tuple[Instruction, ...], ...]
+    step: int
+    phase: int = 0
+
+    def next_phase(self, phase: int) -> int:
+        return (phase + self.step) % len(self.variants)
+
+    def run_unit(self, timing: _Timing, phase: int) -> int:
+        timing.run(self.variants[phase])
+        return self.next_phase(phase)
+
+    def run_once(self, timing: _Timing, phase: int) -> int:
+        timing.run([lds()] * self.head)
+        return _repeat(timing, self.units, phase, partial(self.run_unit, timing))
+
+
+_COUNT_KEYS = {LOAD_VEC: "vector_loads", LOAD_SCALAR: "scalar_loads",
+               MAC_VEC: "macs", MAC_SCALAR: "macs"}
+
+
+@dataclass(frozen=True)
+class _Stream:
+    """A lowered layer as nested repeats, plus its output count.
+
+    Expanding it yields the instruction stream; counting and pricing it
+    never do.
+    """
+
+    blocks: tuple[_Block, ...]
+    outputs: int
+
+    def expand(self) -> list[Instruction]:
+        stream: list[Instruction] = []
+        for b in self.blocks:
+            phase = b.phase
+            for _ in range(b.repeats):
+                stream.extend([lds()] * b.head)
+                for _ in range(b.units):
+                    stream.extend(b.variants[phase])
+                    phase = b.next_phase(phase)
+        return stream
+
+    def counts(self) -> dict[str, int]:
+        counts = {"macs": 0, "vector_loads": 0, "scalar_loads": 0}
+        for b in self.blocks:
+            counts["scalar_loads"] += b.repeats * b.head
+            for ins in b.variants[0]:
+                counts[_COUNT_KEYS[ins.kind]] += b.repeats * b.units
+        return counts
+
+    def cycles(self, cfg: MachineConfig) -> int:
+        """Simulated cycles of the expanded stream, plus post-processing."""
+        timing = _Timing(cfg)
+        for b in self.blocks:
+            _repeat(timing, b.repeats, b.phase, partial(b.run_once, timing))
+        return timing.total + self.outputs * cfg.post_cycles
+
+
+def _rotating_units(chunks: list[int]) -> tuple[tuple[Instruction, ...], ...]:
+    """Unit per phase ``rot % 3``: an index read, then per chunk a fresh
+    weight/feature pair over three rotating registers."""
+    pairs = (("q0", "q1"), ("q1", "q2"), ("q2", "q0"))
+    # one object per distinct instruction keeps building the units cheap
+    groups = {cl: [(ldv(w, cl), ldv(f, cl), macv(w, f, cl)) for w, f in pairs]
+              for cl in set(chunks)}
+    index = lds()  # read this filterlet's c_ptr entry
+    units = []
+    for rot in range(3):
+        unit = [index]
+        for cl in chunks:
+            unit += groups[cl][rot % 3]
+            rot += 2
+        units.append(tuple(unit))
+    return tuple(units)
+
+
+def _pinned_units(chunks: list[int], width: int) -> tuple[tuple[Instruction, ...], ...]:
+    """Unit per phase ``alt % 2``: one filterlet over a tile of ``width``
+    positions, the weight chunk pinned in q0 and the features alternating
+    between q1 and q2."""
+    groups = {cl: (ldv("q0", cl),
+                   [(ldv(f, cl), macv("q0", f, cl)) for f in ("q1", "q2")])
+              for cl in set(chunks)}
+    # index reads batched ahead of the run, one per position, so their reuse
+    # keeps the chunk gapless
+    index = lds()
+    units = []
+    for alt in range(2):
+        unit = [index] * width
+        for cl in chunks:
+            pinned, pairs = groups[cl]
+            unit.append(pinned)
+            for _p in range(width):
+                unit += pairs[alt % 2]
+                alt += 1
+        units.append(tuple(unit))
+    return tuple(units)
+
+
+def _fwcs_stream(n_retained: int, size: int, spec: ConvLayerSpec,
+                 schedule: ComputeSchedule, cfg: MachineConfig) -> _Stream:
+    """The stream of an FWCS layer keeping ``n_retained`` filterlets of
+    length ``size``; which filterlets are kept does not change it."""
+    outputs = spec.n_filters * spec.out_positions
+    if n_retained == 0:
+        return _Stream((), outputs)
+    patch = spec.filterlets_per_filter * spec.channels
+    chunks = _chunk_lengths(size, cfg.lanes)
+    if schedule is ComputeSchedule.DEFAULT:
+        blocks = [_Block(spec.out_positions, patch, n_retained,
+                         _rotating_units(chunks), 2 * len(chunks))]
+    elif schedule is ComputeSchedule.REORDERED:
+        tile = max(1, cfg.register_count - 2)
+        full, last = divmod(spec.out_positions, tile)
+        blocks = []
+        alt = 0
+        for repeats, width in ((full, tile), (1, last)):
+            if repeats == 0 or width == 0:
+                continue
+            if width == 1:
+                # nothing to reuse in a one-position tile; rotating
+                # registers avoid the pinned register's reload stall
+                blocks.append(_Block(repeats, patch, n_retained,
+                                     _rotating_units(chunks), 2 * len(chunks)))
+                continue
+            step = width * len(chunks)
+            blocks.append(_Block(repeats, patch * width, n_retained,
+                                 _pinned_units(chunks, width), step, alt % 2))
+            alt += repeats * n_retained * step
+    else:
+        raise ConfigError(f"unknown schedule {schedule}")
+    return _Stream(tuple(blocks), outputs)
+
+
+def _dense_stream(spec: ConvLayerSpec, schedule: ComputeSchedule,
+                  cfg: MachineConfig) -> _Stream:
+    """A dense layer runs as an FWCS layer that keeps every filterlet."""
+    return _fwcs_stream(spec.n_filters * spec.filterlets_per_filter,
+                        spec.channels, spec, schedule, cfg)
+
+
+# CSR unit per phase ``rot % 4``: an index read, then a weight and a feature
+# into two of eight rotating scalar registers, then a scalar MAC
+_CSR_UNITS = tuple(
+    (lds(), lds(f"s{2 * rot}"), lds(f"s{2 * rot + 1}"),
+     macs((f"s{2 * rot}", f"s{2 * rot + 1}")))
+    for rot in range(4))
+
+
+def _csr_stream(n_retained: int, spec: ConvLayerSpec) -> _Stream:
+    outputs = spec.n_filters * spec.out_positions
+    if n_retained == 0:
+        return _Stream((), outputs)
+    patch = spec.filterlets_per_filter * spec.channels
+    return _Stream((_Block(spec.out_positions, patch, n_retained,
+                           _CSR_UNITS, 1),), outputs)
+
+
 def lower_schedule(layer: FwcsLayer, spec: ConvLayerSpec,
                    schedule: ComputeSchedule, cfg: MachineConfig) -> list[Instruction]:
     """Emit the abstract instruction stream executing ``layer`` under ``schedule``.
@@ -234,133 +482,36 @@ def lower_schedule(layer: FwcsLayer, spec: ConvLayerSpec,
     single feature load per MAC with the weight chunk pinned per tile in the
     reordered one.  A fully pruned layer emits nothing.
     """
-    if layer.n_retained == 0:
-        return []
-    patch = spec.filterlets_per_filter * spec.channels
-    chunks = _chunk_lengths(layer.size, cfg.lanes)
-    stream: list[Instruction] = []
-    retained = [(n, j) for n in range(spec.n_filters) for j in layer.filterlets_of(n)]
-    if schedule is ComputeSchedule.DEFAULT:
-        rot = 0
-        for _pos in range(spec.out_positions):
-            stream.extend(lds() for _ in range(patch))
-            for _n, _j in retained:
-                stream.append(lds())  # read this filterlet's c_ptr entry
-                for cl in chunks:
-                    wreg = f"q{rot % 3}"
-                    freg = f"q{(rot + 1) % 3}"
-                    rot += 2
-                    stream.append(ldv(wreg, cl))
-                    stream.append(ldv(freg, cl))
-                    stream.append(macv(wreg, freg, cl))
-    elif schedule is ComputeSchedule.REORDERED:
-        tile = max(1, cfg.register_count - 2)
-        alt = 0
-        rot = 0
-        for t0 in range(0, spec.out_positions, tile):
-            width = min(tile, spec.out_positions - t0)
-            stream.extend(lds() for _ in range(patch * width))
-            for _n, _j in retained:
-                for ci, cl in enumerate(chunks):
-                    if width == 1:
-                        # nothing to reuse in a one-position tile; rotating
-                        # registers avoids the pinned register's reload stall
-                        if ci == 0:
-                            stream.append(lds())
-                        wreg = f"q{rot % 3}"
-                        freg = f"q{(rot + 1) % 3}"
-                        rot += 2
-                        stream.append(ldv(wreg, cl))
-                        stream.append(ldv(freg, cl))
-                        stream.append(macv(wreg, freg, cl))
-                        continue
-                    if ci == 0:
-                        # index reads batched ahead of the run, one per
-                        # position, so their reuse keeps the chunk gapless
-                        stream.extend(lds() for _ in range(width))
-                    stream.append(ldv("q0", cl))  # pinned weight chunk
-                    for _p in range(width):
-                        freg = f"q{1 + alt % 2}"
-                        alt += 1
-                        stream.append(ldv(freg, cl))
-                        stream.append(macv("q0", freg, cl))
-    else:
-        raise ConfigError(f"unknown schedule {schedule}")
-    return stream
+    return _fwcs_stream(layer.n_retained, layer.size, spec, schedule, cfg).expand()
 
 
 def schedule_counts(layer: FwcsLayer, spec: ConvLayerSpec,
                     schedule: ComputeSchedule, cfg: MachineConfig) -> dict[str, int]:
-    """Closed-form instruction counts matching :func:`lower_schedule` exactly."""
-    retained = layer.n_retained
-    if retained == 0:
-        return {"macs": 0, "vector_loads": 0, "scalar_loads": 0}
-    n_chunks = len(_chunk_lengths(layer.size, cfg.lanes))
-    positions = spec.out_positions
-    macs = retained * n_chunks * positions
-    patch = spec.filterlets_per_filter * spec.channels
-    scalar = patch * positions + retained * positions
-    if schedule is ComputeSchedule.DEFAULT:
-        vector = 2 * macs
-    else:
-        tile = max(1, cfg.register_count - 2)
-        n_tiles = -(-positions // tile)
-        vector = macs + retained * n_chunks * n_tiles
-    return {"macs": macs, "vector_loads": vector, "scalar_loads": scalar}
+    """Instruction counts of :func:`lower_schedule`, without expanding it."""
+    return _fwcs_stream(layer.n_retained, layer.size, spec, schedule, cfg).counts()
 
 
 def lower_csr(layer: CsrLayer, spec: ConvLayerSpec,
               cfg: MachineConfig) -> list[Instruction]:
     """Per-weight baseline: gather one index, one weight, one feature value,
     then a scalar MAC, for every retained weight at every position."""
-    if layer.n_retained == 0:
-        return []
-    patch = spec.filterlets_per_filter * spec.channels
-    stream: list[Instruction] = []
-    rot = 0
-    for _pos in range(spec.out_positions):
-        stream.extend(lds() for _ in range(patch))
-        for _w in range(layer.n_retained):
-            sw = f"s{(2 * rot) % 8}"
-            sf = f"s{(2 * rot + 1) % 8}"
-            rot += 1
-            stream.append(lds())  # index entry
-            stream.append(lds(sw))
-            stream.append(lds(sf))
-            stream.append(macs((sw, sf)))
-    return stream
+    return _csr_stream(layer.n_retained, spec).expand()
 
 
 def csr_counts(layer: CsrLayer, spec: ConvLayerSpec) -> dict[str, int]:
-    retained = layer.n_retained
-    if retained == 0:
-        return {"macs": 0, "vector_loads": 0, "scalar_loads": 0}
-    positions = spec.out_positions
-    patch = spec.filterlets_per_filter * spec.channels
-    return {
-        "macs": retained * positions,
-        "vector_loads": 0,
-        "scalar_loads": (patch + 3 * retained) * positions,
-    }
-
-
-def _post_cycles(spec: ConvLayerSpec, cfg: MachineConfig) -> int:
-    return spec.n_filters * spec.out_positions * cfg.post_cycles
+    return _csr_stream(layer.n_retained, spec).counts()
 
 
 def layer_cycles(layer: FwcsLayer, spec: ConvLayerSpec,
                  schedule: ComputeSchedule, cfg: MachineConfig) -> int:
     """Simulated cycle count for one layer plus per-output post-processing."""
-    stream = lower_schedule(layer, spec, schedule, cfg)
-    base = simulate(stream, cfg).total_cycles if stream else 0
-    return base + _post_cycles(spec, cfg)
+    return _fwcs_stream(layer.n_retained, layer.size, spec, schedule,
+                        cfg).cycles(cfg)
 
 
 def csr_layer_cycles(layer: CsrLayer, spec: ConvLayerSpec,
                      cfg: MachineConfig) -> int:
-    stream = lower_csr(layer, spec, cfg)
-    base = simulate(stream, cfg).total_cycles if stream else 0
-    return base + _post_cycles(spec, cfg)
+    return _csr_stream(layer.n_retained, spec).cycles(cfg)
 
 
 def dump_stream(stream) -> str:

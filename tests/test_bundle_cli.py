@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
+import filterlet.bundle
+import filterlet.fwcs
 from filterlet.bundle import BundleLayer, ModelBundle, bundle_from_masks, \
     bundle_from_model, model_from_bundle, run_bundle
 from filterlet.cli import _build_parser, main
 from filterlet.convops import conv_dense
-from filterlet.cyclesim import ComputeSchedule
+from filterlet.cyclesim import ComputeSchedule, MachineConfig, lower_schedule
 from filterlet.errors import CorruptionError, DataError
-from filterlet.fwcs import CsrLayer, FilterletMask, write_csr
+from filterlet.fwcs import CsrLayer, FilterletMask, encode_fwcs, write_csr
 from filterlet.importance import GradientBundle
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
 from filterlet.tensor import ConvLayerSpec, Tensor, read_tensor, \
@@ -146,6 +148,29 @@ class TestRunBundle:
         assert a.layer_counts != b.layer_counts
         assert all(d["macs"] == r["macs"]
                    for d, r in zip(a.layer_counts, b.layer_counts))
+
+    def test_dense_counts_without_encoding(self, monkeypatch):
+        model = int8_chain(seed=13)
+        rng = np.random.default_rng(14)
+        x = Tensor.from_array(rng.integers(-100, 100, (10, 10, 3)).astype(np.int8))
+        kept = bundle_from_masks(
+            model, [FilterletMask.all_kept(l.spec) for l in model.layers])
+        encodes = []
+
+        def counting_encode(*args):
+            encodes.append(args)
+            return encode_fwcs(*args)
+
+        monkeypatch.setattr(filterlet.bundle, "encode_fwcs", counting_encode)
+        monkeypatch.setattr(filterlet.fwcs, "encode_fwcs", counting_encode)
+        dense = bundle_from_model(model)
+        for schedule in ComputeSchedule:
+            for cfg in (MachineConfig(), MachineConfig(lanes=2, register_count=3)):
+                got = run_bundle(dense, x, schedule, cfg)
+                want = run_bundle(kept, x, schedule, cfg)
+                assert got.layer_counts == want.layer_counts
+                assert np.array_equal(got.output.data, want.output.data)
+        assert encodes == []
 
     def test_float32_bundle_matches_conv_oracle(self):
         rng = np.random.default_rng(20)
@@ -316,6 +341,32 @@ class TestCli:
             totals[lanes] = json.loads(capsys.readouterr().out)["total_cycles"]
         assert totals[4] > totals[8]
 
+    def test_bench_reports_counts_of_the_lowered_stream(self, tmp_path, capsys):
+        model = int8_chain(seed=15)
+        rng = np.random.default_rng(16)
+        masks = [FilterletMask(l.spec, rng.random(
+            (l.spec.n_filters, l.spec.filterlets_per_filter)) < 0.5)
+            for l in model.layers]
+        paths = {"dense": tmp_path / "d.fltb", "fwcs": tmp_path / "f.fltb"}
+        bundle_from_model(model).save(paths["dense"])
+        bundle_from_masks(model, masks).save(paths["fwcs"])
+        kinds = {"macv": "macs", "ldv": "vector_loads", "lds": "scalar_loads"}
+        for fmt, path in paths.items():
+            for schedule in ComputeSchedule:
+                assert main(["bench", str(path), "--lanes", "2",
+                             "--schedule", schedule.value]) == 0
+                rep = json.loads(capsys.readouterr().out)
+                cfg = MachineConfig(lanes=2)
+                for row, layer, mask in zip(rep["layers"], model.layers, masks):
+                    if fmt == "dense":
+                        mask = FilterletMask.all_kept(layer.spec)
+                    want = dict.fromkeys(kinds.values(), 0)
+                    for ins in lower_schedule(encode_fwcs(layer.weights, mask),
+                                              layer.spec, schedule, cfg):
+                        want[kinds[ins.kind]] += 1
+                    assert {k: row[k] for k in want} == want
+                    assert want["macs"] > 0
+
     def test_compare_index_ratio_and_cycles(self, tmp_path, capsys):
         # five synthetic layer configurations at 90% of the weights pruned
         model = int8_chain(seed=10, n_layers=5, wide=True)
@@ -396,3 +447,24 @@ class TestCli:
         assert code == 0
         capsys.readouterr()
         assert out_env.read_bytes() == out_seed.read_bytes()
+
+    def test_filterlet_seed_wins_over_old_name(self, workdir, capsys,
+                                              monkeypatch):
+        tmp, model, model_path, grads_path, _ = workdir
+
+        def prune(name, *argv):
+            out = tmp / f"{name}.fltb"
+            code = main(["prune", str(model_path), str(grads_path), str(out),
+                         "--flash", "2000", "--ram", "10000000",
+                         "--dlmax", "1e9", "--iters", "150", *argv])
+            assert code == 0
+            capsys.readouterr()
+            return out.read_bytes()
+
+        monkeypatch.setenv("FILTERLET_SEED", "7")
+        monkeypatch.setenv("DTMM_SEED", "3")
+        from_env = prune("env")
+        monkeypatch.delenv("FILTERLET_SEED")
+        monkeypatch.delenv("DTMM_SEED")
+        assert from_env == prune("seed7", "--seed", "7")
+        assert from_env != prune("seed3", "--seed", "3")

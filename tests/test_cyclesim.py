@@ -234,6 +234,74 @@ class TestLayerCycles:
             assert got["macs"] == sum(1 for i in stream if i.kind == "macs")
 
 
+def stream_counts(stream):
+    kinds = {MAC_VEC: "macs", "macs": "macs", LOAD_VEC: "vector_loads",
+             LOAD_SCALAR: "scalar_loads"}
+    got = dict.fromkeys(kinds.values(), 0)
+    for ins in stream:
+        got[kinds[ins.kind]] += 1
+    return got
+
+
+def grid_layers():
+    rng = np.random.default_rng(30)
+
+    def layer(density, **geometry):
+        spec = ConvLayerSpec(**geometry)
+        w = Tensor.from_array(
+            rng.integers(-128, 128, spec.weight_dims).astype(np.int8))
+        kept = rng.random((spec.n_filters, spec.filterlets_per_filter)) < density
+        mask = FilterletMask(spec, kept)
+        return spec, encode_fwcs(w, mask), encode_csr(w, mask.to_weight_mask())
+
+    return [
+        # 19 positions: one left over after every tile of 2, 6 and 9
+        layer(1.0, n_filters=3, kernel_h=1, kernel_w=1, channels=6,
+              input_h=1, input_w=19),
+        layer(0.6, n_filters=4, kernel_h=3, kernel_w=3, channels=5,
+              input_h=7, input_w=7, stride=2),
+        layer(0.0, n_filters=2, kernel_h=2, kernel_w=2, channels=4,
+              input_h=5, input_w=5),
+        # one output position
+        layer(0.7, n_filters=3, kernel_h=3, kernel_w=3, channels=9,
+              input_h=3, input_w=3),
+        layer(0.5, n_filters=2, kernel_h=2, kernel_w=2, channels=17,
+              input_h=5, input_w=4),
+    ]
+
+
+class TestPricingWithoutExpansion:
+    def test_matches_full_simulation_on_a_grid(self):
+        layers = grid_layers()
+        assert [spec.out_positions for spec, *_ in layers] == [19, 9, 16, 1, 12]
+        assert layers[2][1].n_retained == 0
+        flags = [(overlap, vic) for overlap in (True, False) for vic in (1, 2, 3)]
+        for li, (spec, fw, cs) in enumerate(layers):
+            for ci, (lanes, regs) in enumerate(
+                    (lanes, regs) for lanes in (2, 4, 8, 16)
+                    for regs in (3, 4, 8, 11)):
+                overlap, vic = flags[(li + ci) % len(flags)]
+                cfg = MachineConfig(lanes=lanes, register_count=regs,
+                                    overlap_enabled=overlap,
+                                    vec_instr_cycles=vic)
+                post = spec.n_filters * spec.out_positions * cfg.post_cycles
+                for schedule in ComputeSchedule:
+                    stream = lower_schedule(fw, spec, schedule, cfg)
+                    assert layer_cycles(fw, spec, schedule, cfg) == \
+                        simulate(stream, cfg).total_cycles + post
+                    assert schedule_counts(fw, spec, schedule, cfg) == \
+                        stream_counts(stream)
+            # the CSR stream uses neither vector lanes nor vector registers
+            for overlap, vic in flags:
+                cfg = MachineConfig(overlap_enabled=overlap,
+                                    vec_instr_cycles=vic)
+                post = spec.n_filters * spec.out_positions * cfg.post_cycles
+                stream = lower_csr(cs, spec, cfg)
+                assert csr_layer_cycles(cs, spec, cfg) == \
+                    simulate(stream, cfg).total_cycles + post
+                assert csr_counts(cs, spec) == stream_counts(stream)
+
+
 class TestDumps:
     def test_stream_dump_format(self):
         text = dump_stream([ldv("q0", 4), lds(), macv("q0", "q0", 4)])
