@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convops import conv_csr, conv_dense, conv_fwcs
-from .cyclesim import ComputeSchedule, MachineConfig, _dense_stream, \
-    csr_counts, schedule_counts
+from .cyclesim import ComputeSchedule, MachineConfig, layer_stream
 from .errors import CorruptionError, DataError, FormatError
-from .fwcs import CsrLayer, FilterletMask, FwcsLayer, decode_csr, decode_fwcs, \
-    encode_csr, encode_fwcs, read_csr, read_fwcs, write_csr, write_fwcs
+from .fwcs import FilterletMask, decode_csr, decode_fwcs, encode_csr, \
+    encode_fwcs, read_csr, read_fwcs, write_csr, write_fwcs
 from .model import LayerDef, LayerQuant, SequentialModel
-from .tensor import ConvLayerSpec, Tensor, read_tensor, write_tensor
+from .tensor import DTYPES, ConvLayerSpec, Tensor, read_tensor, write_tensor
 
 BUNDLE_MAGIC = b"FLTB"
 BUNDLE_VERSION = 1
@@ -47,32 +46,38 @@ class BundleLayer:
     def __post_init__(self):
         if self.fmt not in FORMATS:
             raise FormatError(f"unknown layer format {self.fmt!r}")
+        if self.dtype not in DTYPES:
+            raise FormatError(f"unknown layer dtype {self.dtype!r}")
         if self.payload[:4] != _FORMAT_MAGIC[self.fmt]:
             raise CorruptionError(
                 f"layer {self.name}: payload magic does not match format {self.fmt}"
             )
 
     def decode_weights(self):
-        """(dense Tensor, FwcsLayer | CsrLayer | None) for this layer."""
+        """(weights as stored: Tensor, FwcsLayer or CsrLayer; bias or None)."""
         if self.fmt == "dense":
             weights, off = read_tensor(self.payload, 0)
-            packed = None
-        elif self.fmt == "fwcs":
-            packed, off = read_fwcs(self.payload, 0, self.dtype)
-            weights = decode_fwcs(packed, self.spec)
+            if weights.dims != self.spec.weight_dims:
+                raise CorruptionError(f"layer {self.name}: decoded shape mismatch")
         else:
-            packed, off = read_csr(self.payload, 0, self.dtype)
-            weights = decode_csr(packed, self.spec)
+            read = read_fwcs if self.fmt == "fwcs" else read_csr
+            weights, off = read(self.payload, 0, self.dtype)
+            weights.validate(self.spec)
         bias = None
         if self.has_bias:
             bias_t, off = read_tensor(self.payload, off)
-            bias = bias_t.data.astype(np.int64 if self.dtype == "int8"
-                                      else np.float64)
+            if bias_t.dims != (self.spec.n_filters,):
+                raise CorruptionError(f"layer {self.name}: bias shape mismatch")
+            bias = bias_t.data.astype(np.float64)
+            if self.dtype == "int8":
+                # int8 biases are packed from int64 integers
+                exact = (np.rint(bias) == bias) & (np.abs(bias) < 2.0 ** 63)
+                if not exact.all():
+                    raise CorruptionError(f"layer {self.name}: int8 bias not an integer")
+                bias = bias.astype(np.int64)
         if off != len(self.payload):
             raise CorruptionError(f"layer {self.name}: trailing payload bytes")
-        if weights.dims != self.spec.weight_dims:
-            raise CorruptionError(f"layer {self.name}: decoded shape mismatch")
-        return weights, packed, bias
+        return weights, bias
 
 
 @dataclass
@@ -139,6 +144,9 @@ class ModelBundle:
             manifest = json.loads(buf[off:off + mlen].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CorruptionError(f"manifest is not valid JSON: {e}") from None
+        if not isinstance(manifest, dict) or \
+                not isinstance(manifest.get("layers"), list):
+            raise CorruptionError("manifest is not an object with a layer list")
         off += mlen
         try:
             (n_blobs,) = struct.unpack_from("<I", buf, off)
@@ -149,7 +157,7 @@ class ModelBundle:
             off += 4
         except struct.error as e:
             raise CorruptionError(f"truncated blob table: {e}") from None
-        if len(manifest.get("layers", [])) != n_blobs:
+        if len(manifest["layers"]) != n_blobs:
             raise CorruptionError("manifest layer count != payload count")
         blobs = []
         for n in lengths:
@@ -170,7 +178,7 @@ class ModelBundle:
                     quant=quant, payload=blob,
                 ))
             return cls(manifest["name"], manifest.get("role", "model"), layers)
-        except (KeyError, TypeError, DataError) as e:
+        except (KeyError, TypeError, DataError, FormatError) as e:
             raise CorruptionError(f"malformed manifest entry: {e}") from None
 
     def save(self, path) -> None:
@@ -235,7 +243,11 @@ def model_from_bundle(bundle: ModelBundle) -> SequentialModel:
     """Materialize dense weights for every layer (pruned layers decode to zeros)."""
     layers = []
     for bl in bundle.layers:
-        weights, _, bias = bl.decode_weights()
+        weights, bias = bl.decode_weights()
+        if bl.fmt == "fwcs":
+            weights = decode_fwcs(weights, bl.spec)
+        elif bl.fmt == "csr":
+            weights = decode_csr(weights, bl.spec)
         if bias is not None and bl.dtype == "float32":
             bias = bias.astype(np.float32)
         layers.append(LayerDef(bl.name, bl.spec, weights,
@@ -253,7 +265,7 @@ def gradients_from_bundle(bundle: ModelBundle):
     for bl in bundle.layers:
         if bl.fmt != "dense" or bl.dtype != "float32":
             raise DataError("gradient bundles must hold dense float32 tensors")
-        weights, _, _ = bl.decode_weights()
+        weights, _ = bl.decode_weights()
         grads.append(weights.to_array().astype(np.float64))
     return GradientBundle(grads, provenance="external file")
 
@@ -288,16 +300,14 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
             raise DataError(
                 f"layer {bl.name}: input dims {x.dims} != {bl.spec.input_dims}"
             )
-        weights, packed, bias = bl.decode_weights()
+        weights, bias = bl.decode_weights()
         if bl.fmt == "dense":
             acc = conv_dense(x, weights, bl.spec, bias)
-            counts.append(_dense_stream(bl.spec, schedule, cfg).counts())
         elif bl.fmt == "fwcs":
-            acc = conv_fwcs(x, packed, bl.spec, bias)
-            counts.append(schedule_counts(packed, bl.spec, schedule, cfg))
+            acc = conv_fwcs(x, weights, bl.spec, bias)
         else:
-            acc = conv_csr(x, packed, bl.spec, bias)
-            counts.append(csr_counts(packed, bl.spec))
+            acc = conv_csr(x, weights, bl.spec, bias)
+        counts.append(layer_stream(weights, bl.spec, schedule, cfg).counts())
         if bl.dtype == "int8":
             if bl.quant is None:
                 raise FormatError(f"layer {bl.name}: int8 layer without quant params")

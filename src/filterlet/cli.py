@@ -15,8 +15,7 @@ from .bundle import ModelBundle, RunResult, bundle_from_model, \
     gradients_from_bundle, model_from_bundle, run_bundle
 from .costmodel import Budget, LatencyParams, load_latency_params
 from .cyclesim import DEMO_STREAMS, MAC_VEC, ComputeSchedule, MachineConfig, \
-    _dense_stream, _fwcs_stream, csr_layer_cycles, dump_trace, layer_cycles, \
-    simulate
+    csr_layer_cycles, dump_trace, layer_cycles, layer_stream, simulate
 from .errors import CorruptionError, DataError, FilterletError
 from .fwcs import FilterletMask, encode_csr, encode_fwcs, kept_count, \
     storage_footprint
@@ -147,15 +146,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _bench_stream(bl, schedule, cfg):
-    _, packed, _ = bl.decode_weights()
-    if bl.fmt == "fwcs":
-        return _fwcs_stream(packed.n_retained, packed.size, bl.spec, schedule, cfg)
-    if bl.fmt == "dense":
-        return _dense_stream(bl.spec, schedule, cfg)
-    raise DataError(f"cannot bench layer format {bl.fmt!r}")
-
-
 def cmd_bench(args) -> int:
     cfg = _machine_config(args)
     if args.demo == "fig9":
@@ -173,7 +163,8 @@ def cmd_bench(args) -> int:
     layers = []
     total = 0
     for bl in bundle.layers:
-        stream = _bench_stream(bl, schedule, cfg)
+        weights, _ = bl.decode_weights()
+        stream = layer_stream(weights, bl.spec, schedule, cfg)
         cycles = stream.cycles(cfg)
         layers.append({"name": bl.name, "cycles": cycles, **stream.counts()})
         total += cycles
@@ -205,8 +196,8 @@ def cmd_compare(args) -> int:
             "layer": layer.name,
             "dense": {
                 "bytes": storage_footprint(layer.weights, m=m_bits),
-                "cycles": _dense_stream(spec, ComputeSchedule.DEFAULT,
-                                        cfg).cycles(cfg),
+                "cycles": layer_stream(layer.weights, spec,
+                                       ComputeSchedule.DEFAULT, cfg).cycles(cfg),
             },
             "structured": {
                 "kept_filters": int(kept_filters.sum()),

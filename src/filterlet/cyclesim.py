@@ -20,7 +20,8 @@ two-register variant stalls the ALU for three cycles.
 A layer's stream is described once, as blocks of nested repeats: per output
 position (or position tile) a run of patch loads, then one unit per retained
 filterlet, where a unit's registers depend only on a small rotation phase.
-Lowering expands the description, counting multiplies each unit's counts by
+``layer_stream`` picks the description from the type of the layer as
+stored.  Lowering expands it, counting multiplies each unit's counts by
 its repeats, and ``layer_cycles`` runs the same issue state as ``simulate``
 over it without expanding it.  After each unit and each block that state is
 keyed on the phase and on every time relative to the memory unit's next free
@@ -448,13 +449,6 @@ def _fwcs_stream(n_retained: int, size: int, spec: ConvLayerSpec,
     return _Stream(tuple(blocks), outputs)
 
 
-def _dense_stream(spec: ConvLayerSpec, schedule: ComputeSchedule,
-                  cfg: MachineConfig) -> _Stream:
-    """A dense layer runs as an FWCS layer that keeps every filterlet."""
-    return _fwcs_stream(spec.n_filters * spec.filterlets_per_filter,
-                        spec.channels, spec, schedule, cfg)
-
-
 # CSR unit per phase ``rot % 4``: an index read, then a weight and a feature
 # into two of eight rotating scalar registers, then a scalar MAC
 _CSR_UNITS = tuple(
@@ -472,6 +466,21 @@ def _csr_stream(n_retained: int, spec: ConvLayerSpec) -> _Stream:
                            _CSR_UNITS, 1),), outputs)
 
 
+def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
+                 cfg: MachineConfig) -> _Stream:
+    """The stream of one layer as stored: a CsrLayer runs the per-weight
+    stream, an FwcsLayer the ``schedule`` stream of its retained filterlets,
+    and a dense Tensor the stream of an FWCS layer keeping every filterlet.
+    ``schedule`` does not affect CSR."""
+    if isinstance(weights, CsrLayer):
+        return _csr_stream(weights.n_retained, spec)
+    if isinstance(weights, FwcsLayer):
+        return _fwcs_stream(weights.n_retained, weights.size, spec, schedule,
+                            cfg)
+    return _fwcs_stream(spec.n_filters * spec.filterlets_per_filter,
+                        spec.channels, spec, schedule, cfg)
+
+
 def lower_schedule(layer: FwcsLayer, spec: ConvLayerSpec,
                    schedule: ComputeSchedule, cfg: MachineConfig) -> list[Instruction]:
     """Emit the abstract instruction stream executing ``layer`` under ``schedule``.
@@ -482,13 +491,13 @@ def lower_schedule(layer: FwcsLayer, spec: ConvLayerSpec,
     single feature load per MAC with the weight chunk pinned per tile in the
     reordered one.  A fully pruned layer emits nothing.
     """
-    return _fwcs_stream(layer.n_retained, layer.size, spec, schedule, cfg).expand()
+    return layer_stream(layer, spec, schedule, cfg).expand()
 
 
 def schedule_counts(layer: FwcsLayer, spec: ConvLayerSpec,
                     schedule: ComputeSchedule, cfg: MachineConfig) -> dict[str, int]:
     """Instruction counts of :func:`lower_schedule`, without expanding it."""
-    return _fwcs_stream(layer.n_retained, layer.size, spec, schedule, cfg).counts()
+    return layer_stream(layer, spec, schedule, cfg).counts()
 
 
 def lower_csr(layer: CsrLayer, spec: ConvLayerSpec,
@@ -505,8 +514,7 @@ def csr_counts(layer: CsrLayer, spec: ConvLayerSpec) -> dict[str, int]:
 def layer_cycles(layer: FwcsLayer, spec: ConvLayerSpec,
                  schedule: ComputeSchedule, cfg: MachineConfig) -> int:
     """Simulated cycle count for one layer plus per-output post-processing."""
-    return _fwcs_stream(layer.n_retained, layer.size, spec, schedule,
-                        cfg).cycles(cfg)
+    return layer_stream(layer, spec, schedule, cfg).cycles(cfg)
 
 
 def csr_layer_cycles(layer: CsrLayer, spec: ConvLayerSpec,

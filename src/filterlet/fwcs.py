@@ -44,6 +44,25 @@ def _check_f_idx(f_idx: np.ndarray, spec: ConvLayerSpec) -> None:
         raise CorruptionError("f_idx not non-decreasing")
 
 
+def _check_c_ptr(c_ptr: np.ndarray, f_idx: np.ndarray, width: int,
+                 spec: ConvLayerSpec) -> None:
+    """Each entry starts a run of ``width`` weights (a filterlet in FWCS, one
+    weight in CSR) inside its filter, strictly after the previous entry of
+    the same filter; ``f_idx`` must already have passed ``_check_f_idx``."""
+    if len(c_ptr) != f_idx[-1]:
+        raise CorruptionError("c_ptr length != retained count")
+    if np.any(c_ptr % width != 0):
+        raise CorruptionError("c_ptr entry not a multiple of its width")
+    if np.any(c_ptr < 0) or np.any(c_ptr + width > spec.filterlets_per_filter
+                                   * spec.channels):
+        raise CorruptionError("c_ptr entry outside its filter")
+    # every entry that does not open a filter must exceed its predecessor
+    opens = np.zeros(len(c_ptr) + 1, bool)
+    opens[f_idx] = True
+    if np.any((np.diff(c_ptr) <= 0) & ~opens[1:-1]):
+        raise CorruptionError("c_ptr not strictly increasing within a filter")
+
+
 @dataclass(frozen=True)
 class FilterletMask:
     """Per-filterlet keep/prune decision for one layer.
@@ -130,19 +149,7 @@ class FwcsLayer:
         if self.size != spec.filterlet_length:
             raise CorruptionError(f"size {self.size} != channels {spec.channels}")
         _check_f_idx(self.f_idx, spec)
-        if len(self.c_ptr) != self.n_retained:
-            raise CorruptionError("c_ptr length != retained filterlet count")
-        top = spec.filterlets_per_filter * spec.channels
-        for n in range(spec.n_filters):
-            ptrs = self.c_ptr[self.f_idx[n]:self.f_idx[n + 1]]
-            if ptrs.size == 0:
-                continue
-            if np.any(ptrs % self.size != 0):
-                raise CorruptionError("c_ptr entry not a multiple of size")
-            if np.any(ptrs < 0) or np.any(ptrs + self.size > top):
-                raise CorruptionError("c_ptr entry outside its filter")
-            if np.any(np.diff(ptrs) <= 0):
-                raise CorruptionError("c_ptr not strictly increasing within a filter")
+        _check_c_ptr(self.c_ptr, self.f_idx, self.size, spec)
 
 
 @dataclass(frozen=True)
@@ -178,12 +185,7 @@ class CsrLayer:
 
     def validate(self, spec: ConvLayerSpec) -> None:
         _check_f_idx(self.f_idx, spec)
-        top = spec.filterlets_per_filter * spec.channels
-        for n in range(spec.n_filters):
-            ptrs = self.c_ptr[self.f_idx[n]:self.f_idx[n + 1]]
-            if ptrs.size and (np.any(ptrs < 0) or np.any(ptrs >= top)
-                              or np.any(np.diff(ptrs) <= 0)):
-                raise CorruptionError("c_ptr invalid within a filter")
+        _check_c_ptr(self.c_ptr, self.f_idx, 1, spec)
 
 
 def _check_weights(weights: Tensor, spec: ConvLayerSpec) -> np.ndarray:
@@ -286,18 +288,6 @@ def storage_footprint(obj, m: int = 8, m0: int = INDEX_BITS_DEFAULT,
     return bits // 8
 
 
-def _value_bytes(arr: np.ndarray, dtype: str) -> bytes:
-    if dtype == "int8":
-        return arr.astype(np.int8).tobytes()
-    return arr.astype("<f4").tobytes()
-
-
-def _values_from(raw: bytes, dtype: str) -> np.ndarray:
-    if dtype == "int8":
-        return np.frombuffer(raw, dtype=np.int8)
-    return np.frombuffer(raw, dtype="<f4").astype(np.float32)
-
-
 def _pack_u16_array(vals: np.ndarray, what: str) -> bytes:
     if vals.size and (vals.min() < 0 or vals.max() > _U16_MAX):
         raise FormatError(f"{what} entry outside u16 range")
@@ -315,67 +305,61 @@ def _unpack_u16_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     return np.frombuffer(buf[offset:end], dtype="<u2").astype(np.int64), end
 
 
+def _value_dtype(dtype: str) -> np.dtype:
+    return np.dtype(np.int8 if dtype == "int8" else "<f4")
+
+
+def _write_block(layer, magic: bytes, head: bytes = b"") -> bytes:
+    """``magic``, the packed ``head`` fields, then u32+values, u32+u16 c_ptr
+    and u32+u16 f_idx: the body both packed formats share."""
+    raw = layer.arr.astype(_value_dtype(layer.dtype)).tobytes()
+    return (magic + head + struct.pack("<I", len(layer.arr)) + raw
+            + _pack_u16_array(layer.c_ptr, "c_ptr")
+            + _pack_u16_array(layer.f_idx, "f_idx"))
+
+
+def _read_block(buf: bytes, offset: int, dtype: str, cls, magic: bytes,
+                head: str = ""):
+    """Inverse of ``_write_block``: a ``cls`` layer built from the ``head``
+    struct fields and the shared body, plus the offset past the block."""
+    name = magic.decode()
+    if buf[offset:offset + 4] != magic:
+        raise CorruptionError(f"bad {name} magic")
+    fmt = f"<{head}I"
+    try:
+        *fields, n_arr = struct.unpack_from(fmt, buf, offset + 4)
+    except struct.error as e:
+        raise CorruptionError(f"truncated {name} header: {e}") from None
+    offset += 4 + struct.calcsize(fmt)
+    values = _value_dtype(dtype)
+    end = offset + n_arr * values.itemsize
+    if end > len(buf):
+        raise CorruptionError(f"truncated {name} values")
+    arr = np.frombuffer(buf[offset:end], dtype=values)
+    c_ptr, end = _unpack_u16_array(buf, end)
+    f_idx, end = _unpack_u16_array(buf, end)
+    try:
+        # the head fields follow arr in both layer classes' field order
+        return cls(arr, *fields, c_ptr, f_idx, dtype), end
+    except DataError as e:
+        raise CorruptionError(str(e)) from None
+
+
 def write_fwcs(layer: FwcsLayer) -> bytes:
     """FWCS block: magic, u16 size, u32+arr bytes, u32+u16 c_ptr, u32+u16 f_idx."""
     if not 0 <= layer.size <= _U16_MAX:
         raise FormatError("size outside u16 range")
-    body = struct.pack("<H", layer.size)
-    raw = _value_bytes(layer.arr, layer.dtype)
-    body += struct.pack("<I", len(layer.arr)) + raw
-    body += _pack_u16_array(layer.c_ptr, "c_ptr")
-    body += _pack_u16_array(layer.f_idx, "f_idx")
-    return FWCS_MAGIC + body
+    return _write_block(layer, FWCS_MAGIC, struct.pack("<H", layer.size))
 
 
 def read_fwcs(buf: bytes, offset: int, dtype: str) -> tuple[FwcsLayer, int]:
-    if buf[offset:offset + 4] != FWCS_MAGIC:
-        raise CorruptionError("bad FWCS magic")
-    offset += 4
-    try:
-        (size,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        (n_arr,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-    except struct.error as e:
-        raise CorruptionError(f"truncated FWCS header: {e}") from None
-    width = 1 if dtype == "int8" else 4
-    end = offset + n_arr * width
-    if end > len(buf):
-        raise CorruptionError("truncated FWCS values")
-    arr = _values_from(buf[offset:end], dtype)
-    c_ptr, end = _unpack_u16_array(buf, end)
-    f_idx, end = _unpack_u16_array(buf, end)
-    try:
-        return FwcsLayer(arr, size, c_ptr, f_idx, dtype), end
-    except DataError as e:
-        raise CorruptionError(str(e)) from None
+    return _read_block(buf, offset, dtype, FwcsLayer, FWCS_MAGIC, "H")
 
 
 def write_csr(layer: CsrLayer) -> bytes:
-    raw = _value_bytes(layer.arr, layer.dtype)
-    body = struct.pack("<I", len(layer.arr)) + raw
-    body += _pack_u16_array(layer.c_ptr, "c_ptr")
-    body += _pack_u16_array(layer.f_idx, "f_idx")
-    return CSR_MAGIC + body
+    """CSR block: the FWCS block without the size field."""
+    return _write_block(layer, CSR_MAGIC)
 
 
 def read_csr(buf: bytes, offset: int, dtype: str) -> tuple[CsrLayer, int]:
-    if buf[offset:offset + 4] != CSR_MAGIC:
-        raise CorruptionError("bad CSR magic")
-    offset += 4
-    try:
-        (n_arr,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-    except struct.error as e:
-        raise CorruptionError(f"truncated CSR header: {e}") from None
-    width = 1 if dtype == "int8" else 4
-    end = offset + n_arr * width
-    if end > len(buf):
-        raise CorruptionError("truncated CSR values")
-    arr = _values_from(buf[offset:end], dtype)
-    c_ptr, end = _unpack_u16_array(buf, end)
-    f_idx, end = _unpack_u16_array(buf, end)
-    try:
-        return CsrLayer(arr, c_ptr, f_idx, dtype), end
-    except DataError as e:
-        raise CorruptionError(str(e)) from None
+    return _read_block(buf, offset, dtype, CsrLayer, CSR_MAGIC)

@@ -1,17 +1,23 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filterlet.bundle
 import filterlet.fwcs
-from filterlet.bundle import BundleLayer, ModelBundle, bundle_from_masks, \
-    bundle_from_model, model_from_bundle, run_bundle
+from filterlet.bundle import FORMATS, BundleLayer, ModelBundle, \
+    bundle_from_masks, bundle_from_model, model_from_bundle, run_bundle
 from filterlet.cli import _build_parser, main
 from filterlet.convops import conv_dense
-from filterlet.cyclesim import ComputeSchedule, MachineConfig, lower_schedule
+from filterlet.cyclesim import ComputeSchedule, MachineConfig, \
+    csr_layer_cycles, layer_cycles, lower_csr, lower_schedule
 from filterlet.errors import CorruptionError, DataError
-from filterlet.fwcs import CsrLayer, FilterletMask, encode_fwcs, write_csr
+from filterlet.fwcs import CsrLayer, FilterletMask, encode_csr, encode_fwcs, \
+    write_csr
 from filterlet.importance import GradientBundle
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
 from filterlet.tensor import ConvLayerSpec, Tensor, read_tensor, \
@@ -81,6 +87,42 @@ def pipeline_oracle(model, x):
     return cur.astype(np.int8)
 
 
+def random_masks(model, rng, keep=0.5):
+    return [FilterletMask(l.spec, rng.random(
+        (l.spec.n_filters, l.spec.filterlets_per_filter)) < keep)
+        for l in model.layers]
+
+
+def manifest_span(raw):
+    """(start, end) of the manifest and the offset of the blob CRC."""
+    (mlen,) = struct.unpack_from("<I", raw, 6)
+    (n_blobs,) = struct.unpack_from("<I", raw, 10 + mlen)
+    return 10, 10 + mlen, 14 + mlen + 4 * n_blobs
+
+
+def with_manifest(raw, manifest):
+    """``raw`` with its manifest replaced by the JSON of ``manifest``."""
+    _, end, _ = manifest_span(raw)
+    text = json.dumps(manifest).encode()
+    return raw[:6] + struct.pack("<I", len(text)) + text + raw[end:]
+
+
+def fuzz_bundles():
+    """A small int8 bundle with biases in each format, as bytes; the second
+    layer's mask empties its first and last filters."""
+    model = int8_chain(seed=21, n_layers=2)
+    masks = random_masks(model, np.random.default_rng(22), keep=0.6)
+    kept = masks[1].kept.copy()
+    kept[[0, -1]] = False
+    masks[1] = FilterletMask(masks[1].spec, kept)
+    return {"dense": bundle_from_model(model).to_bytes(),
+            **{fmt: bundle_from_masks(model, masks, fmt).to_bytes()
+               for fmt in ("fwcs", "csr")}}
+
+
+FUZZ_BUNDLES = fuzz_bundles()
+
+
 class TestBundleContainer:
     def test_round_trip_bit_exact(self):
         model = int8_chain()
@@ -123,6 +165,36 @@ class TestBundleContainer:
         bias[0] = 2 ** 24 + 1
         with pytest.raises(DataError):
             bundle_from_model(model)
+
+    def test_bias_that_does_not_fit_the_layer_is_corruption(self):
+        # not an integer, beyond int64, or not one value per filter
+        layer = int8_chain(n_layers=1).layers[0]
+        for bias in ([np.nan, 0, 0, 0], [2.5, 0, 0, 0], [1e30, 0, 0, 0],
+                     [0, 0, 0]):
+            payload = write_tensor(layer.weights) + write_tensor(
+                Tensor.from_array(np.array(bias, np.float32)))
+            bl = BundleLayer(layer.name, "dense", layer.spec, "int8", True,
+                             layer.quant, payload)
+            with pytest.raises(CorruptionError):
+                bl.decode_weights()
+
+    @settings(derandomize=True, deadline=None, max_examples=600, database=None)
+    @given(fmt=st.sampled_from(FORMATS), in_manifest=st.booleans(),
+           data=st.data(), flip=st.integers(1, 255))
+    def test_flipped_byte_parses_or_is_corruption(self, fmt, in_manifest,
+                                                  data, flip):
+        # one byte of the manifest or the blobs, with the CRC made to match
+        raw = bytearray(FUZZ_BUNDLES[fmt])
+        start, end, crc_at = manifest_span(raw)
+        lo, hi = (start, end) if in_manifest else (crc_at + 4, len(raw))
+        raw[data.draw(st.integers(lo, hi - 1))] ^= flip
+        raw[crc_at:crc_at + 4] = struct.pack(
+            "<I", zlib.crc32(bytes(raw[crc_at + 4:])) & 0xFFFFFFFF)
+        try:
+            for layer in ModelBundle.from_bytes(bytes(raw)).layers:
+                layer.decode_weights()
+        except CorruptionError:
+            pass
 
 
 class TestRunBundle:
@@ -203,6 +275,37 @@ class TestRunBundle:
             for l, m in zip(model.layers, masks)])
         assert np.array_equal(got.output.to_array(), pipeline_oracle(zeroed, x))
 
+    def test_run_and_bench_never_densify(self, tmp_path, monkeypatch, capsys):
+        model = int8_chain(seed=17)
+        rng = np.random.default_rng(18)
+        masks = random_masks(model, rng)
+        x = Tensor.from_array(rng.integers(-100, 100, (10, 10, 3)).astype(np.int8))
+        paths = {}
+        for fmt in ("fwcs", "csr"):
+            paths[fmt] = tmp_path / f"{fmt}.fltb"
+            bundle_from_masks(model, masks, fmt).save(paths[fmt])
+
+        def outcomes():
+            got = []
+            for path in paths.values():
+                for schedule in ComputeSchedule:
+                    r = run_bundle(ModelBundle.load(path), x, schedule)
+                    got.append((r.output.data.tobytes(), r.layer_counts))
+                    assert main(["bench", str(path), "--schedule",
+                                 schedule.value]) == 0
+                    got.append(capsys.readouterr().out)
+            return got
+
+        before = outcomes()
+
+        def densify(*args):
+            raise AssertionError("a packed layer was expanded to dense")
+
+        for module in (filterlet.bundle, filterlet.fwcs):
+            monkeypatch.setattr(module, "decode_fwcs", densify)
+            monkeypatch.setattr(module, "decode_csr", densify)
+        assert outcomes() == before
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -255,9 +358,9 @@ class TestCli:
         assert all(l.fmt == "dense" for l in dense.layers)
         # the masked dense copy and the packed bundle decode identically
         packed = ModelBundle.load(out)
-        for a, b in zip(dense.layers, packed.layers):
-            wa, _, _ = a.decode_weights()
-            wb, _, _ = b.decode_weights()
+        for a, b in zip(model_from_bundle(dense).layers,
+                        model_from_bundle(packed).layers):
+            wa, wb = a.weights, b.weights
             assert np.array_equal(wa.data, wb.data)
 
     def test_prune_rejects_mismatched_grad_names(self, workdir, capsys):
@@ -308,6 +411,21 @@ class TestCli:
         xp.write_bytes(write_tensor(Tensor.zeros(spec.input_dims, "int8")))
         assert main(["run", str(bp), str(xp)]) == 4
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_malformed_manifest_exits_4(self, workdir, capsys, command):
+        tmp, _, model_path, _, input_path = workdir
+        raw = model_path.read_bytes()
+        unknown = []
+        for key, value in (("format", "zip"), ("dtype", "int9")):
+            unknown.append(ModelBundle.from_bytes(raw).manifest())
+            unknown[-1]["layers"][1][key] = value
+        argv = [command, str(tmp / "bad.fltb")]
+        if command == "run":
+            argv.append(str(input_path))
+        for manifest in ([], {"layers": 5}, *unknown):
+            (tmp / "bad.fltb").write_bytes(with_manifest(raw, manifest))
+            assert main(argv) == 4
+
     def test_empty_input_exits_4(self, workdir, capsys):
         tmp, _, model_path, _, _ = workdir
         empty = tmp / "empty.dttn"
@@ -347,10 +465,13 @@ class TestCli:
         masks = [FilterletMask(l.spec, rng.random(
             (l.spec.n_filters, l.spec.filterlets_per_filter)) < 0.5)
             for l in model.layers]
-        paths = {"dense": tmp_path / "d.fltb", "fwcs": tmp_path / "f.fltb"}
+        paths = {"dense": tmp_path / "d.fltb", "fwcs": tmp_path / "f.fltb",
+                 "csr": tmp_path / "c.fltb"}
         bundle_from_model(model).save(paths["dense"])
         bundle_from_masks(model, masks).save(paths["fwcs"])
-        kinds = {"macv": "macs", "ldv": "vector_loads", "lds": "scalar_loads"}
+        bundle_from_masks(model, masks, "csr").save(paths["csr"])
+        kinds = {"macv": "macs", "macs": "macs", "ldv": "vector_loads",
+                 "lds": "scalar_loads"}
         for fmt, path in paths.items():
             for schedule in ComputeSchedule:
                 assert main(["bench", str(path), "--lanes", "2",
@@ -358,13 +479,21 @@ class TestCli:
                 rep = json.loads(capsys.readouterr().out)
                 cfg = MachineConfig(lanes=2)
                 for row, layer, mask in zip(rep["layers"], model.layers, masks):
-                    if fmt == "dense":
-                        mask = FilterletMask.all_kept(layer.spec)
+                    if fmt == "csr":
+                        packed = encode_csr(layer.weights, mask.to_weight_mask())
+                        stream = lower_csr(packed, layer.spec, cfg)
+                        cycles = csr_layer_cycles(packed, layer.spec, cfg)
+                    else:
+                        if fmt == "dense":
+                            mask = FilterletMask.all_kept(layer.spec)
+                        packed = encode_fwcs(layer.weights, mask)
+                        stream = lower_schedule(packed, layer.spec, schedule, cfg)
+                        cycles = layer_cycles(packed, layer.spec, schedule, cfg)
                     want = dict.fromkeys(kinds.values(), 0)
-                    for ins in lower_schedule(encode_fwcs(layer.weights, mask),
-                                              layer.spec, schedule, cfg):
+                    for ins in stream:
                         want[kinds[ins.kind]] += 1
                     assert {k: row[k] for k in want} == want
+                    assert row["cycles"] == cycles
                     assert want["macs"] > 0
 
     def test_compare_index_ratio_and_cycles(self, tmp_path, capsys):

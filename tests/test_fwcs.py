@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from filterlet.bundle import BundleLayer
 from filterlet.errors import CorruptionError, DataError, FormatError
 from filterlet.fwcs import CSR_FRAMING_BYTES, FWCS_FRAMING_BYTES, \
     CsrLayer, FilterletMask, FwcsLayer, decode_csr, decode_fwcs, encode_csr, \
@@ -162,6 +163,75 @@ class TestEncodeCsr:
             layer.validate(spec)
         with pytest.raises(CorruptionError):
             decode_csr(layer, spec)
+
+
+def layer_from_rows(fmt, spec, rows):
+    """int8 FWCS or CSR layer whose filter n keeps the entries ``rows[n]``,
+    counted in the format's c_ptr width: a filterlet for FWCS, a weight for
+    CSR.  Every kept weight is 1."""
+    f_idx = np.cumsum([0] + [len(r) for r in rows])
+    entries = np.array([e for r in rows for e in r], np.int64)
+    if fmt == "fwcs":
+        c = spec.channels
+        return FwcsLayer(np.ones(len(entries) * c, np.int8), c, entries * c,
+                         f_idx, "int8")
+    return CsrLayer(np.ones(len(entries), np.int8), entries, f_idx, "int8")
+
+
+class TestCPtrCheck:
+    """The c_ptr rules FWCS and CSR share, through ``validate`` and through a
+    bundle layer's ``decode_weights``; 4 filters of 4 filterlets of 2."""
+
+    SPEC = make_spec(n=4, kh=2, kw=2, c=2)
+    VALID = {
+        "empty first filter": [[], [0, 2], [1], [3]],
+        "empty last filter": [[0], [1, 3], [2], []],
+        "empty filters between": [[1], [], [], [0, 3]],
+        "all filters empty": [[], [], [], []],
+        "next filter starts lower": [[2, 3], [0, 1], [1], [0]],
+        "lower start after an empty first filter": [[], [3], [0], [1, 2]],
+    }
+    INVALID = {
+        "drop within a filter": [[0], [3, 1], [], [2]],
+        "drop after an empty first filter": [[], [3, 1], [], []],
+        "repeated entry": [[0], [1, 1], [], [2]],
+        "repeated entry in the last filter": [[0], [], [], [2, 2]],
+    }
+
+    @staticmethod
+    def decode(fmt, layer):
+        block = write_fwcs(layer) if fmt == "fwcs" else write_csr(layer)
+        return BundleLayer("conv0", fmt, TestCPtrCheck.SPEC, "int8", False,
+                           None, block).decode_weights()
+
+    @pytest.mark.parametrize("fmt", ["fwcs", "csr"])
+    @pytest.mark.parametrize("case", sorted(VALID))
+    def test_valid(self, fmt, case):
+        rows = self.VALID[case]
+        layer = layer_from_rows(fmt, self.SPEC, rows)
+        layer.validate(self.SPEC)
+        stored, _ = self.decode(fmt, layer)
+        assert np.array_equal(stored.c_ptr, layer.c_ptr)
+        decode = decode_fwcs if fmt == "fwcs" else decode_csr
+        width = self.SPEC.channels if fmt == "fwcs" else 1
+        want = np.zeros((4, 8), np.int8)
+        for n, row in enumerate(rows):
+            for e in row:
+                want[n, e * width:(e + 1) * width] = 1
+        assert np.array_equal(
+            decode(stored, self.SPEC).to_array().reshape(4, 8), want)
+
+    @pytest.mark.parametrize("fmt", ["fwcs", "csr"])
+    @pytest.mark.parametrize("case", sorted(INVALID) + ["entry past the end"])
+    def test_invalid(self, fmt, case):
+        # the last filterlet (FWCS) or weight (CSR) of a filter is entry 3 or 7
+        top = 4 if fmt == "fwcs" else 8
+        rows = self.INVALID.get(case, [[0], [top], [], []])
+        layer = layer_from_rows(fmt, self.SPEC, rows)
+        with pytest.raises(CorruptionError):
+            layer.validate(self.SPEC)
+        with pytest.raises(CorruptionError):
+            self.decode(fmt, layer)
 
 
 class TestFootprint:
