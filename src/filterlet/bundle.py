@@ -25,6 +25,7 @@ BUNDLE_MAGIC = b"FLTB"
 BUNDLE_VERSION = 1
 
 FORMATS = ("dense", "fwcs", "csr")
+ROLES = ("model", "grads")
 _FORMAT_MAGIC = {"dense": b"DTTN", "fwcs": b"FWCS", "csr": b"CSRW"}
 
 _INT32_MIN = -(2 ** 31)
@@ -83,8 +84,12 @@ class BundleLayer:
 @dataclass
 class ModelBundle:
     name: str
-    role: str  # "model" or "grads"
+    role: str  # one of ROLES
     layers: list[BundleLayer]
+
+    def __post_init__(self):
+        if self.role not in ROLES:
+            raise DataError(f"unknown bundle role {self.role!r}")
 
     def manifest(self) -> dict:
         layers = []

@@ -88,7 +88,8 @@ def cmd_prune(args) -> int:
     else:
         latency = LatencyParams(1.0, 1.0, 2.0, 2.0, lanes=args.lanes)
     budget = Budget(args.flash, args.ram, args.dlmax)
-    problem = ScheduleProblem(model.specs, importance, budget, latency)
+    problem = ScheduleProblem(model.specs, importance, budget, latency,
+                              m=model.value_bits)
     bundle, result = plan_and_pack(
         problem, model, seed=_seed_from(args), iters=args.iters,
         t0=args.t0, cooling=args.cooling, step=args.step,

@@ -4,9 +4,9 @@ Every operator returns the raw accumulator map of shape (out_h, out_w,
 n_filters).  int8 inputs accumulate exactly in 64-bit integers; float32
 inputs accumulate in float64 and are cast back to float32 once at the end,
 so the dense path and every sparse path agree bitwise on integer data and
-to float32 rounding on real data.  The sparse formats share one gather
-kernel.  Lane width and loop order exist only in the cycle model
-(:mod:`filterlet.cyclesim`); nothing here depends on them.
+to float32 rounding on real data.  FWCS and CSR share one operator body
+over their common run layout.  Lane width and loop order exist only in the
+cycle model (:mod:`filterlet.cyclesim`); nothing here depends on them.
 """
 
 import numpy as np
@@ -50,29 +50,30 @@ def conv_dense(input: Tensor, filters: Tensor, spec: ConvLayerSpec,
     return _finish(out, spec, input.dtype, bias)
 
 
-def _gather_conv(p: np.ndarray, cols: np.ndarray, starts: np.ndarray,
-                 vals: np.ndarray, n_filters: int) -> np.ndarray:
-    """Column n is ``p[:, cols[lo:hi]] @ vals[lo:hi]`` with lo, hi = starts[n:n + 2]."""
-    out = np.zeros((p.shape[0], n_filters), dtype=p.dtype)
-    for n in range(n_filters):
-        lo, hi = int(starts[n]), int(starts[n + 1])
-        out[:, n] = p[:, cols[lo:hi]] @ vals[lo:hi]
-    return out
-
-
-def conv_fwcs(input: Tensor, layer: FwcsLayer, spec: ConvLayerSpec,
-              bias: np.ndarray | None = None) -> np.ndarray:
-    """Sparse operator over FWCS: each retained filterlet gathers the
-    ``size`` patch columns starting at its c_ptr entry."""
+def _conv_runs(input: Tensor, layer: FwcsLayer | CsrLayer,
+               spec: ConvLayerSpec, bias: np.ndarray | None) -> np.ndarray:
+    """Sparse operator over the run layout both packed formats share: each
+    retained run gathers the ``width`` patch columns starting at its c_ptr
+    entry, and filter n sums the runs ``f_idx[n]:f_idx[n + 1]``."""
     if input.dtype != layer.dtype:
         raise DataError("input/layer dtype mismatch")
     layer.validate(spec)
     acc = _acc_dtype(input)
     p = patch_matrix(input, spec).astype(acc)
-    cols = (layer.c_ptr[:, None] + np.arange(layer.size)).reshape(-1)
-    out = _gather_conv(p, cols, layer.f_idx * layer.size,
-                       layer.arr.astype(acc), spec.n_filters)
+    cols = (layer.c_ptr[:, None] + np.arange(layer.width)).reshape(-1)
+    starts = layer.f_idx * layer.width
+    vals = layer.arr.astype(acc)
+    out = np.zeros((p.shape[0], spec.n_filters), dtype=acc)
+    for n in range(spec.n_filters):
+        lo, hi = starts[n], starts[n + 1]
+        out[:, n] = p[:, cols[lo:hi]] @ vals[lo:hi]
     return _finish(out, spec, input.dtype, bias)
+
+
+def conv_fwcs(input: Tensor, layer: FwcsLayer, spec: ConvLayerSpec,
+              bias: np.ndarray | None = None) -> np.ndarray:
+    """Sparse operator over FWCS: one run per retained filterlet."""
+    return _conv_runs(input, layer, spec, bias)
 
 
 # Both schedules compute the same sums; the old name stays because the
@@ -82,15 +83,8 @@ conv_fwcs_reordered = conv_fwcs
 
 def conv_csr(input: Tensor, layer: CsrLayer, spec: ConvLayerSpec,
              bias: np.ndarray | None = None) -> np.ndarray:
-    """Per-weight gather-multiply-accumulate over the CSR baseline."""
-    if input.dtype != layer.dtype:
-        raise DataError("input/layer dtype mismatch")
-    layer.validate(spec)
-    acc = _acc_dtype(input)
-    p = patch_matrix(input, spec).astype(acc)
-    out = _gather_conv(p, layer.c_ptr, layer.f_idx, layer.arr.astype(acc),
-                       spec.n_filters)
-    return _finish(out, spec, input.dtype, bias)
+    """Sparse operator over the CSR baseline: one run per retained weight."""
+    return _conv_runs(input, layer, spec, bias)
 
 
 def conv_structured(input: Tensor, filters: Tensor, kept_filters,

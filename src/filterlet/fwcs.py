@@ -37,32 +37,6 @@ def kept_count(total: int, alpha: float) -> int:
     return int(np.floor((1.0 - alpha) * total + 0.5))
 
 
-def _check_f_idx(f_idx: np.ndarray, spec: ConvLayerSpec) -> None:
-    if len(f_idx) != spec.n_filters + 1 or f_idx[0] != 0:
-        raise CorruptionError("f_idx length or leading entry wrong")
-    if np.any(np.diff(f_idx) < 0):
-        raise CorruptionError("f_idx not non-decreasing")
-
-
-def _check_c_ptr(c_ptr: np.ndarray, f_idx: np.ndarray, width: int,
-                 spec: ConvLayerSpec) -> None:
-    """Each entry starts a run of ``width`` weights (a filterlet in FWCS, one
-    weight in CSR) inside its filter, strictly after the previous entry of
-    the same filter; ``f_idx`` must already have passed ``_check_f_idx``."""
-    if len(c_ptr) != f_idx[-1]:
-        raise CorruptionError("c_ptr length != retained count")
-    if np.any(c_ptr % width != 0):
-        raise CorruptionError("c_ptr entry not a multiple of its width")
-    if np.any(c_ptr < 0) or np.any(c_ptr + width > spec.filterlets_per_filter
-                                   * spec.channels):
-        raise CorruptionError("c_ptr entry outside its filter")
-    # every entry that does not open a filter must exceed its predecessor
-    opens = np.zeros(len(c_ptr) + 1, bool)
-    opens[f_idx] = True
-    if np.any((np.diff(c_ptr) <= 0) & ~opens[1:-1]):
-        raise CorruptionError("c_ptr not strictly increasing within a filter")
-
-
 @dataclass(frozen=True)
 class FilterletMask:
     """Per-filterlet keep/prune decision for one layer.
@@ -91,10 +65,6 @@ class FilterletMask:
     def none_kept(cls, spec: ConvLayerSpec) -> "FilterletMask":
         return cls(spec, np.zeros((spec.n_filters, spec.filterlets_per_filter), bool))
 
-    @property
-    def n_kept(self) -> int:
-        return int(self.kept.sum())
-
     def kept_channels(self) -> int:
         """Filters that still own at least one filterlet."""
         return int(self.kept.any(axis=1).sum())
@@ -104,16 +74,67 @@ class FilterletMask:
         return np.repeat(self.kept, self.spec.channels, axis=1)
 
 
-@dataclass(frozen=True)
-class FwcsLayer:
-    """Four-array compressed form of a filterlet-pruned layer.
+class _RunLayer:
+    """Retained runs of ``width`` contiguous weights: a filterlet of
+    ``channels`` weights in FWCS, a single weight in CSR.
 
-    arr    retained weights, filter order then filterlet order then channel
-    size   filterlet length (= channels)
-    c_ptr  per retained filterlet: flat offset of its first weight in its filter
-    f_idx  per filter: position in c_ptr of its first retained filterlet,
-           plus a final sentinel equal to the total retained filterlet count
+    arr    retained weights, filter order then run order then channel
+    c_ptr  per retained run: flat offset of its first weight in its filter
+    f_idx  per filter: position in c_ptr of its first retained run, plus a
+           final sentinel equal to the total retained run count
     """
+
+    def __post_init__(self):
+        arr = np.asarray(self.arr)
+        c_ptr = np.asarray(self.c_ptr, dtype=np.int64).copy()
+        f_idx = np.asarray(self.f_idx, dtype=np.int64).copy()
+        if arr.size != self.width * (f_idx[-1] if f_idx.size else 0):
+            raise DataError("arr length != width * f_idx[-1]")
+        if arr.size != self.width * c_ptr.size:
+            raise DataError("arr length != width * c_ptr length")
+        for a in (arr, c_ptr, f_idx):
+            a.flags.writeable = False
+        object.__setattr__(self, "arr", arr)
+        object.__setattr__(self, "c_ptr", c_ptr)
+        object.__setattr__(self, "f_idx", f_idx)
+
+    @property
+    def n_filters(self) -> int:
+        return len(self.f_idx) - 1
+
+    @property
+    def n_retained(self) -> int:
+        return int(self.f_idx[-1])
+
+    def validate(self, spec: ConvLayerSpec) -> None:
+        """Structural invariants; raises CorruptionError when violated.
+
+        ``f_idx`` opens every filter and never decreases; each ``c_ptr``
+        entry starts a run inside its filter, strictly after the previous
+        entry of the same filter."""
+        f_idx, c_ptr, width = self.f_idx, self.c_ptr, self.width
+        if len(f_idx) != spec.n_filters + 1 or f_idx[0] != 0:
+            raise CorruptionError("f_idx length or leading entry wrong")
+        if np.any(np.diff(f_idx) < 0):
+            raise CorruptionError("f_idx not non-decreasing")
+        if len(c_ptr) != f_idx[-1]:
+            raise CorruptionError("c_ptr length != retained count")
+        if np.any(c_ptr % width != 0):
+            raise CorruptionError("c_ptr entry not a multiple of its width")
+        if np.any(c_ptr < 0) or np.any(c_ptr + width > spec.filterlets_per_filter
+                                       * spec.channels):
+            raise CorruptionError("c_ptr entry outside its filter")
+        # every entry that does not open a filter must exceed its predecessor
+        opens = np.zeros(len(c_ptr) + 1, bool)
+        opens[f_idx] = True
+        if np.any((np.diff(c_ptr) <= 0) & ~opens[1:-1]):
+            raise CorruptionError("c_ptr not strictly increasing within a filter")
+
+
+@dataclass(frozen=True)
+class FwcsLayer(_RunLayer):
+    """Four-array compressed form of a filterlet-pruned layer: the run
+    layout with runs of ``size`` (= channels) weights."""
 
     arr: np.ndarray
     size: int
@@ -121,39 +142,21 @@ class FwcsLayer:
     f_idx: np.ndarray
     dtype: str
 
-    def __post_init__(self):
-        arr = np.asarray(self.arr)
-        c_ptr = np.asarray(self.c_ptr, dtype=np.int64).copy()
-        f_idx = np.asarray(self.f_idx, dtype=np.int64).copy()
-        if arr.size != self.size * (f_idx[-1] if f_idx.size else 0):
-            raise DataError("arr length inconsistent with size * f_idx[-1]")
-        for a in (arr, c_ptr, f_idx):
-            a.flags.writeable = False
-        object.__setattr__(self, "arr", arr)
-        object.__setattr__(self, "c_ptr", c_ptr)
-        object.__setattr__(self, "f_idx", f_idx)
-
     @property
-    def n_filters(self) -> int:
-        return len(self.f_idx) - 1
-
-    @property
-    def n_retained(self) -> int:
-        return int(self.f_idx[-1])
+    def width(self) -> int:
+        return self.size
 
     def filterlets_of(self, n: int) -> range:
         return range(int(self.f_idx[n]), int(self.f_idx[n + 1]))
 
     def validate(self, spec: ConvLayerSpec) -> None:
-        """Structural invariants; raises CorruptionError when violated."""
         if self.size != spec.filterlet_length:
             raise CorruptionError(f"size {self.size} != channels {spec.channels}")
-        _check_f_idx(self.f_idx, spec)
-        _check_c_ptr(self.c_ptr, self.f_idx, self.size, spec)
+        super().validate(spec)
 
 
 @dataclass(frozen=True)
-class CsrLayer:
+class CsrLayer(_RunLayer):
     """Per-weight compressed form: one c_ptr entry per retained weight."""
 
     arr: np.ndarray
@@ -161,107 +164,58 @@ class CsrLayer:
     f_idx: np.ndarray
     dtype: str
 
-    def __post_init__(self):
-        arr = np.asarray(self.arr)
-        c_ptr = np.asarray(self.c_ptr, dtype=np.int64).copy()
-        f_idx = np.asarray(self.f_idx, dtype=np.int64).copy()
-        if arr.size != (f_idx[-1] if f_idx.size else 0):
-            raise DataError("arr length != f_idx sentinel")
-        if arr.size != c_ptr.size:
-            raise DataError("arr and c_ptr lengths differ")
-        for a in (arr, c_ptr, f_idx):
-            a.flags.writeable = False
-        object.__setattr__(self, "arr", arr)
-        object.__setattr__(self, "c_ptr", c_ptr)
-        object.__setattr__(self, "f_idx", f_idx)
-
-    @property
-    def n_filters(self) -> int:
-        return len(self.f_idx) - 1
-
-    @property
-    def n_retained(self) -> int:
-        return int(self.f_idx[-1])
-
-    def validate(self, spec: ConvLayerSpec) -> None:
-        _check_f_idx(self.f_idx, spec)
-        _check_c_ptr(self.c_ptr, self.f_idx, 1, spec)
+    width = 1
 
 
-def _check_weights(weights: Tensor, spec: ConvLayerSpec) -> np.ndarray:
-    if weights.dims != spec.weight_dims:
-        raise FormatError(
-            f"weight dims {weights.dims} do not match spec {spec.weight_dims}"
-        )
-    n, hw, c = spec.n_filters, spec.filterlets_per_filter, spec.channels
-    return weights.to_array().reshape(n, hw, c)
+def _encode_runs(cls, weights: Tensor, kept: np.ndarray, *head) -> _RunLayer:
+    """A ``cls`` layer of the runs ``kept`` marks: each filter's weights
+    split into ``kept.shape[1]`` equal runs, of which ``kept[n, r]`` keeps
+    run r of filter n.  ``head`` holds the fields between arr and c_ptr."""
+    n, runs = kept.shape
+    w = weights.to_array().reshape(n, runs, -1)
+    rows, cols = np.nonzero(kept)
+    f_idx = np.concatenate(([0], np.cumsum(kept.sum(axis=1))))
+    return cls(w[rows, cols].reshape(-1), *head, cols * w.shape[2], f_idx,
+               weights.dtype)
+
+
+def _decode_runs(layer: _RunLayer, spec: ConvLayerSpec) -> Tensor:
+    """Dense weights with every unretained run zeroed."""
+    layer.validate(spec)
+    width = layer.width
+    out = np.zeros((spec.n_filters, spec.filterlets_per_filter * spec.channels
+                    // width, width), dtype=layer.arr.dtype)
+    rows = np.repeat(np.arange(spec.n_filters), np.diff(layer.f_idx))
+    out[rows, layer.c_ptr // width] = layer.arr.reshape(-1, width)
+    return Tensor(spec.weight_dims, layer.dtype, out.reshape(-1))
 
 
 def encode_fwcs(weights: Tensor, mask: FilterletMask) -> FwcsLayer:
     """Pack the retained filterlets of ``weights`` into FWCS form."""
     spec = mask.spec
-    w = _check_weights(weights, spec)
-    c = spec.channels
-    chunks = []
-    c_ptr = []
-    f_idx = [0]
-    for n in range(spec.n_filters):
-        positions = np.flatnonzero(mask.kept[n])
-        for p in positions:
-            chunks.append(w[n, p])
-            c_ptr.append(int(p) * c)
-        f_idx.append(f_idx[-1] + len(positions))
-    if chunks:
-        arr = np.concatenate(chunks)
-    else:
-        arr = np.empty(0, dtype=w.dtype)
-    return FwcsLayer(arr, c, np.array(c_ptr, np.int64),
-                     np.array(f_idx, np.int64), weights.dtype)
+    if weights.dims != spec.weight_dims:
+        raise FormatError(
+            f"weight dims {weights.dims} do not match spec {spec.weight_dims}"
+        )
+    return _encode_runs(FwcsLayer, weights, mask.kept, spec.channels)
 
 
 def decode_fwcs(layer: FwcsLayer, spec: ConvLayerSpec) -> Tensor:
     """Dense weights with pruned filterlets zeroed; inverse of encode."""
-    layer.validate(spec)
-    n, hw, c = spec.n_filters, spec.filterlets_per_filter, spec.channels
-    out = np.zeros((n, hw * c), dtype=layer.arr.dtype)
-    for f in range(n):
-        for j in layer.filterlets_of(f):
-            base = int(layer.c_ptr[j])
-            out[f, base:base + c] = layer.arr[j * c:(j + 1) * c]
-    return Tensor(spec.weight_dims, layer.dtype, out.reshape(-1))
+    return _decode_runs(layer, spec)
 
 
 def encode_csr(weights: Tensor, weight_mask: np.ndarray) -> CsrLayer:
     """Pack retained weights individually; weight_mask is (n_filters, kh*kw*c)."""
-    spec_like = weights.dims
-    n = spec_like[0]
-    per_filter = int(np.prod(spec_like[1:]))
+    want = (weights.dims[0], int(np.prod(weights.dims[1:])))
     mask = np.asarray(weight_mask, dtype=bool)
-    if mask.shape != (n, per_filter):
-        raise FormatError(f"weight mask shape {mask.shape} != {(n, per_filter)}")
-    w = weights.to_array().reshape(n, per_filter)
-    vals = []
-    c_ptr = []
-    f_idx = [0]
-    for f in range(n):
-        idxs = np.flatnonzero(mask[f])
-        vals.append(w[f, idxs])
-        c_ptr.extend(int(i) for i in idxs)
-        f_idx.append(f_idx[-1] + len(idxs))
-    arr = np.concatenate(vals) if vals else np.empty(0, dtype=w.dtype)
-    return CsrLayer(arr, np.array(c_ptr, np.int64), np.array(f_idx, np.int64),
-                    weights.dtype)
+    if mask.shape != want:
+        raise FormatError(f"weight mask shape {mask.shape} != {want}")
+    return _encode_runs(CsrLayer, weights, mask)
 
 
 def decode_csr(layer: CsrLayer, spec: ConvLayerSpec) -> Tensor:
-    layer.validate(spec)
-    n = spec.n_filters
-    per_filter = spec.filterlets_per_filter * spec.channels
-    out = np.zeros((n, per_filter), dtype=layer.arr.dtype)
-    for f in range(n):
-        lo, hi = int(layer.f_idx[f]), int(layer.f_idx[f + 1])
-        out[f, layer.c_ptr[lo:hi]] = layer.arr[lo:hi]
-    return Tensor(spec.weight_dims, layer.dtype, out.reshape(-1))
+    return _decode_runs(layer, spec)
 
 
 def storage_footprint(obj, m: int = 8, m0: int = INDEX_BITS_DEFAULT,

@@ -1,5 +1,7 @@
 """Sequential convolution models shared by the pruning pipeline."""
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,13 +13,26 @@ from .tensor import ConvLayerSpec, QuantParams, Tensor, dequantize, patch_matrix
 
 @dataclass(frozen=True)
 class LayerQuant:
-    """Quantization parameters for one int8 layer."""
+    """Quantization parameters for one int8 layer: positive finite scales,
+    zero points that are int8 codes."""
 
     input_scale: float
     weight_scale: float
     output_scale: float
     input_zero_point: int = 0
     output_zero_point: int = 0
+
+    def __post_init__(self):
+        for name in ("input_scale", "weight_scale", "output_scale"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+                    or not (math.isfinite(v) and v > 0):
+                raise DataError(f"{name} {v!r} is not positive and finite")
+        for name in ("input_zero_point", "output_zero_point"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
+                    or not -128 <= v <= 127:
+                raise DataError(f"{name} {v!r} is not an integer in [-128, 127]")
 
 
 @dataclass
@@ -74,6 +89,15 @@ class SequentialModel:
     @property
     def specs(self) -> list[ConvLayerSpec]:
         return [layer.spec for layer in self.layers]
+
+    @property
+    def value_bits(self) -> int:
+        """Bits of one stored weight: 8 for int8 layers, 32 for float32."""
+        bits = {8 if layer.weights.dtype == "int8" else 32
+                for layer in self.layers}
+        if len(bits) != 1:
+            raise DataError(f"model {self.name} has no single weight dtype")
+        return bits.pop()
 
     def weight_arrays(self) -> list[np.ndarray]:
         return [layer.weights.to_array().copy() for layer in self.layers]

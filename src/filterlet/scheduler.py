@@ -15,23 +15,21 @@ from .bundle import ModelBundle, bundle_from_masks
 from .costmodel import Budget, LatencyParams, StrategyVector, model_size, \
     runtime_memory, total_time
 from .errors import DataError
-from .fwcs import INDEX_BITS_DEFAULT
-from .importance import GradientBundle, ImportanceMap, build_mask, delta_loss, \
-    score_model
+from .importance import ImportanceMap, build_mask, delta_loss
 from .model import SequentialModel
 from .tensor import ConvLayerSpec
 
 
 @dataclass(frozen=True)
 class ScheduleProblem:
-    """One pruning-strategy search instance."""
+    """One pruning-strategy search instance; ``m`` is the bit width of a
+    stored weight (8 for int8, 32 for float32 models)."""
 
     specs: list[ConvLayerSpec]
     importance: ImportanceMap
     budget: Budget
     latency: LatencyParams
     m: int = 8
-    m0: int = INDEX_BITS_DEFAULT
 
     def __post_init__(self):
         if not self.specs:
@@ -56,7 +54,7 @@ def evaluate(s, problem: ScheduleProblem) -> Evaluation:
     """Re-derive every metric from scratch; nothing is cached."""
     masks = build_mask(problem.importance, s)
     dl = delta_loss(problem.importance, masks)
-    size = model_size(problem.specs, s, problem.m, problem.m0)
+    size = model_size(problem.specs, s, problem.m)
     kept_ch = [m.kept_channels() for m in masks]
     ram = runtime_memory(problem.specs, s, problem.m, kept_channels=kept_ch)
     time = total_time(problem.specs, s, problem.latency)
@@ -119,8 +117,9 @@ class ScheduleResult:
 
 def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
            t0: float | None = None, cooling: float = 0.995,
-           step: float = 0.05, s0=None) -> ScheduleResult:
-    """Metropolis search over strategies; deterministic for a fixed seed.
+           step: float = 0.05) -> ScheduleResult:
+    """Metropolis search over strategies from the unpruned model;
+    deterministic for a fixed seed.
 
     Moves perturb one layer's fraction by +-step (clamped to [0, 1]).  The
     returned strategy is the best feasible candidate visited; if none exists
@@ -132,9 +131,6 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
         raise DataError("cooling must be in (0, 1)")
     rng = np.random.default_rng(seed)
     n = len(problem.specs)
-    s = np.zeros(n) if s0 is None else np.clip(np.asarray(s0, dtype=float), 0, 1)
-    if s.shape != (n,):
-        raise DataError("s0 length != layer count")
 
     base_time = total_time(problem.specs, np.zeros(n), problem.latency)
     min_time = total_time(problem.specs, np.ones(n), problem.latency)
@@ -146,7 +142,7 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     def penalized(ev: Evaluation) -> float:
         return ev.time + lam * _violation_measure(ev, problem.budget)
 
-    cur = s.copy()
+    cur = np.zeros(n)
     cur_ev = evaluate(cur, problem)
     cur_obj = penalized(cur_ev)
     best_feasible = cur.copy() if cur_ev.feasible else None
@@ -190,22 +186,18 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
 
 
 def plan_and_pack(problem: ScheduleProblem, model: SequentialModel,
-                  grads: GradientBundle | None = None, seed: int = 0,
-                  iters: int = 5000, t0: float | None = None,
+                  seed: int = 0, iters: int = 5000, t0: float | None = None,
                   cooling: float = 0.995, step: float = 0.05,
                   ) -> tuple[ModelBundle | None, ScheduleResult]:
-    """Search a strategy and pack the pruned model when one is feasible.
-
-    When ``grads`` is given the importance map is recomputed from the model
-    and gradients; otherwise the problem's map is used as-is.  An infeasible
-    search returns no bundle, only the result.
+    """Search a strategy with the problem's importance map and pack the
+    pruned model when one is feasible.  An infeasible search returns no
+    bundle, only the result.
     """
     if model.specs != problem.specs:
         raise DataError("model layers do not match the problem's specs")
-    if grads is not None:
-        problem = ScheduleProblem(problem.specs, score_model(model, grads),
-                                  problem.budget, problem.latency,
-                                  problem.m, problem.m0)
+    if problem.m != model.value_bits:
+        raise DataError(f"problem prices {problem.m}-bit weights but the model "
+                        f"stores {model.value_bits}-bit weights")
     result = anneal(problem, seed=seed, iters=iters, t0=t0,
                     cooling=cooling, step=step)
     if not result.feasible:

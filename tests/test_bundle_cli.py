@@ -13,6 +13,7 @@ from filterlet.bundle import FORMATS, BundleLayer, ModelBundle, \
     bundle_from_masks, bundle_from_model, model_from_bundle, run_bundle
 from filterlet.cli import _build_parser, main
 from filterlet.convops import conv_dense
+from filterlet.costmodel import model_size
 from filterlet.cyclesim import ComputeSchedule, MachineConfig, \
     csr_layer_cycles, layer_cycles, lower_csr, lower_schedule
 from filterlet.errors import CorruptionError, DataError
@@ -121,6 +122,26 @@ def fuzz_bundles():
 
 
 FUZZ_BUNDLES = fuzz_bundles()
+
+
+class TestLayerQuant:
+    def test_accepts_positive_scales_and_int8_zero_points(self):
+        q = LayerQuant(0.5, np.float64(0.02), 1, -128, np.int64(127))
+        assert q.output_zero_point == 127
+
+    @pytest.mark.parametrize("field, value", [
+        ("input_scale", 0.0), ("input_scale", float("nan")),
+        ("weight_scale", -0.02), ("output_scale", float("inf")),
+        ("output_scale", "0.4"), ("weight_scale", True),
+        ("input_zero_point", 128), ("output_zero_point", -129),
+        ("output_zero_point", 1.0), ("input_zero_point", "3"),
+        ("output_zero_point", False),
+    ])
+    def test_rejects(self, field, value):
+        fields = {"input_scale": 0.05, "weight_scale": 0.02,
+                  "output_scale": 0.4, field: value}
+        with pytest.raises(DataError):
+            LayerQuant(**fields)
 
 
 class TestBundleContainer:
@@ -363,6 +384,30 @@ class TestCli:
             wa, wb = a.weights, b.weights
             assert np.array_equal(wa.data, wb.data)
 
+    def test_prune_prices_float32_weights_at_32_bits(self, tmp_path, capsys):
+        rng = np.random.default_rng(23)
+        layers = []
+        channels = 3
+        for i in range(2):
+            spec = ConvLayerSpec(n_filters=4, kernel_h=3, kernel_w=3,
+                                 channels=channels, input_h=8 - 2 * i,
+                                 input_w=8 - 2 * i)
+            w = rng.normal(size=spec.weight_dims).astype(np.float32)
+            layers.append(LayerDef(f"conv{i}", spec, Tensor.from_array(w)))
+            channels = spec.n_filters
+        model = SequentialModel("f", layers)
+        mp, gp, out = tmp_path / "m.fltb", tmp_path / "g.fltb", tmp_path / "o.fltb"
+        bundle_from_model(model).save(mp)
+        grads_bundle_for(model).save(gp)
+        assert main(["prune", str(mp), str(gp), str(out), "--flash", "10000000",
+                     "--ram", "10000000", "--dlmax", "1e9", "--seed", "0",
+                     "--iters", "100"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["predicted"]["size_bytes"] == \
+            model_size(model.specs, rep["strategy"], m=32)
+        # the prediction leaves out only f_idx, the size field and the framing
+        assert 0 < rep["actual_payload_bytes"] - rep["predicted"]["size_bytes"] < 100
+
     def test_prune_rejects_mismatched_grad_names(self, workdir, capsys):
         tmp, model, model_path, _, _ = workdir
         other = SequentialModel("other", [
@@ -415,14 +460,19 @@ class TestCli:
     def test_malformed_manifest_exits_4(self, workdir, capsys, command):
         tmp, _, model_path, _, input_path = workdir
         raw = model_path.read_bytes()
-        unknown = []
+        bad = []
         for key, value in (("format", "zip"), ("dtype", "int9")):
-            unknown.append(ModelBundle.from_bytes(raw).manifest())
-            unknown[-1]["layers"][1][key] = value
+            bad.append(ModelBundle.from_bytes(raw).manifest())
+            bad[-1]["layers"][1][key] = value
+        for key, value in (("output_scale", 0.0), ("output_zero_point", "3"),
+                           ("weight_scale", -0.02), ("input_scale", float("nan"))):
+            bad.append(ModelBundle.from_bytes(raw).manifest())
+            bad[-1]["layers"][1]["quant"][key] = value
+        bad.append({**ModelBundle.from_bytes(raw).manifest(), "role": "modem"})
         argv = [command, str(tmp / "bad.fltb")]
         if command == "run":
             argv.append(str(input_path))
-        for manifest in ([], {"layers": 5}, *unknown):
+        for manifest in ([], {"layers": 5}, *bad):
             (tmp / "bad.fltb").write_bytes(with_manifest(raw, manifest))
             assert main(argv) == 4
 

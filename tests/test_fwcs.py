@@ -144,13 +144,25 @@ class TestEncodeCsr:
 
     def test_round_trip_random_weight_mask(self):
         rng = np.random.default_rng(8)
-        spec = make_spec(n=2, kh=3, kw=2, c=3)
-        w = random_weights(spec, rng)
-        mask = rng.random((2, 18)) < 0.5
-        dense = decode_csr(encode_csr(w, mask), spec).to_array()
-        expect = w.to_array().reshape(2, 18).copy()
-        expect[~mask] = 0
-        assert np.array_equal(dense.reshape(2, 18), expect)
+        for trial in range(100):
+            spec = make_spec(n=int(rng.integers(1, 5)),
+                             kh=int(rng.integers(1, 4)),
+                             kw=int(rng.integers(1, 4)),
+                             c=int(rng.integers(1, 6)))
+            dtype = "int8" if trial % 2 else "float32"
+            w = random_weights(spec, rng, dtype)
+            per_filter = spec.filterlets_per_filter * spec.channels
+            mask = rng.random((spec.n_filters, per_filter)) < rng.random()
+            if trial % 3 == 0:
+                mask[[0, -1]] = False
+            layer = encode_csr(w, mask)
+            assert layer.arr.dtype == w.data.dtype
+            dense = decode_csr(layer, spec)
+            assert dense.dtype == dtype
+            expect = w.to_array().reshape(spec.n_filters, per_filter).copy()
+            expect[~mask] = 0
+            assert np.array_equal(
+                dense.to_array().reshape(spec.n_filters, per_filter), expect)
 
     def test_rejects_decreasing_f_idx(self):
         # filter 1 would span [3, 1) and filter 2 [1, 4): six weights from four

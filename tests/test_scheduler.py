@@ -197,6 +197,24 @@ class TestPlanAndPack:
         assert bundle is None
         assert not result.feasible
 
+    def test_value_width_must_match_the_model(self):
+        rng = np.random.default_rng(12)
+        spec = ConvLayerSpec(n_filters=4, kernel_h=2, kernel_w=2, channels=2,
+                             input_h=6, input_w=6)
+        w = Tensor.from_array(rng.normal(size=spec.weight_dims).astype(np.float32))
+        model = SequentialModel("f", [LayerDef("c0", spec, w)])
+        imp = ImportanceMap([spec], [rng.random((4, 4))])
+        budget = Budget(mem_flash=10 ** 9, mem_ram=10 ** 9, dl_max=10 ** 9)
+        with pytest.raises(DataError):
+            plan_and_pack(ScheduleProblem([spec], imp, budget, LAT), model,
+                          iters=10)
+        bundle, result = plan_and_pack(
+            ScheduleProblem([spec], imp, budget, LAT, m=32), model, iters=10)
+        assert result.predicted_size == model_size([spec], result.s, m=32)
+        with pytest.raises(DataError):
+            plan_and_pack(ScheduleProblem([spec], imp, budget, LAT, m=32),
+                          int8_model(), iters=10)
+
     def test_predicted_size_matches_payload_within_slack(self):
         model = int8_model()
         rng = np.random.default_rng(11)
