@@ -21,8 +21,7 @@ from .fwcs import CsrLayer, FilterletMask, FwcsLayer, decode_csr, decode_fwcs, \
 from .importance import GradientBundle, ImportanceMap, apply_mask_zeroing, \
     build_mask, delta_loss, finite_diff_gradient, model_loss, score_model, \
     taylor_score
-from .model import LayerDef, LayerQuant, SequentialModel, forward_float64, \
-    run_float
+from .model import LayerDef, LayerQuant, SequentialModel, forward_float64
 from .scheduler import ScheduleProblem, ScheduleResult, anneal, feasible, \
     plan_and_pack
 from .tensor import ConvLayerSpec, QuantParams, Tensor, dequantize, \

@@ -53,6 +53,8 @@ class BundleLayer:
             raise CorruptionError(
                 f"layer {self.name}: payload magic does not match format {self.fmt}"
             )
+        if self.dtype == "int8" and self.quant is None:
+            raise DataError(f"layer {self.name}: int8 weights need quant params")
 
     def decode_weights(self):
         """(weights as stored: Tensor, FwcsLayer or CsrLayer; bias or None)."""
@@ -314,8 +316,6 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
             acc = conv_csr(x, weights, bl.spec, bias)
         counts.append(layer_stream(weights, bl.spec, schedule, cfg).counts())
         if bl.dtype == "int8":
-            if bl.quant is None:
-                raise FormatError(f"layer {bl.name}: int8 layer without quant params")
             codes, sat = _requantize(acc, bl.quant)
             saturated = saturated or sat
             x = Tensor.from_array(codes, "int8")

@@ -77,8 +77,22 @@ class LatencyParams:
             raise DataError("lanes must be >= 1")
 
 
-def model_size(specs: list[ConvLayerSpec], s, m: int = 8,
-               m0: int = INDEX_BITS_DEFAULT) -> int:
+def layer_flash_bits(spec: ConvLayerSpec, alpha: float, m: int = 8) -> int:
+    """Flash bits of one layer at pruned fraction ``alpha``: ``m`` bits per
+    retained weight plus one index entry per retained filterlet."""
+    k = kept_count(spec.n_filters * spec.filterlets_per_filter, alpha)
+    return m * k * spec.channels + INDEX_BITS_DEFAULT * k
+
+
+def flash_bytes(layer_bits) -> int:
+    """Bytes of the summed per-layer flash bits; the sum must be whole bytes."""
+    bits = sum(layer_bits)
+    if bits % 8:
+        raise DataError("size not byte aligned; pick byte-multiple widths")
+    return bits // 8
+
+
+def model_size(specs: list[ConvLayerSpec], s, m: int = 8) -> int:
     """Flash bytes of the packed strategy: retained weights plus index entries.
 
     Uses the same kept-count rounding as mask construction, so the result
@@ -87,20 +101,31 @@ def model_size(specs: list[ConvLayerSpec], s, m: int = 8,
     alphas = _as_alphas(s)
     if len(alphas) != len(specs):
         raise DataError("strategy length != layer count")
-    bits = 0
-    for spec, alpha in zip(specs, alphas):
-        k = kept_count(spec.n_filters * spec.filterlets_per_filter, alpha)
-        bits += m * k * spec.channels + m0 * k
-    if bits % 8:
-        raise DataError("size not byte aligned; pick byte-multiple widths")
-    return bits // 8
+    return flash_bytes(layer_flash_bits(spec, alpha, m)
+                       for spec, alpha in zip(specs, alphas))
 
 
-def _check_chain(specs: list[ConvLayerSpec]) -> None:
+def check_chain(specs: list[ConvLayerSpec]) -> None:
+    """Raise TopologyError unless each layer consumes its predecessor's output."""
     for prev, cur in zip(specs, specs[1:]):
         if cur.channels != prev.n_filters or \
                 (cur.input_h, cur.input_w) != (prev.out_h, prev.out_w):
             raise TopologyError("layers do not form a sequential chain")
+
+
+def activation_bytes(positions: int, channels: int, m: int = 8) -> int:
+    """Bytes of one feature map of ``positions`` x ``channels`` m-bit values."""
+    return positions * channels * m // 8
+
+
+def input_bytes(first: ConvLayerSpec, m: int = 8) -> int:
+    """Bytes of the chain's input feature map, read by its first layer."""
+    return activation_bytes(first.input_h * first.input_w, first.channels, m)
+
+
+def peak_pair_bytes(sizes) -> int:
+    """Largest sum of two adjacent feature-map sizes along the chain."""
+    return max(a + b for a, b in zip(sizes, sizes[1:]))
 
 
 def runtime_memory(specs: list[ConvLayerSpec], s, m: int = 8,
@@ -116,17 +141,16 @@ def runtime_memory(specs: list[ConvLayerSpec], s, m: int = 8,
         raise DataError("strategy length != layer count")
     if not specs:
         raise DataError("no layers")
-    _check_chain(specs)
+    check_chain(specs)
     if kept_channels is None:
         kept_channels = [spec.n_filters if a < 1.0 else 0
                          for spec, a in zip(specs, alphas)]
     if len(kept_channels) != len(specs):
         raise DataError("kept_channels length != layer count")
-    first = specs[0]
-    sizes = [first.input_h * first.input_w * first.channels * m // 8]
-    for spec, ch in zip(specs, kept_channels):
-        sizes.append(ch * spec.out_positions * m // 8)
-    return max(sizes[i - 1] + sizes[i] for i in range(1, len(sizes)))
+    sizes = [input_bytes(specs[0], m)]
+    sizes += [activation_bytes(spec.out_positions, ch, m)
+              for spec, ch in zip(specs, kept_channels)]
+    return peak_pair_bytes(sizes)
 
 
 def layer_latency(spec: ConvLayerSpec, alpha: float, p: LatencyParams) -> float:

@@ -142,27 +142,37 @@ def finite_diff_gradient(model: SequentialModel, loss_fn, sample,
     return GradientBundle(grads, provenance="finite-difference oracle")
 
 
-def build_mask(importance: ImportanceMap, alphas) -> list[FilterletMask]:
-    """Prune the lowest-scoring filterlets of each layer at fraction alpha_i.
+def layer_mask(spec: ConvLayerSpec, scores: np.ndarray,
+               alpha: float) -> FilterletMask:
+    """Prune the lowest-scoring filterlets of one layer at fraction alpha.
 
     The kept count is round-half-up of (1-alpha)*count; ties in score keep
     the earlier (filter, position) pair.
     """
+    total = scores.size
+    keep = kept_count(total, alpha)
+    # stable sort on score alone leaves equal scores in flat-index order,
+    # i.e. ascending (filter, position)
+    order = np.argsort(scores.reshape(-1), kind="stable")
+    kept = np.zeros(total, dtype=bool)
+    kept[order[total - keep:]] = True
+    return FilterletMask(spec, kept.reshape(scores.shape))
+
+
+def build_mask(importance: ImportanceMap, alphas) -> list[FilterletMask]:
+    """One :func:`layer_mask` per layer, layer i at fraction alpha_i."""
     alphas = [float(a) for a in alphas]
     if len(alphas) != importance.n_layers:
         raise DataError("strategy length != layer count")
-    masks = []
-    for spec, scores, alpha in zip(importance.specs, importance.scores, alphas):
-        total = scores.size
-        keep = kept_count(total, alpha)
-        flat = scores.reshape(-1)
-        # stable sort on score alone leaves equal scores in flat-index order,
-        # i.e. ascending (filter, position)
-        order = np.argsort(flat, kind="stable")
-        kept = np.zeros(total, dtype=bool)
-        kept[order[total - keep:]] = True
-        masks.append(FilterletMask(spec, kept.reshape(scores.shape)))
-    return masks
+    return [layer_mask(spec, scores, alpha) for spec, scores, alpha
+            in zip(importance.specs, importance.scores, alphas)]
+
+
+def pruned_score(scores: np.ndarray, mask: FilterletMask) -> float:
+    """Summed scores of one layer's pruned filterlets."""
+    if mask.kept.shape != scores.shape:
+        raise DataError("mask shape != score shape")
+    return float(scores[~mask.kept].sum())
 
 
 def delta_loss(importance: ImportanceMap, masks: list[FilterletMask]) -> float:
@@ -171,9 +181,7 @@ def delta_loss(importance: ImportanceMap, masks: list[FilterletMask]) -> float:
         raise DataError("mask count != layer count")
     total = 0.0
     for scores, mask in zip(importance.scores, masks):
-        if mask.kept.shape != scores.shape:
-            raise DataError("mask shape != score shape")
-        total += float(scores[~mask.kept].sum())
+        total += pruned_score(scores, mask)
     return total
 
 

@@ -1,14 +1,12 @@
 """Sequential convolution models shared by the pruning pipeline."""
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convops import conv_dense
 from .errors import DataError, TopologyError
-from .tensor import ConvLayerSpec, QuantParams, Tensor, dequantize, patch_matrix
+from .tensor import ConvLayerSpec, QuantParams, Tensor, check_scale, \
+    check_zero_point, dequantize, patch_matrix
 
 
 @dataclass(frozen=True)
@@ -24,15 +22,9 @@ class LayerQuant:
 
     def __post_init__(self):
         for name in ("input_scale", "weight_scale", "output_scale"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-                    or not (math.isfinite(v) and v > 0):
-                raise DataError(f"{name} {v!r} is not positive and finite")
+            check_scale(name, getattr(self, name))
         for name in ("input_zero_point", "output_zero_point"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
-                    or not -128 <= v <= 127:
-                raise DataError(f"{name} {v!r} is not an integer in [-128, 127]")
+            check_zero_point(name, getattr(self, name))
 
 
 @dataclass
@@ -99,9 +91,6 @@ class SequentialModel:
             raise DataError(f"model {self.name} has no single weight dtype")
         return bits.pop()
 
-    def weight_arrays(self) -> list[np.ndarray]:
-        return [layer.weights.to_array().copy() for layer in self.layers]
-
     def with_weights(self, arrays: list[np.ndarray]) -> "SequentialModel":
         """Same structure with replacement weight values (float use only)."""
         if len(arrays) != len(self.layers):
@@ -112,17 +101,6 @@ class SequentialModel:
                                    Tensor.from_array(arr, layer.weights.dtype),
                                    layer.bias, layer.quant))
         return SequentialModel(self.name, layers)
-
-
-def run_float(model: SequentialModel, input: Tensor) -> Tensor:
-    """Forward pass of a float32 model through every layer."""
-    x = input
-    for layer in model.layers:
-        if layer.weights.dtype != "float32":
-            raise DataError(f"run_float needs float32 weights in {layer.name}")
-        out = conv_dense(x, layer.weights, layer.spec, layer.bias)
-        x = Tensor.from_array(out.astype(np.float32), "float32")
-    return x
 
 
 def forward_float64(specs, weight_arrays, biases, input_array) -> np.ndarray:

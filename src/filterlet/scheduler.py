@@ -4,6 +4,12 @@ Simulated annealing over the per-layer pruned fractions.  Infeasible
 candidates are admitted through a penalty term scaled to dominate the whole
 latency range, so the chain can cross infeasible regions, but only feasible
 candidates are ever returned as the incumbent.
+
+Every metric of a strategy combines per-layer terms (latency, flash bits,
+pruned score, output activation bytes) that depend only on that layer's
+fraction.  Each layer visits few distinct fractions and the chain keeps
+proposing states it has seen, so within one call ``anneal`` computes each
+layer's terms once per fraction and each state's evaluation once.
 """
 
 import math
@@ -12,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import ModelBundle, bundle_from_masks
-from .costmodel import Budget, LatencyParams, StrategyVector, model_size, \
-    runtime_memory, total_time
+from .costmodel import Budget, LatencyParams, StrategyVector, \
+    activation_bytes, check_chain, flash_bytes, input_bytes, \
+    layer_flash_bits, layer_latency, peak_pair_bytes, total_time
 from .errors import DataError
-from .importance import ImportanceMap, build_mask, delta_loss
+from .importance import ImportanceMap, build_mask, layer_mask, pruned_score
 from .model import SequentialModel
 from .tensor import ConvLayerSpec
 
@@ -34,8 +41,9 @@ class ScheduleProblem:
     def __post_init__(self):
         if not self.specs:
             raise DataError("need at least one layer")
-        if self.importance.n_layers != len(self.specs):
-            raise DataError("importance map does not cover every layer")
+        if list(self.importance.specs) != list(self.specs):
+            raise DataError("importance map specs differ from the layers")
+        check_chain(self.specs)
 
 
 @dataclass(frozen=True)
@@ -50,14 +58,40 @@ class Evaluation:
     violations: dict[str, tuple[float, float]]
 
 
-def evaluate(s, problem: ScheduleProblem) -> Evaluation:
-    """Re-derive every metric from scratch; nothing is cached."""
-    masks = build_mask(problem.importance, s)
-    dl = delta_loss(problem.importance, masks)
-    size = model_size(problem.specs, s, problem.m)
-    kept_ch = [m.kept_channels() for m in masks]
-    ram = runtime_memory(problem.specs, s, problem.m, kept_channels=kept_ch)
-    time = total_time(problem.specs, s, problem.latency)
+@dataclass(frozen=True)
+class LayerTerms:
+    """One layer's share of a strategy's metrics at one pruned fraction."""
+
+    time: float      # predicted cycles
+    bits: int        # flash bits
+    dl: float        # summed scores of the pruned filterlets
+    out_bytes: int   # output feature map bytes, emptied filters dropped
+
+
+def layer_terms(problem: ScheduleProblem, i: int, alpha: float) -> LayerTerms:
+    """Terms of layer ``i`` at pruned fraction ``alpha``."""
+    spec = problem.specs[i]
+    scores = problem.importance.scores[i]
+    mask = layer_mask(spec, scores, alpha)
+    return LayerTerms(
+        time=layer_latency(spec, alpha, problem.latency),
+        bits=layer_flash_bits(spec, alpha, problem.m),
+        dl=pruned_score(scores, mask),
+        out_bytes=activation_bytes(spec.out_positions, mask.kept_channels(),
+                                   problem.m),
+    )
+
+
+def _combine(terms: list[LayerTerms], in_bytes: int,
+             problem: ScheduleProblem) -> Evaluation:
+    # the sums run in the order and from the start values of total_time,
+    # delta_loss and model_size, so the results are bit-identical to theirs
+    time = sum(t.time for t in terms)
+    dl = 0.0
+    for t in terms:
+        dl += t.dl
+    size = flash_bytes(t.bits for t in terms)
+    ram = peak_pair_bytes([in_bytes] + [t.out_bytes for t in terms])
     violations = {}
     if dl > problem.budget.dl_max:
         violations["dl"] = (dl, problem.budget.dl_max)
@@ -66,6 +100,19 @@ def evaluate(s, problem: ScheduleProblem) -> Evaluation:
     if ram > problem.budget.mem_ram:
         violations["ram"] = (float(ram), float(problem.budget.mem_ram))
     return Evaluation(time, size, ram, dl, not violations, violations)
+
+
+def evaluate(s, problem: ScheduleProblem) -> Evaluation:
+    """Every metric of strategy ``s``, from freshly computed layer terms.
+
+    Equal to ``total_time``, ``model_size``, ``delta_loss`` of ``build_mask``
+    and ``runtime_memory`` with the masks' kept channels.
+    """
+    alphas = [float(a) for a in s]
+    if len(alphas) != len(problem.specs):
+        raise DataError("strategy length != layer count")
+    return _combine([layer_terms(problem, i, a) for i, a in enumerate(alphas)],
+                    input_bytes(problem.specs[0], problem.m), problem)
 
 
 def feasible(s, problem: ScheduleProblem) -> tuple[bool, dict]:
@@ -86,7 +133,7 @@ def _violation_measure(ev: Evaluation, budget: Budget) -> float:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     iteration: int
     temperature: float
@@ -142,32 +189,52 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     def penalized(ev: Evaluation) -> float:
         return ev.time + lam * _violation_measure(ev, problem.budget)
 
-    cur = np.zeros(n)
-    cur_ev = evaluate(cur, problem)
-    cur_obj = penalized(cur_ev)
-    best_feasible = cur.copy() if cur_ev.feasible else None
-    best_feasible_time = cur_ev.time if cur_ev.feasible else math.inf
-    best_pen = cur.copy()
+    in_bytes = input_bytes(problem.specs[0], problem.m)
+    # each layer's terms, keyed on the exact fraction and never on a grid
+    # index: +-step moves drift off the grid, and layer_latency reads alpha
+    memo = [{} for _ in range(n)]
+
+    def terms_at(i: int, alpha: float) -> LayerTerms:
+        t = memo[i].get(alpha)
+        if t is None:
+            t = memo[i][alpha] = layer_terms(problem, i, alpha)
+        return t
+
+    # about nine in ten candidates are states the chain has proposed before
+    visited: dict[tuple[float, ...], tuple[float, bool, float]] = {}
+
+    def visit(s: tuple[float, ...]) -> tuple[float, bool, float]:
+        """Predicted time, feasibility and penalized objective of state ``s``."""
+        seen = visited.get(s)
+        if seen is None:
+            ev = _combine([terms_at(i, a) for i, a in enumerate(s)], in_bytes,
+                          problem)
+            seen = visited[s] = (ev.time, ev.feasible, penalized(ev))
+        return seen
+
+    cur = (0.0,) * n
+    cur_time, cur_feasible, cur_obj = visit(cur)
+    best_feasible = cur if cur_feasible else None
+    best_feasible_time = cur_time if cur_feasible else math.inf
+    best_pen = cur
     best_pen_obj = cur_obj
 
     temp = float(t0)
-    trace = [TraceRow(0, temp, cur_obj, cur_ev.feasible)]
+    trace = [TraceRow(0, temp, cur_obj, cur_feasible)]
     for it in range(1, iters + 1):
         i = int(rng.integers(n))
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        cand = cur.copy()
-        cand[i] = min(1.0, max(0.0, cand[i] + sign * step))
-        ev = evaluate(cand, problem)
-        obj = penalized(ev)
+        cand = (*cur[:i], min(1.0, max(0.0, cur[i] + sign * step)), *cur[i + 1:])
+        time, ok, obj = visit(cand)
         accept = obj <= cur_obj or rng.random() < math.exp(
             min(0.0, (cur_obj - obj) / max(temp, 1e-12)))
         if accept:
             cur, cur_obj = cand, obj
-        if ev.feasible and ev.time < best_feasible_time:
-            best_feasible, best_feasible_time = cand.copy(), ev.time
+        if ok and time < best_feasible_time:
+            best_feasible, best_feasible_time = cand, time
         if obj < best_pen_obj:
-            best_pen, best_pen_obj = cand.copy(), obj
-        trace.append(TraceRow(it, temp, cur_obj, ev.feasible))
+            best_pen, best_pen_obj = cand, obj
+        trace.append(TraceRow(it, temp, cur_obj, ok))
         temp *= cooling
 
     chosen = best_feasible if best_feasible is not None else best_pen

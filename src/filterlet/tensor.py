@@ -8,6 +8,8 @@ c-long run at one kernel position) a contiguous slice of the flat weight
 array.
 """
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -71,8 +73,10 @@ class Tensor:
         """Read-only view shaped as ``dims``."""
         return self.data.reshape(self.dims)
 
-    def item(self, *coords) -> float:
-        return self.to_array()[coords]
+
+def _is_integer(v) -> bool:
+    """True for Python and numpy integers; False for bools, floats and the rest."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,10 @@ class ConvLayerSpec:
     def __post_init__(self):
         for name in ("n_filters", "kernel_h", "kernel_w", "channels",
                      "input_h", "input_w", "stride"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1")
+            v = getattr(self, name)
+            if not _is_integer(v) or v < 1:
+                raise DataError(f"{name} {v!r} is not an integer >= 1")
+            object.__setattr__(self, name, int(v))
         if self.kernel_h > self.input_h or self.kernel_w > self.input_w:
             raise DataError("kernel does not fit inside the input")
 
@@ -149,6 +155,19 @@ def coords_from_flat(spec: ConvLayerSpec, idx: int) -> tuple[int, int, int]:
     return pos // spec.kernel_w, pos % spec.kernel_w, c
 
 
+def check_scale(name: str, v) -> None:
+    """Raise DataError unless ``v`` is a real number, positive and finite."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+            or not (math.isfinite(v) and v > 0):
+        raise DataError(f"{name} {v!r} is not positive and finite")
+
+
+def check_zero_point(name: str, v) -> None:
+    """Raise DataError unless ``v`` is an integer int8 code."""
+    if not _is_integer(v) or not -128 <= v <= 127:
+        raise DataError(f"{name} {v!r} is not an integer in [-128, 127]")
+
+
 @dataclass(frozen=True)
 class QuantParams:
     """Per-tensor affine quantization (symmetric when zero_point is 0)."""
@@ -157,8 +176,8 @@ class QuantParams:
     zero_point: int = 0
 
     def __post_init__(self):
-        if not (self.scale > 0 and np.isfinite(self.scale)):
-            raise DataError(f"scale must be positive and finite, got {self.scale}")
+        check_scale("scale", self.scale)
+        check_zero_point("zero_point", self.zero_point)
 
 
 def quantize(t: Tensor, q: QuantParams) -> Tensor:

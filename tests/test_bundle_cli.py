@@ -469,6 +469,11 @@ class TestCli:
             bad.append(ModelBundle.from_bytes(raw).manifest())
             bad[-1]["layers"][1]["quant"][key] = value
         bad.append({**ModelBundle.from_bytes(raw).manifest(), "role": "modem"})
+        for key, value in (("n_filters", 4.0), ("stride", 1.0)):
+            bad.append(ModelBundle.from_bytes(raw).manifest())
+            bad[-1]["layers"][1]["spec"][key] = value
+        bad.append(ModelBundle.from_bytes(raw).manifest())
+        bad[-1]["layers"][1]["quant"] = None
         argv = [command, str(tmp / "bad.fltb")]
         if command == "run":
             argv.append(str(input_path))

@@ -7,6 +7,7 @@ from filterlet.fwcs import CSR_FRAMING_BYTES, FWCS_FRAMING_BYTES, \
     CsrLayer, FilterletMask, FwcsLayer, decode_csr, decode_fwcs, encode_csr, \
     encode_fwcs, kept_count, read_csr, read_fwcs, storage_footprint, \
     write_csr, write_fwcs
+from filterlet.model import LayerQuant
 from filterlet.tensor import ConvLayerSpec, Tensor
 
 
@@ -213,8 +214,9 @@ class TestCPtrCheck:
     @staticmethod
     def decode(fmt, layer):
         block = write_fwcs(layer) if fmt == "fwcs" else write_csr(layer)
+        quant = LayerQuant(input_scale=0.05, weight_scale=0.02, output_scale=0.4)
         return BundleLayer("conv0", fmt, TestCPtrCheck.SPEC, "int8", False,
-                           None, block).decode_weights()
+                           quant, block).decode_weights()
 
     @pytest.mark.parametrize("fmt", ["fwcs", "csr"])
     @pytest.mark.parametrize("case", sorted(VALID))

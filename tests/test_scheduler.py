@@ -1,13 +1,17 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterlet.bundle import bundle_from_model, run_bundle
-from filterlet.costmodel import Budget, LatencyParams, model_size
-from filterlet.errors import DataError
-from filterlet.importance import ImportanceMap, build_mask, delta_loss, \
-    score_model
+from filterlet.costmodel import Budget, LatencyParams, StrategyVector, \
+    model_size, runtime_memory, total_time
+from filterlet.errors import DataError, TopologyError
+from filterlet.importance import GradientBundle, ImportanceMap, build_mask, \
+    delta_loss, score_model
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
 from filterlet.scheduler import ScheduleProblem, anneal, evaluate, feasible, \
     plan_and_pack
@@ -40,6 +44,38 @@ def grid_optimum(problem, steps=11):
         if ev.feasible and (best is None or ev.time < best[0]):
             best = (ev.time, alphas)
     return best
+
+
+def six_layer_problem(seed=7, flash_share=0.55, dl_share=0.25, ram_share=1.0):
+    """A 6-layer int8 chain shaped like the prune-6L benchmark: 16x3x3x3 on
+    24x24, then five 16x3x3x16; budgets are shares of the dense model's."""
+    rng = np.random.default_rng(seed)
+    layers, channels, side = [], 3, 24
+    for i in range(6):
+        spec = ConvLayerSpec(n_filters=16, kernel_h=3, kernel_w=3,
+                             channels=channels, input_h=side, input_w=side)
+        w = rng.integers(-100, 101, spec.weight_dims).astype(np.int8)
+        quant = LayerQuant(input_scale=0.05, weight_scale=0.02, output_scale=0.4)
+        layers.append(LayerDef(f"conv{i}", spec, Tensor.from_array(w), None,
+                               quant))
+        channels, side = 16, spec.out_h
+    model = SequentialModel("six", layers)
+    grads = GradientBundle([rng.normal(size=l.spec.weight_dims) for l in layers])
+    imp = score_model(model, grads)
+    zeros = [0.0] * 6
+    budget = Budget(
+        mem_flash=int(flash_share * model_size(model.specs, zeros)),
+        mem_ram=int(ram_share * runtime_memory(model.specs, zeros)),
+        dl_max=dl_share * sum(float(s.sum()) for s in imp.scores))
+    return ScheduleProblem(model.specs, imp, budget, LAT)
+
+
+def trace_digest(trace):
+    h = hashlib.sha256()
+    for r in trace:
+        h.update(f"{r.iteration},{r.temperature.hex()},{r.objective.hex()},"
+                 f"{int(r.feasible)};".encode())
+    return h.hexdigest()[:16]
 
 
 class TestFeasible:
@@ -229,3 +265,110 @@ class TestPlanAndPack:
         bundle, result = plan_and_pack(problem, model, seed=0, iters=300)
         assert result.feasible
         assert abs(bundle.payload_bytes() - result.predicted_size) <= 64
+
+
+class TestEvaluate:
+    PROBLEMS = {"two": two_layer_problem(),
+                "six": six_layer_problem(ram_share=0.6)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(PROBLEMS)), data=st.data())
+    def test_equals_the_whole_model_functions(self, name, data):
+        problem = self.PROBLEMS[name]
+        n = len(problem.specs)
+        # fractions off any grid, on a 0.05 grid, and at the ends
+        alpha = st.one_of(st.floats(0.0, 1.0),
+                          st.integers(0, 20).map(lambda k: k * 0.05),
+                          st.sampled_from([0.0, 1.0]))
+        s = data.draw(st.lists(alpha, min_size=n, max_size=n))
+        masks = build_mask(problem.importance, s)
+        ev = evaluate(s, problem)
+        assert ev.dl == delta_loss(problem.importance, masks)
+        assert ev.size == model_size(problem.specs, s, problem.m)
+        assert ev.ram == runtime_memory(
+            problem.specs, s, problem.m,
+            kept_channels=[m.kept_channels() for m in masks])
+        assert ev.time == total_time(problem.specs, s, problem.latency)
+        assert evaluate(StrategyVector(tuple(s)), problem) == ev
+
+    def test_rejects_bad_strategies(self):
+        problem = two_layer_problem()
+        for s in ([0.5], [0.5, 0.5, 0.5], [0.5, 1.5], [float("nan"), 0.0]):
+            with pytest.raises(DataError):
+                evaluate(s, problem)
+
+    def test_problem_layers_must_chain(self):
+        problem = two_layer_problem()
+        specs = [problem.specs[1], problem.specs[0]]
+        imp = ImportanceMap(specs, problem.importance.scores[::-1])
+        with pytest.raises(TopologyError):
+            ScheduleProblem(specs, imp, problem.budget, LAT)
+
+    def test_importance_specs_must_match_the_layers(self):
+        # same score shape (6 filters x 9 filterlets), other geometry: masks
+        # and the loss would come from one layer, flash, RAM and time from
+        # another
+        problem = two_layer_problem()
+        s1 = problem.specs[0]
+        other = ConvLayerSpec(n_filters=6, kernel_h=3, kernel_w=3, channels=40,
+                              input_h=30, input_w=30)
+        imp = ImportanceMap([other], problem.importance.scores[:1])
+        with pytest.raises(DataError):
+            ScheduleProblem([s1], imp, problem.budget, LAT)
+        with pytest.raises(DataError):
+            ScheduleProblem(problem.specs, ImportanceMap([s1], imp.scores),
+                            problem.budget, LAT)
+
+
+class TestPinnedAnneal:
+    """Results recorded from the annealer that re-derived every metric of
+    every candidate from all of its masks; the per-layer terms must
+    reproduce them bit for bit."""
+
+    PINNED = {
+        # name: (problem shares, anneal args, s, time, size, ram, dl,
+        #        violations, trace digest)
+        "seed0": ({}, {"seed": 0},
+                  (0.44999999999999996, 0.7500000000000001, 0.7000000000000001,
+                   0.5499999999999999, 0.3, 0.35),
+                  1079861.6, 6497, 13744, 733.9395880497492, {},
+                  "39aaebe7c77d24c5"),
+        "seed1": ({}, {"seed": 1},
+                  (0.65, 0.5499999999999999, 0.39999999999999997,
+                   0.7500000000000001, 0.6, 0.35),
+                  1125135.2, 6352, 14144, 737.8611865807543, {},
+                  "d47ef20c7aebe828"),
+        "seed2": ({}, {"seed": 2},
+                  (0.7500000000000001, 0.65, 0.5499999999999999, 0.6,
+                   0.39999999999999997, 0.44999999999999996),
+                  1071308.0, 6264, 13744, 730.5476499769258, {},
+                  "19f13a4a505db2b5"),
+        "infeasible": ({"dl_share": 0.0}, {"seed": 3},
+                       (0.0,) * 6, 2180684.0, 13680, 14144, 0.0,
+                       {"flash": (13680.0, 7524.0)}, "cbd154c27a4f5205"),
+        "step0.1": ({}, {"seed": 4, "step": 0.1},
+                    (0.7999999999999999, 0.7, 0.7, 0.5, 0.30000000000000004,
+                     0.2),
+                    1077183.2, 6877, 12776, 731.012708964604, {},
+                    "c308e487d83b908f"),
+        # RAM binds on 430 of the 5000 candidates: emptied filters matter
+        "ram": ({"ram_share": 0.6, "dl_share": 0.6, "flash_share": 1.0},
+                {"seed": 5},
+                (0.8999999999999999, 1.0, 0.8500000000000002,
+                 0.9500000000000003, 0.6, 0.5499999999999999),
+                546946.3999999999, 2806, 7052, 1768.246027176452, {},
+                "20f2615bd5e62584"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_matches_recorded_result(self, name):
+        shares, kwargs, s, time, size, ram, dl, violations, digest = \
+            self.PINNED[name]
+        result = anneal(six_layer_problem(**shares), iters=5000, **kwargs)
+        assert result.s.alphas == s
+        assert (result.predicted_time, result.predicted_size,
+                result.predicted_ram, result.predicted_dl) == (time, size, ram, dl)
+        assert result.feasible == (not violations)
+        assert result.violations == violations
+        assert len(result.trace) == 5001
+        assert trace_digest(result.trace) == digest

@@ -95,6 +95,25 @@ class TestSpec:
             ConvLayerSpec(n_filters=1, kernel_h=4, kernel_w=1, channels=1,
                           input_h=3, input_w=3)
 
+    def test_numpy_integers_become_python_ints(self):
+        spec = ConvLayerSpec(n_filters=np.int64(2), kernel_h=np.int32(3),
+                             kernel_w=2, channels=np.uint8(1), input_h=7,
+                             input_w=8, stride=np.int16(2))
+        assert spec == spec_for(3, 2, 1, n=2, ih=7, iw=8, stride=2)
+        assert all(type(v) is int for v in (spec.n_filters, spec.kernel_h,
+                                             spec.channels, spec.stride))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_filters", 4.0), ("stride", 1.0), ("channels", True),
+        ("input_h", "8"), ("kernel_w", None), ("n_filters", 0),
+        ("stride", -1), ("kernel_h", np.float64(3.0)),
+    ])
+    def test_rejects_fields_that_are_not_positive_integers(self, field, value):
+        fields = {"n_filters": 4, "kernel_h": 3, "kernel_w": 3, "channels": 2,
+                  "input_h": 8, "input_w": 8, "stride": 1, field: value}
+        with pytest.raises(DataError):
+            ConvLayerSpec(**fields)
+
 
 class TestQuantize:
     def test_zero_maps_to_zero_point(self):
@@ -129,6 +148,18 @@ class TestQuantize:
         t = Tensor.from_array(np.array([np.nan], np.float32).reshape(1, 1, 1))
         with pytest.raises(DataError):
             quantize(t, QuantParams(1.0, 0))
+
+    def test_params_accept_numpy_numbers(self):
+        q = QuantParams(np.float32(0.5), np.int8(-128))
+        assert q.zero_point == -128
+
+    @pytest.mark.parametrize("scale, zero_point", [
+        ("0.1", 0), (0.0, 0), (float("nan"), 0), (True, 0),
+        (0.1, 500), (0.1, -129), (0.1, "a"), (0.1, 1.0), (0.1, True),
+    ])
+    def test_params_rejected(self, scale, zero_point):
+        with pytest.raises(DataError):
+            QuantParams(scale, zero_point)
 
 
 class TestExtractPatch:
