@@ -9,7 +9,7 @@ fractions under accuracy, flash, and SRAM budgets.
 
 from .bundle import ModelBundle, RunResult, bundle_from_masks, \
     bundle_from_model, gradients_from_bundle, model_from_bundle, run_bundle
-from .convops import conv_csr, conv_dense, conv_fwcs, conv_structured
+from .convops import conv_csr, conv_dense, conv_fwcs
 from .costmodel import Budget, LatencyParams, StrategyVector, \
     fit_latency_params, layer_latency, model_size, normalized_mse, \
     runtime_memory, total_time

@@ -45,6 +45,11 @@ class BundleLayer:
     payload: bytes
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"layer name {self.name!r} is not a string")
+        if not isinstance(self.has_bias, bool):
+            raise DataError(f"layer {self.name}: has_bias {self.has_bias!r} "
+                            f"is not a boolean")
         if self.fmt not in FORMATS:
             raise FormatError(f"unknown layer format {self.fmt!r}")
         if self.dtype not in DTYPES:
@@ -90,6 +95,8 @@ class ModelBundle:
     layers: list[BundleLayer]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"bundle name {self.name!r} is not a string")
         if self.role not in ROLES:
             raise DataError(f"unknown bundle role {self.role!r}")
 

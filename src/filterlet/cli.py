@@ -106,13 +106,18 @@ def cmd_prune(args) -> int:
         "violations": {k: {"value": v[0], "limit": v[1]}
                        for k, v in result.violations.items()},
     }
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as f:
+            f.write(result.trace_csv())
     if bundle is None:
         _emit(report, args.report)
         return EXIT_INFEASIBLE
-    bundle.save(args.out)
+    blob = bundle.to_bytes()
+    with open(args.out, "wb") as f:
+        f.write(blob)
     report["out"] = args.out
     report["actual_payload_bytes"] = bundle.payload_bytes()
-    report["actual_file_bytes"] = len(bundle.to_bytes())
+    report["actual_file_bytes"] = len(blob)
     if args.export_masked:
         # dense copy with pruned filterlets zeroed, for external fine-tuning
         masks = build_mask(importance, list(result.s))
@@ -264,6 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also write a dense bundle with pruned filterlets "
                         "zeroed, for external fine-tuning")
     p.add_argument("--report", default=None)
+    p.add_argument("--trace", default=None, metavar="PATH",
+                   help="write the annealing chain as CSV: iteration, "
+                        "temperature, objective, feasibility")
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("run", help="execute a bundle on an input tensor")

@@ -11,7 +11,7 @@ cycle model (:mod:`filterlet.cyclesim`); nothing here depends on them.
 
 import numpy as np
 
-from .errors import DataError, EmptyOutputError
+from .errors import DataError
 from .fwcs import CsrLayer, FwcsLayer
 from .tensor import ConvLayerSpec, Tensor, patch_matrix
 
@@ -86,22 +86,3 @@ def conv_csr(input: Tensor, layer: CsrLayer, spec: ConvLayerSpec,
     """Sparse operator over the CSR baseline: one run per retained weight."""
     return _conv_runs(input, layer, spec, bias)
 
-
-def conv_structured(input: Tensor, filters: Tensor, kept_filters,
-                    spec: ConvLayerSpec, bias: np.ndarray | None = None) -> np.ndarray:
-    """Whole-filter pruning baseline: pruned output channels disappear."""
-    kept = np.asarray(kept_filters, dtype=bool)
-    if kept.shape != (spec.n_filters,):
-        raise DataError(f"kept_filters shape {kept.shape} != ({spec.n_filters},)")
-    if not kept.any():
-        raise EmptyOutputError("all filters pruned; no output channels left")
-    if filters.dims != spec.weight_dims:
-        raise DataError(f"filter dims {filters.dims} != {spec.weight_dims}")
-    sub_spec = ConvLayerSpec(
-        n_filters=int(kept.sum()), kernel_h=spec.kernel_h, kernel_w=spec.kernel_w,
-        channels=spec.channels, input_h=spec.input_h, input_w=spec.input_w,
-        stride=spec.stride,
-    )
-    sub_w = Tensor.from_array(filters.to_array()[kept], filters.dtype)
-    sub_bias = None if bias is None else np.asarray(bias)[kept]
-    return conv_dense(input, sub_w, sub_spec, sub_bias)

@@ -35,7 +35,3 @@ class ConfigError(FilterletError, ValueError):
 
 class StreamError(FilterletError, ValueError):
     """Malformed abstract instruction stream."""
-
-
-class EmptyOutputError(FilterletError, ValueError):
-    """Operation would produce an output with no channels."""

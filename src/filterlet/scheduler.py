@@ -9,11 +9,16 @@ Every metric of a strategy combines per-layer terms (latency, flash bits,
 pruned score, output activation bytes) that depend only on that layer's
 fraction.  Each layer visits few distinct fractions and the chain keeps
 proposing states it has seen, so within one call ``anneal`` computes each
-layer's terms once per fraction and each state's evaluation once.
+layer's terms once per fraction and each state's evaluation once.  What is
+left per step is the chain itself, so its draws are decoded from raw words of
+the seeded stream (``_Draws``) rather than asked of a numpy ``Generator`` one
+call at a time.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +138,50 @@ def _violation_measure(ev: Evaluation, budget: Budget) -> float:
     return v
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRow:
+# raw 64-bit words the chain reads from its bit generator at a time
+_CHUNK = 256
+_LOW32 = 0xFFFFFFFF
+
+
+class _Draws:
+    """``integers(n)`` and ``random()`` of ``np.random.default_rng(seed)``,
+    decoded from raw words of the same PCG64 stream read ``_CHUNK`` at a time.
+
+    ``random()`` takes the top 53 bits of a whole word.  ``integers(n)`` is
+    Lemire's bounded draw on 32-bit halves: a word drawn for an integer gives
+    its low half now and keeps its high half for the next integer draw, as the
+    bit generator's 32-bit buffer does.
+    """
+
+    __slots__ = ("_word", "_half")
+
+    def __init__(self, seed):
+        raw = np.random.default_rng(seed).bit_generator.random_raw
+        self._word = chain.from_iterable(
+            raw(_CHUNK).tolist() for _ in repeat(None)).__next__
+        self._half = None
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def integers(self, n: int) -> int:
+        """Uniform in ``[0, n)`` for ``1 <= n <= 2**32``."""
+        if n == 1:
+            return 0
+        while True:
+            x = self._half
+            if x is None:
+                w = self._word()
+                x, self._half = w & _LOW32, w >> 32
+            else:
+                self._half = None
+            m = x * n
+            # reject the low products that would bias the result
+            if m & _LOW32 >= (2 ** 32 - n) % n:
+                return m >> 32
+
+
+class TraceRow(NamedTuple):
     iteration: int
     temperature: float
     objective: float
@@ -176,7 +223,8 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
         raise DataError("iters must be >= 1")
     if not 0.0 < cooling < 1.0:
         raise DataError("cooling must be in (0, 1)")
-    rng = np.random.default_rng(seed)
+    draws = _Draws(seed)
+    pick, uniform = draws.integers, draws.random
     n = len(problem.specs)
 
     base_time = total_time(problem.specs, np.zeros(n), problem.latency)
@@ -204,12 +252,10 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     visited: dict[tuple[float, ...], tuple[float, bool, float]] = {}
 
     def visit(s: tuple[float, ...]) -> tuple[float, bool, float]:
-        """Predicted time, feasibility and penalized objective of state ``s``."""
-        seen = visited.get(s)
-        if seen is None:
-            ev = _combine([terms_at(i, a) for i, a in enumerate(s)], in_bytes,
-                          problem)
-            seen = visited[s] = (ev.time, ev.feasible, penalized(ev))
+        """Predicted time, feasibility and penalized objective of a new state."""
+        ev = _combine([terms_at(i, a) for i, a in enumerate(s)], in_bytes,
+                      problem)
+        seen = visited[s] = (ev.time, ev.feasible, penalized(ev))
         return seen
 
     cur = (0.0,) * n
@@ -220,13 +266,13 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     best_pen_obj = cur_obj
 
     temp = float(t0)
-    trace = [TraceRow(0, temp, cur_obj, cur_feasible)]
+    temps, objs, oks = [temp], [cur_obj], [cur_feasible]
     for it in range(1, iters + 1):
-        i = int(rng.integers(n))
-        sign = 1.0 if rng.random() < 0.5 else -1.0
+        i = pick(n)
+        sign = 1.0 if uniform() < 0.5 else -1.0
         cand = (*cur[:i], min(1.0, max(0.0, cur[i] + sign * step)), *cur[i + 1:])
-        time, ok, obj = visit(cand)
-        accept = obj <= cur_obj or rng.random() < math.exp(
+        time, ok, obj = visited.get(cand) or visit(cand)
+        accept = obj <= cur_obj or uniform() < math.exp(
             min(0.0, (cur_obj - obj) / max(temp, 1e-12)))
         if accept:
             cur, cur_obj = cand, obj
@@ -234,7 +280,9 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
             best_feasible, best_feasible_time = cand, time
         if obj < best_pen_obj:
             best_pen, best_pen_obj = cand, obj
-        trace.append(TraceRow(it, temp, cur_obj, ok))
+        temps.append(temp)
+        objs.append(cur_obj)
+        oks.append(ok)
         temp *= cooling
 
     chosen = best_feasible if best_feasible is not None else best_pen
@@ -248,7 +296,9 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
         feasible=final.feasible,
         violations=dict(final.violations),
         iterations=iters,
-        trace=tuple(trace),
+        # TraceRow._make without a Python call per row
+        trace=tuple(map(tuple.__new__, repeat(TraceRow),
+                        zip(range(iters + 1), temps, objs, oks))),
     )
 
 

@@ -145,16 +145,6 @@ def flat_index(spec: ConvLayerSpec, h: int, w: int, c: int) -> int:
     return (h * spec.kernel_w + w) * spec.channels + c
 
 
-def coords_from_flat(spec: ConvLayerSpec, idx: int) -> tuple[int, int, int]:
-    """Inverse of :func:`flat_index`."""
-    total = spec.kernel_h * spec.kernel_w * spec.channels
-    if not 0 <= idx < total:
-        raise BoundsError(f"flat index {idx} outside [0, {total})")
-    c = idx % spec.channels
-    pos = idx // spec.channels
-    return pos // spec.kernel_w, pos % spec.kernel_w, c
-
-
 def check_scale(name: str, v) -> None:
     """Raise DataError unless ``v`` is a real number, positive and finite."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real) \

@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 import filterlet.bundle
 import filterlet.fwcs
 from filterlet.bundle import FORMATS, BundleLayer, ModelBundle, \
-    bundle_from_masks, bundle_from_model, model_from_bundle, run_bundle
+    bundle_from_masks, bundle_from_model, gradients_from_bundle, \
+    model_from_bundle, run_bundle
 from filterlet.cli import _build_parser, main
 from filterlet.convops import conv_dense
-from filterlet.costmodel import model_size
+from filterlet.costmodel import Budget, LatencyParams, model_size
 from filterlet.cyclesim import ComputeSchedule, MachineConfig, \
     csr_layer_cycles, layer_cycles, lower_csr, lower_schedule
 from filterlet.errors import CorruptionError, DataError
 from filterlet.fwcs import CsrLayer, FilterletMask, encode_csr, encode_fwcs, \
     write_csr
-from filterlet.importance import GradientBundle
+from filterlet.importance import GradientBundle, score_model
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
+from filterlet.scheduler import ScheduleProblem, anneal
 from filterlet.tensor import ConvLayerSpec, Tensor, read_tensor, \
     write_tensor
 
@@ -354,7 +356,7 @@ class TestCli:
         assert code == 0
         rep = json.loads(report.read_text())
         assert rep["feasible"] is True
-        assert (tmp / "pruned.fltb").exists()
+        assert rep["actual_file_bytes"] == out.stat().st_size
         capsys.readouterr()
         code = main(["run", str(out), str(input_path),
                      "--out", str(tmp / "y.dttn")])
@@ -364,6 +366,30 @@ class TestCli:
         assert all("macs" in row for row in run_rep["layers"])
         y, _ = read_tensor((tmp / "y.dttn").read_bytes())
         assert y.dtype == "int8"
+
+    @pytest.mark.parametrize("flash, dlmax, exit_code", [
+        (10000000, 1e9, 0), (10, 0.0, 2)])
+    def test_prune_writes_the_annealing_trace(self, workdir, capsys, flash,
+                                              dlmax, exit_code):
+        tmp, _, model_path, grads_path, _ = workdir
+        trace = tmp / "trace.csv"
+        code = main(["prune", str(model_path), str(grads_path),
+                     str(tmp / "pruned.fltb"), "--flash", str(flash),
+                     "--ram", "10000000", "--dlmax", str(dlmax), "--seed", "6",
+                     "--iters", "120", "--trace", str(trace)])
+        capsys.readouterr()
+        assert code == exit_code
+        model = model_from_bundle(ModelBundle.load(model_path))
+        importance = score_model(
+            model, gradients_from_bundle(ModelBundle.load(grads_path)))
+        problem = ScheduleProblem(
+            model.specs, importance, Budget(flash, 10000000, dlmax),
+            LatencyParams(1.0, 1.0, 2.0, 2.0, lanes=4), m=model.value_bits)
+        text = trace.read_text()
+        assert text == anneal(problem, seed=6, iters=120).trace_csv()
+        lines = text.splitlines()
+        assert lines[0] == "iter,temp,objective,feasible"
+        assert len(lines) == 1 + 121
 
     def test_prune_exports_masked_dense_copy(self, workdir, capsys):
         tmp, model, model_path, grads_path, _ = workdir
@@ -474,6 +500,10 @@ class TestCli:
             bad[-1]["layers"][1]["spec"][key] = value
         bad.append(ModelBundle.from_bytes(raw).manifest())
         bad[-1]["layers"][1]["quant"] = None
+        for key, value in (("has_bias", "no"), ("name", 5)):
+            bad.append(ModelBundle.from_bytes(raw).manifest())
+            bad[-1]["layers"][1][key] = value
+        bad.append({**ModelBundle.from_bytes(raw).manifest(), "name": 7})
         argv = [command, str(tmp / "bad.fltb")]
         if command == "run":
             argv.append(str(input_path))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from filterlet.convops import conv_csr, conv_dense, conv_fwcs, \
-    conv_fwcs_reordered, conv_structured
+    conv_fwcs_reordered
 from filterlet.cyclesim import MachineConfig
-from filterlet.errors import ConfigError, DataError, EmptyOutputError
+from filterlet.errors import ConfigError, DataError
 from filterlet.fwcs import FilterletMask, decode_fwcs, encode_csr, encode_fwcs
 from filterlet.tensor import ConvLayerSpec, Tensor
 
@@ -183,40 +183,6 @@ class TestConvCsr:
             want = conv_dense(x, Tensor.from_array(
                 dense_w.reshape(spec.weight_dims), dtype), spec)
             assert_matches(conv_csr(x, layer, spec), want, dtype)
-
-
-class TestConvStructured:
-    def test_all_kept_equals_dense(self):
-        rng = np.random.default_rng(15)
-        spec, x, w = rand_instance(rng, "float32")
-        out = conv_structured(x, w, np.ones(spec.n_filters, bool), spec)
-        assert np.allclose(out, conv_dense(x, w, spec))
-
-    def test_single_filter_is_that_channel(self):
-        rng = np.random.default_rng(16)
-        spec, x, w = rand_instance(rng, "float32", max_n=6)
-        kept = np.zeros(spec.n_filters, bool)
-        kept[0] = True
-        out = conv_structured(x, w, kept, spec)
-        assert out.shape[-1] == 1
-        assert np.allclose(out[:, :, 0], conv_dense(x, w, spec)[:, :, 0])
-
-    def test_half_kept_is_channel_subset(self):
-        rng = np.random.default_rng(17)
-        spec = ConvLayerSpec(n_filters=6, kernel_h=2, kernel_w=2, channels=3,
-                             input_h=5, input_w=5)
-        x = Tensor.from_array(rng.normal(size=spec.input_dims).astype(np.float32))
-        w = Tensor.from_array(rng.normal(size=spec.weight_dims).astype(np.float32))
-        kept = np.array([True, False, True, False, True, False])
-        out = conv_structured(x, w, kept, spec)
-        dense = conv_dense(x, w, spec)
-        assert np.allclose(out, dense[:, :, kept])
-
-    def test_all_pruned_is_an_error(self):
-        rng = np.random.default_rng(18)
-        spec, x, w = rand_instance(rng, "float32")
-        with pytest.raises(EmptyOutputError):
-            conv_structured(x, w, np.zeros(spec.n_filters, bool), spec)
 
 
 class TestLaneConfig:

@@ -13,8 +13,8 @@ from filterlet.errors import DataError, TopologyError
 from filterlet.importance import GradientBundle, ImportanceMap, build_mask, \
     delta_loss, score_model
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
-from filterlet.scheduler import ScheduleProblem, anneal, evaluate, feasible, \
-    plan_and_pack
+from filterlet.scheduler import _CHUNK, ScheduleProblem, _Draws, anneal, \
+    evaluate, feasible, plan_and_pack
 from filterlet.tensor import ConvLayerSpec, Tensor
 
 LAT = LatencyParams(1.0, 1.0, 2.0, 2.0, lanes=4)
@@ -318,6 +318,37 @@ class TestEvaluate:
         with pytest.raises(DataError):
             ScheduleProblem(problem.specs, ImportanceMap([s1], imp.scores),
                             problem.budget, LAT)
+
+
+class TestDraws:
+    """The chain's draw reader must equal ``np.random.default_rng(seed)``
+    call for call; this fails if numpy changes the Generator's stream."""
+
+    # 1 draws nothing, 6 is a layer count, 2**31 + 5 rejects about half of
+    # its 32-bit draws
+    NS = (1, 2, 3, 6, 7, 100, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_interleaving_matches_numpy(self, seed):
+        plan = np.random.default_rng([seed, 7])
+        draws, rng = _Draws(seed), np.random.default_rng(seed)
+        # about 3 words per 4 draws: several chunks' worth of words
+        for _ in range(5 * _CHUNK):
+            if plan.random() < 0.5:
+                assert draws.random() == rng.random()
+            else:
+                n = self.NS[plan.integers(len(self.NS))]
+                assert draws.integers(n) == rng.integers(n)
+
+    def test_buffered_half_crosses_a_refill(self):
+        # the last word of the first chunk gives an integer its low half, a
+        # float refills, and the next integer takes the buffered high half
+        draws, rng = _Draws(11), np.random.default_rng(11)
+        for _ in range(_CHUNK - 1):
+            assert draws.random() == rng.random()
+        for _ in range(3):
+            assert draws.integers(6) == rng.integers(6)
+            assert draws.random() == rng.random()
 
 
 class TestPinnedAnneal:
