@@ -179,6 +179,8 @@ class ModelBundle:
                 raise CorruptionError("truncated blob data")
             blobs.append(buf[off:off + n])
             off += n
+        if off != len(buf):
+            raise CorruptionError("trailing bytes after the last blob")
         if zlib.crc32(b"".join(blobs)) & 0xFFFFFFFF != crc:
             raise CorruptionError("payload checksum mismatch")
         layers = []

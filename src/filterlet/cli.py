@@ -52,7 +52,9 @@ def _load_tensor(path) -> Tensor:
             raw = f.read()
     except OSError as e:
         raise FileNotFoundError(f"cannot read {path}: {e}") from None
-    t, _ = read_tensor(raw, 0)
+    t, end = read_tensor(raw, 0)
+    if end != len(raw):
+        raise CorruptionError(f"{path}: trailing bytes after the tensor")
     return t
 
 
@@ -184,10 +186,10 @@ def cmd_compare(args) -> int:
     importance = score_model(model, grads)
     masks = build_mask(importance, [args.ratio] * len(model.layers))
     cfg = _machine_config(args)
+    m_bits = model.value_bits
     rows = []
     for li, (layer, mask) in enumerate(zip(model.layers, masks)):
         spec = layer.spec
-        m_bits = 8 if layer.weights.dtype == "int8" else 32
         fw = encode_fwcs(layer.weights, mask)
         cs = encode_csr(layer.weights, mask.to_weight_mask())
         # structured baseline: drop whole filters, lowest summed importance first

@@ -1,12 +1,19 @@
 """Convolution operators over dense and pruned weight formats.
 
 Every operator returns the raw accumulator map of shape (out_h, out_w,
-n_filters).  int8 inputs accumulate exactly in 64-bit integers; float32
-inputs accumulate in float64 and are cast back to float32 once at the end,
-so the dense path and every sparse path agree bitwise on integer data and
-to float32 rounding on real data.  FWCS and CSR share one operator body
-over their common run layout.  Lane width and loop order exist only in the
-cycle model (:mod:`filterlet.cyclesim`); nothing here depends on them.
+n_filters), computed by one float64 GEMM: the patch matrix times a (K, N)
+weight operand, K = kernel_h*kernel_w*channels.  float32 results are cast
+back to float32 once at the end; int8 results are cast to int64 and are
+exact: every int8 product is at most 2^14 in magnitude, so every partial sum
+of fewer than 2^39 of them is an integer below 2^53, which float64 holds
+exactly in any summation order.  No layer's K comes near 2^39.
+
+The sparse operators scatter their retained runs into a zeroed operand, so
+FWCS and CSR share one operator body, and each equals ``conv_dense`` on its
+zero-filled weights bitwise, for int8 and float32 alike.  That includes NaN
+where a non-finite float32 input meets a pruned (zero) weight.  Lane width
+and loop order exist only in the cycle model (:mod:`filterlet.cyclesim`);
+nothing here depends on them.
 """
 
 import numpy as np
@@ -16,19 +23,20 @@ from .fwcs import CsrLayer, FwcsLayer
 from .tensor import ConvLayerSpec, Tensor, patch_matrix
 
 
-def _acc_dtype(t: Tensor):
-    return np.int64 if t.dtype == "int8" else np.float64
-
-
-def _finish(acc: np.ndarray, spec: ConvLayerSpec, dtype: str,
-            bias: np.ndarray | None) -> np.ndarray:
+def _gemm(input: Tensor, w: np.ndarray, spec: ConvLayerSpec,
+          bias: np.ndarray | None) -> np.ndarray:
+    """Patch matrix times the C-contiguous float64 operand ``w`` (K, N),
+    plus bias, as the accumulator map of ``input``'s dtype."""
+    acc = patch_matrix(input.to_array().astype(np.float64), spec) @ w
+    if input.dtype == "int8":
+        acc = acc.astype(np.int64)
     if bias is not None:
         bias = np.asarray(bias)
         if bias.shape != (spec.n_filters,):
             raise DataError(f"bias shape {bias.shape} != ({spec.n_filters},)")
         acc = acc + bias.astype(acc.dtype)
     out = acc.reshape(spec.out_h, spec.out_w, spec.n_filters)
-    if dtype == "float32":
+    if input.dtype == "float32":
         return out.astype(np.float32)
     return out
 
@@ -43,31 +51,24 @@ def conv_dense(input: Tensor, filters: Tensor, spec: ConvLayerSpec,
         raise DataError(f"filter dims {filters.dims} != {spec.weight_dims}")
     if input.dtype != filters.dtype:
         raise DataError("input/filter dtype mismatch")
-    acc = _acc_dtype(input)
-    p = patch_matrix(input, spec).astype(acc)
-    w = filters.to_array().reshape(spec.n_filters, -1).astype(acc)
-    out = p @ w.T
-    return _finish(out, spec, input.dtype, bias)
+    w = filters.to_array().reshape(spec.n_filters, -1).T
+    return _gemm(input, np.ascontiguousarray(w, dtype=np.float64), spec, bias)
 
 
 def _conv_runs(input: Tensor, layer: FwcsLayer | CsrLayer,
                spec: ConvLayerSpec, bias: np.ndarray | None) -> np.ndarray:
-    """Sparse operator over the run layout both packed formats share: each
-    retained run gathers the ``width`` patch columns starting at its c_ptr
-    entry, and filter n sums the runs ``f_idx[n]:f_idx[n + 1]``."""
+    """Sparse operator over the run layout both packed formats share: run r
+    of filter n puts its ``width`` weights at rows ``c_ptr[r]`` onward of
+    column n of a zeroed operand, and the rest is ``conv_dense``'s GEMM."""
     if input.dtype != layer.dtype:
         raise DataError("input/layer dtype mismatch")
     layer.validate(spec)
-    acc = _acc_dtype(input)
-    p = patch_matrix(input, spec).astype(acc)
-    cols = (layer.c_ptr[:, None] + np.arange(layer.width)).reshape(-1)
-    starts = layer.f_idx * layer.width
-    vals = layer.arr.astype(acc)
-    out = np.zeros((p.shape[0], spec.n_filters), dtype=acc)
-    for n in range(spec.n_filters):
-        lo, hi = starts[n], starts[n + 1]
-        out[:, n] = p[:, cols[lo:hi]] @ vals[lo:hi]
-    return _finish(out, spec, input.dtype, bias)
+    width = layer.width
+    rows = (layer.c_ptr[:, None] + np.arange(width)).reshape(-1)
+    cols = np.repeat(np.arange(spec.n_filters), np.diff(layer.f_idx) * width)
+    w = np.zeros((spec.filterlets_per_filter * spec.channels, spec.n_filters))
+    w[rows, cols] = layer.arr
+    return _gemm(input, w, spec, bias)
 
 
 def conv_fwcs(input: Tensor, layer: FwcsLayer, spec: ConvLayerSpec,
@@ -85,4 +86,3 @@ def conv_csr(input: Tensor, layer: CsrLayer, spec: ConvLayerSpec,
              bias: np.ndarray | None = None) -> np.ndarray:
     """Sparse operator over the CSR baseline: one run per retained weight."""
     return _conv_runs(input, layer, spec, bias)
-

@@ -219,6 +219,18 @@ class TestBundleContainer:
         except CorruptionError:
             pass
 
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(fmt=st.sampled_from(FORMATS), data=st.data(), cut=st.booleans())
+    def test_cut_or_extended_bundle_is_corruption(self, fmt, data, cut):
+        # a prefix of any length, or the whole bundle with bytes appended
+        raw = FUZZ_BUNDLES[fmt]
+        if cut:
+            edited = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            edited = raw + data.draw(st.binary(min_size=1, max_size=64))
+        with pytest.raises(CorruptionError):
+            ModelBundle.from_bytes(edited)
+
 
 class TestRunBundle:
     def test_dense_bundle_matches_pipeline_oracle(self):
@@ -510,6 +522,21 @@ class TestCli:
         for manifest in ([], {"layers": 5}, *bad):
             (tmp / "bad.fltb").write_bytes(with_manifest(raw, manifest))
             assert main(argv) == 4
+
+    @pytest.mark.parametrize("n_bytes", [1, 40])
+    @pytest.mark.parametrize("command, target", [
+        ("run", "bundle"), ("run", "input"), ("bench", "bundle")])
+    def test_trailing_bytes_exit_4(self, workdir, capsys, command, target,
+                                   n_bytes):
+        tmp, _, model_path, _, input_path = workdir
+        paths = {"bundle": model_path, "input": input_path}
+        bad = tmp / f"bad.{target}"
+        bad.write_bytes(paths[target].read_bytes() + bytes(range(n_bytes)))
+        paths[target] = bad
+        argv = [command, str(paths["bundle"])]
+        if command == "run":
+            argv.append(str(paths["input"]))
+        assert main(argv) == 4
 
     def test_empty_input_exits_4(self, workdir, capsys):
         tmp, _, model_path, _, _ = workdir

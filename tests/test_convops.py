@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from filterlet.bundle import bundle_from_masks, bundle_from_model, run_bundle
 from filterlet.convops import conv_csr, conv_dense, conv_fwcs, \
     conv_fwcs_reordered
 from filterlet.cyclesim import MachineConfig
 from filterlet.errors import ConfigError, DataError
 from filterlet.fwcs import FilterletMask, decode_fwcs, encode_csr, encode_fwcs
+from filterlet.model import LayerDef, LayerQuant, SequentialModel
 from filterlet.tensor import ConvLayerSpec, Tensor
 
 
@@ -50,14 +52,6 @@ def rand_mask(spec, rng, density=None):
     density = rng.random() if density is None else density
     kept = rng.random((spec.n_filters, spec.filterlets_per_filter)) < density
     return FilterletMask(spec, kept)
-
-
-def assert_matches(got, want, dtype):
-    if dtype == "int8":
-        assert np.array_equal(got, want)
-    else:
-        denom = np.maximum(np.abs(want), 1e-6)
-        assert np.max(np.abs(got - want) / denom) <= 1e-5
 
 
 class TestConvDense:
@@ -113,7 +107,7 @@ class TestConvFwcs:
             spec, x, w = rand_instance(rng, dtype)
             layer = encode_fwcs(w, FilterletMask.all_kept(spec))
             want = conv_dense(x, w, spec)
-            assert_matches(conv_fwcs(x, layer, spec), want, dtype)
+            assert np.array_equal(conv_fwcs(x, layer, spec), want)
 
     def test_fully_pruned_is_zero_plus_bias(self):
         rng = np.random.default_rng(5)
@@ -131,7 +125,20 @@ class TestConvFwcs:
             mask = rand_mask(spec, rng)
             layer = encode_fwcs(w, mask)
             want = conv_dense(x, decode_fwcs(layer, spec), spec)
-            assert_matches(conv_fwcs(x, layer, spec), want, dtype)
+            assert np.array_equal(conv_fwcs(x, layer, spec), want)
+
+    def test_non_finite_input_meets_pruned_zeros(self):
+        # the pruned filterlet's zero weight times inf is NaN, as in dense
+        spec = ConvLayerSpec(n_filters=2, kernel_h=1, kernel_w=2, channels=1,
+                             input_h=1, input_w=3)
+        x = Tensor.from_array(np.array([[[1.0], [np.inf], [2.0]]], np.float32))
+        w = Tensor.from_array(np.ones(spec.weight_dims, np.float32))
+        layer = encode_fwcs(w, FilterletMask(spec, [[True, False], [True, True]]))
+        with np.errstate(invalid="ignore"):
+            got = conv_fwcs(x, layer, spec)
+            want = conv_dense(x, decode_fwcs(layer, spec), spec)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[0, 0, 0]) and got[0, 1, 0] == np.inf
 
 
 class TestConvFwcsReordered:
@@ -152,7 +159,7 @@ class TestConvFwcsReordered:
             mask = rand_mask(spec, rng)
             layer = encode_fwcs(w, mask)
             want = conv_dense(x, decode_fwcs(layer, spec), spec)
-            assert_matches(conv_fwcs_reordered(x, layer, spec), want, dtype)
+            assert np.array_equal(conv_fwcs_reordered(x, layer, spec), want)
 
 
 class TestConvCsr:
@@ -182,7 +189,83 @@ class TestConvCsr:
             dense_w[~wmask] = 0
             want = conv_dense(x, Tensor.from_array(
                 dense_w.reshape(spec.weight_dims), dtype), spec)
-            assert_matches(conv_csr(x, layer, spec), want, dtype)
+            assert np.array_equal(conv_csr(x, layer, spec), want)
+
+
+def einsum_conv(x, w, spec):
+    """Independent int64 oracle: one einsum per kernel position over the
+    strided input slab that position reads."""
+    xa = x.to_array().astype(np.int64)
+    wa = w.to_array().astype(np.int64)
+    s = spec.stride
+    out = np.zeros((spec.out_h, spec.out_w, spec.n_filters), np.int64)
+    for h in range(spec.kernel_h):
+        for ww in range(spec.kernel_w):
+            slab = xa[h:h + s * spec.out_h:s, ww:ww + s * spec.out_w:s]
+            out += np.einsum("xyc,nc->xyn", slab, wa[:, h, ww])
+    return out
+
+
+class TestInt8Exactness:
+    """K = 4096 int8 products per output with biases at the int32 limits.
+    All -128 operands give the largest sums (2^26); random ones in
+    [-128, -100] give sums above 2^25 whose low bits float32 would drop."""
+
+    SPEC = ConvLayerSpec(n_filters=4, kernel_h=4, kernel_w=4, channels=256,
+                         input_h=10, input_w=10, stride=2)
+
+    def operands(self, seed=None):
+        spec = self.SPEC
+        if seed is None:
+            x = np.full(spec.input_dims, -128, np.int8)
+            w = np.full(spec.weight_dims, -128, np.int8)
+        else:
+            rng = np.random.default_rng(seed)
+            x = rng.integers(-128, -99, spec.input_dims).astype(np.int8)
+            w = rng.integers(-128, -99, spec.weight_dims).astype(np.int8)
+        return spec, Tensor.from_array(x), Tensor.from_array(w)
+
+    @pytest.mark.parametrize("seed", [None, 16])
+    def test_every_operator_equals_einsum(self, seed):
+        spec, x, w = self.operands(seed)
+        assert spec.filterlets_per_filter * spec.channels >= 4096
+        bias = np.array([2 ** 31 - 1, -2 ** 31, 2 ** 31 - 2 ** 26 - 1,
+                         -2 ** 31 - 2 ** 26 - 1], np.int64)
+        rng = np.random.default_rng(15)
+        for mask in (FilterletMask.all_kept(spec), rand_mask(spec, rng, 0.6)):
+            layer = encode_fwcs(w, mask)
+            dense_w = decode_fwcs(layer, spec)
+            want = einsum_conv(x, dense_w, spec) + bias
+            for got in (conv_dense(x, dense_w, spec, bias),
+                        conv_fwcs(x, layer, spec, bias),
+                        conv_csr(x, encode_csr(w, mask.to_weight_mask()),
+                                 spec, bias)):
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bias, saturated", [
+        # float32-exact biases: the accumulator is 2^26 + bias
+        ([2 ** 31 - 2 ** 26 - 128, -2 ** 31 - 2 ** 26, 0, 5], False),
+        ([2 ** 31 - 2 ** 26, -2 ** 31 - 2 ** 26, 0, 5], True),
+        ([2 ** 31 - 2 ** 26 - 128, -2 ** 31 - 2 ** 26 - 256, 0, 5], True),
+    ])
+    def test_run_bundle_saturation_flag(self, bias, saturated):
+        spec, x, w = self.operands()
+        quant = LayerQuant(input_scale=1.0, weight_scale=1.0,
+                           output_scale=2.0 ** 24)
+        bias = np.array(bias, np.int64)
+        model = SequentialModel("edge", [LayerDef("conv0", spec, w, bias, quant)])
+        acc = einsum_conv(x, w, spec) + bias
+        assert bool(np.any((acc < -2 ** 31) | (acc > 2 ** 31 - 1))) == saturated
+        want = np.clip(np.rint(np.clip(acc, -2 ** 31, 2 ** 31 - 1) / 2 ** 24),
+                       -128, 127).astype(np.int8)
+        keep = [FilterletMask.all_kept(spec)]
+        for bundle in (bundle_from_model(model),
+                       bundle_from_masks(model, keep, "fwcs"),
+                       bundle_from_masks(model, keep, "csr")):
+            got = run_bundle(bundle, x)
+            assert got.saturated is saturated
+            assert np.array_equal(got.output.to_array(), want)
 
 
 class TestLaneConfig:
