@@ -13,8 +13,8 @@ from .convops import conv_csr, conv_dense, conv_fwcs
 from .costmodel import Budget, LatencyParams, StrategyVector, \
     fit_latency_params, layer_latency, model_size, normalized_mse, \
     runtime_memory, total_time
-from .cyclesim import ComputeSchedule, CycleTrace, Instruction, MachineConfig, \
-    layer_cycles, lower_schedule, simulate
+from .cyclesim import ComputeSchedule, CycleTrace, Instruction, LayerStream, \
+    MachineConfig, layer_cycles, layer_stream, lower_schedule, simulate
 from .errors import FilterletError
 from .fwcs import CsrLayer, FilterletMask, FwcsLayer, decode_csr, decode_fwcs, \
     encode_csr, encode_fwcs, storage_footprint

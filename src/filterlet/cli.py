@@ -15,7 +15,7 @@ from .bundle import ModelBundle, RunResult, bundle_from_model, \
     gradients_from_bundle, model_from_bundle, run_bundle
 from .costmodel import Budget, LatencyParams, load_latency_params
 from .cyclesim import DEMO_STREAMS, MAC_VEC, ComputeSchedule, MachineConfig, \
-    csr_layer_cycles, dump_trace, layer_cycles, layer_stream, simulate
+    dump_trace, layer_stream, simulate
 from .errors import CorruptionError, DataError, FilterletError
 from .fwcs import FilterletMask, encode_csr, encode_fwcs, kept_count, \
     storage_footprint
@@ -173,7 +173,7 @@ def cmd_bench(args) -> int:
     for bl in bundle.layers:
         weights, _ = bl.decode_weights()
         stream = layer_stream(weights, bl.spec, schedule, cfg)
-        cycles = stream.cycles(cfg)
+        cycles = stream.cycles()
         layers.append({"name": bl.name, "cycles": cycles, **stream.counts()})
         total += cycles
     _emit({"schedule": schedule.value, "lanes": cfg.lanes,
@@ -205,27 +205,28 @@ def cmd_compare(args) -> int:
             "dense": {
                 "bytes": storage_footprint(layer.weights, m=m_bits),
                 "cycles": layer_stream(layer.weights, spec,
-                                       ComputeSchedule.DEFAULT, cfg).cycles(cfg),
+                                       ComputeSchedule.DEFAULT, cfg).cycles(),
             },
             "structured": {
                 "kept_filters": int(kept_filters.sum()),
                 "bytes": storage_footprint(layer.weights, m=m_bits)
                 * int(kept_filters.sum()) // spec.n_filters,
-                "cycles": layer_cycles(struct_fw, spec,
-                                       ComputeSchedule.DEFAULT, cfg),
+                "cycles": layer_stream(struct_fw, spec,
+                                       ComputeSchedule.DEFAULT, cfg).cycles(),
             },
             "csr": {
                 "bytes": storage_footprint(cs, m=m_bits),
                 "index_bytes": 2 * len(cs.c_ptr),
                 "index_entries": len(cs.c_ptr),
-                "cycles": csr_layer_cycles(cs, spec, cfg),
+                "cycles": layer_stream(cs, spec,
+                                       ComputeSchedule.DEFAULT, cfg).cycles(),
             },
             "fwcs": {
                 "bytes": storage_footprint(fw, m=m_bits),
                 "index_bytes": 2 * len(fw.c_ptr),
                 "index_entries": len(fw.c_ptr),
-                "cycles": layer_cycles(fw, spec,
-                                       ComputeSchedule.REORDERED, cfg),
+                "cycles": layer_stream(fw, spec,
+                                       ComputeSchedule.REORDERED, cfg).cycles(),
             },
         })
     _emit({"ratio": args.ratio, "lanes": args.lanes, "layers": rows}, args.report)

@@ -14,22 +14,22 @@ three timing rules govern overlap:
 
 Under these rules the canned two-MAC demos complete in 9 cycles (fresh
 operand pair per MAC, ALU idle for two cycles mid-stream) versus 7 cycles
-(one operand pinned, alternating feature loads, no ALU idling), and the
-two-register variant stalls the ALU for three cycles.
+(one operand pinned, alternating feature loads, no ALU idling).
 
 A layer's stream is described once, as blocks of nested repeats: per output
 position (or position tile) a run of patch loads, then one unit per retained
 filterlet, where a unit's registers depend only on a small rotation phase.
 ``layer_stream`` picks the description from the type of the layer as
-stored.  Lowering expands it, counting multiplies each unit's counts by
-its repeats, and ``layer_cycles`` runs the same issue state as ``simulate``
-over it without expanding it.  After each unit and each block that state is
-keyed on the phase and on every time relative to the memory unit's next free
-cycle, with times that can no longer delay anything clamped.  Equal keys
-give equal futures up to a shift, so when a key recurs after P steps and D
-cycles, whole periods are skipped by adding D per period to every time, and
-only the remainder is simulated.  Every distinct unit is simulated before
-any skip, so the register checks still fire, and the cycle count is exact.
+stored and returns it as a ``LayerStream``.  Lowering expands it, counting
+multiplies each unit's counts by its repeats, and ``LayerStream.cycles``
+runs the same issue state as ``simulate`` over it without expanding it.
+After each unit and each block that state is keyed on the phase and on
+every time relative to the memory unit's next free cycle, with times that
+can no longer delay anything clamped.  Equal keys give equal futures up to
+a shift, so when a key recurs after P steps and D cycles, whole periods are
+skipped by adding D per period to every time, and only the remainder is
+simulated.  Every distinct unit is simulated before any skip, so the
+register checks still fire, and the cycle count is exact.
 """
 
 import re
@@ -88,13 +88,12 @@ class Instruction:
     kind: str
     dst: str | None = None
     srcs: tuple[str, ...] = ()
-    acc: str = "a0"
     span: int = 1
 
     def label(self) -> str:
         if self.kind in _MEM_KINDS:
             return f"LD {self.dst or '-'} {self.span}"
-        return f"MAC {self.acc} {' '.join(self.srcs) if self.srcs else '- -'}"
+        return f"MAC a0 {' '.join(self.srcs) if self.srcs else '- -'}"
 
 
 def ldv(dst: str, span: int = 1) -> Instruction:
@@ -105,12 +104,12 @@ def lds(dst: str | None = None) -> Instruction:
     return Instruction(LOAD_SCALAR, dst=dst)
 
 
-def macv(a: str, b: str, span: int = 1, acc: str = "a0") -> Instruction:
-    return Instruction(MAC_VEC, srcs=(a, b), span=span, acc=acc)
+def macv(a: str, b: str, span: int = 1) -> Instruction:
+    return Instruction(MAC_VEC, srcs=(a, b), span=span)
 
 
-def macs(srcs: tuple[str, ...], acc: str = "a0") -> Instruction:
-    return Instruction(MAC_SCALAR, srcs=srcs, acc=acc)
+def macs(srcs: tuple[str, ...]) -> Instruction:
+    return Instruction(MAC_SCALAR, srcs=srcs)
 
 
 def duration(ins: Instruction, cfg: MachineConfig) -> int:
@@ -141,12 +140,6 @@ class CycleTrace:
             for c in range(op.start, op.end + 1):
                 lane[c - 1] = op.ins.label()
         return [(c + 1, mem[c], alu[c]) for c in range(self.total_cycles)]
-
-    def unit_idle_cycles(self, unit: str, lo: int = 1, hi: int | None = None) -> list[int]:
-        hi = self.total_cycles if hi is None else hi
-        col = 1 if unit == "mem" else 2
-        return [c for c, *row in self.records
-                if lo <= c <= hi and row[col - 1] == "idle"]
 
     def count(self, kind: str) -> int:
         return sum(1 for op in self.ops if op.ins.kind == kind)
@@ -261,14 +254,6 @@ def two_mac_pinned_stream(span: int = 4) -> list[Instruction]:
     ]
 
 
-def two_mac_two_register_stream(span: int = 4) -> list[Instruction]:
-    """Degenerate variant with only q0/q1: both reloads stall on the first MAC."""
-    return [
-        ldv("q0", span), ldv("q1", span), macv("q0", "q1", span),
-        ldv("q0", span), ldv("q1", span), macv("q0", "q1", span),
-    ]
-
-
 DEMO_STREAMS = {
     "fig9a": two_mac_default_stream,
     "fig9b": two_mac_pinned_stream,
@@ -336,8 +321,9 @@ _COUNT_KEYS = {LOAD_VEC: "vector_loads", LOAD_SCALAR: "scalar_loads",
 
 
 @dataclass(frozen=True)
-class _Stream:
-    """A lowered layer as nested repeats, plus its output count.
+class LayerStream:
+    """A lowered layer as nested repeats, its output count and the machine
+    it was lowered for.
 
     Expanding it yields the instruction stream; counting and pricing it
     never do.
@@ -345,6 +331,7 @@ class _Stream:
 
     blocks: tuple[_Block, ...]
     outputs: int
+    cfg: MachineConfig
 
     def expand(self) -> list[Instruction]:
         stream: list[Instruction] = []
@@ -365,12 +352,12 @@ class _Stream:
                 counts[_COUNT_KEYS[ins.kind]] += b.repeats * b.units
         return counts
 
-    def cycles(self, cfg: MachineConfig) -> int:
+    def cycles(self) -> int:
         """Simulated cycles of the expanded stream, plus post-processing."""
-        timing = _Timing(cfg)
+        timing = _Timing(self.cfg)
         for b in self.blocks:
             _repeat(timing, b.repeats, b.phase, partial(b.run_once, timing))
-        return timing.total + self.outputs * cfg.post_cycles
+        return timing.total + self.outputs * self.cfg.post_cycles
 
 
 def _rotating_units(chunks: list[int]) -> tuple[tuple[Instruction, ...], ...]:
@@ -414,13 +401,12 @@ def _pinned_units(chunks: list[int], width: int) -> tuple[tuple[Instruction, ...
     return tuple(units)
 
 
-def _fwcs_stream(n_retained: int, size: int, spec: ConvLayerSpec,
-                 schedule: ComputeSchedule, cfg: MachineConfig) -> _Stream:
-    """The stream of an FWCS layer keeping ``n_retained`` filterlets of
-    length ``size``; which filterlets are kept does not change it."""
-    outputs = spec.n_filters * spec.out_positions
+def _fwcs_blocks(n_retained: int, size: int, spec: ConvLayerSpec,
+                 schedule: ComputeSchedule, cfg: MachineConfig) -> list[_Block]:
+    """The blocks of an FWCS layer keeping ``n_retained`` filterlets of
+    length ``size``; which filterlets are kept does not change them."""
     if n_retained == 0:
-        return _Stream((), outputs)
+        return []
     patch = spec.filterlets_per_filter * spec.channels
     chunks = _chunk_lengths(size, cfg.lanes)
     if schedule is ComputeSchedule.DEFAULT:
@@ -446,7 +432,7 @@ def _fwcs_stream(n_retained: int, size: int, spec: ConvLayerSpec,
             alt += repeats * n_retained * step
     else:
         raise ConfigError(f"unknown schedule {schedule}")
-    return _Stream(tuple(blocks), outputs)
+    return blocks
 
 
 # CSR unit per phase ``rot % 4``: an index read, then a weight and a feature
@@ -457,74 +443,55 @@ _CSR_UNITS = tuple(
     for rot in range(4))
 
 
-def _csr_stream(n_retained: int, spec: ConvLayerSpec) -> _Stream:
-    outputs = spec.n_filters * spec.out_positions
+def _csr_blocks(n_retained: int, spec: ConvLayerSpec) -> list[_Block]:
     if n_retained == 0:
-        return _Stream((), outputs)
+        return []
     patch = spec.filterlets_per_filter * spec.channels
-    return _Stream((_Block(spec.out_positions, patch, n_retained,
-                           _CSR_UNITS, 1),), outputs)
+    return [_Block(spec.out_positions, patch, n_retained, _CSR_UNITS, 1)]
 
 
 def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
-                 cfg: MachineConfig) -> _Stream:
-    """The stream of one layer as stored: a CsrLayer runs the per-weight
-    stream, an FwcsLayer the ``schedule`` stream of its retained filterlets,
-    and a dense Tensor the stream of an FWCS layer keeping every filterlet.
-    ``schedule`` does not affect CSR."""
-    if isinstance(weights, CsrLayer):
-        return _csr_stream(weights.n_retained, spec)
-    if isinstance(weights, FwcsLayer):
-        return _fwcs_stream(weights.n_retained, weights.size, spec, schedule,
-                            cfg)
-    return _fwcs_stream(spec.n_filters * spec.filterlets_per_filter,
-                        spec.channels, spec, schedule, cfg)
+                 cfg: MachineConfig) -> LayerStream:
+    """The stream executing one layer as stored, lowered for ``cfg``.
 
-
-def lower_schedule(layer: FwcsLayer, spec: ConvLayerSpec,
-                   schedule: ComputeSchedule, cfg: MachineConfig) -> list[Instruction]:
-    """Emit the abstract instruction stream executing ``layer`` under ``schedule``.
-
-    Per output position the stream prefetches the receptive field (scalar
-    loads) and reads one index entry per retained filterlet; each lane-wide
-    chunk then costs two vector loads and a MAC in the default order, or a
-    single feature load per MAC with the weight chunk pinned per tile in the
-    reordered one.  A fully pruned layer emits nothing.
+    An FwcsLayer runs the ``schedule`` stream of its retained filterlets, and
+    a dense Tensor that of an FWCS layer keeping every filterlet.  Per output
+    position the stream prefetches the receptive field (scalar loads) and
+    reads one index entry per retained filterlet; each lane-wide chunk then
+    costs two vector loads and a MAC in the default order, or a single
+    feature load per MAC with the weight chunk pinned per tile in the
+    reordered one.  A CsrLayer runs the per-weight baseline under either
+    ``schedule``: one index, one weight and one feature load, then a scalar
+    MAC, for every retained weight at every position.  A fully pruned layer
+    emits nothing.
     """
+    if isinstance(weights, CsrLayer):
+        blocks = _csr_blocks(weights.n_retained, spec)
+    elif isinstance(weights, FwcsLayer):
+        blocks = _fwcs_blocks(weights.n_retained, weights.size, spec, schedule,
+                              cfg)
+    else:
+        blocks = _fwcs_blocks(spec.n_filters * spec.filterlets_per_filter,
+                              spec.channels, spec, schedule, cfg)
+    return LayerStream(tuple(blocks), spec.n_filters * spec.out_positions, cfg)
+
+
+# Former per-format entry points, kept as aliases of ``layer_stream`` only
+# because the benchmark harness names them; they go with ROADMAP item 6.
+def lower_schedule(layer, spec, schedule, cfg):
     return layer_stream(layer, spec, schedule, cfg).expand()
 
 
-def schedule_counts(layer: FwcsLayer, spec: ConvLayerSpec,
-                    schedule: ComputeSchedule, cfg: MachineConfig) -> dict[str, int]:
-    """Instruction counts of :func:`lower_schedule`, without expanding it."""
+def schedule_counts(layer, spec, schedule, cfg):
     return layer_stream(layer, spec, schedule, cfg).counts()
 
 
-def lower_csr(layer: CsrLayer, spec: ConvLayerSpec,
-              cfg: MachineConfig) -> list[Instruction]:
-    """Per-weight baseline: gather one index, one weight, one feature value,
-    then a scalar MAC, for every retained weight at every position."""
-    return _csr_stream(layer.n_retained, spec).expand()
+def csr_counts(layer, spec):
+    return layer_stream(layer, spec, ComputeSchedule.DEFAULT, MachineConfig()).counts()
 
 
-def csr_counts(layer: CsrLayer, spec: ConvLayerSpec) -> dict[str, int]:
-    return _csr_stream(layer.n_retained, spec).counts()
-
-
-def layer_cycles(layer: FwcsLayer, spec: ConvLayerSpec,
-                 schedule: ComputeSchedule, cfg: MachineConfig) -> int:
-    """Simulated cycle count for one layer plus per-output post-processing."""
-    return layer_stream(layer, spec, schedule, cfg).cycles(cfg)
-
-
-def csr_layer_cycles(layer: CsrLayer, spec: ConvLayerSpec,
-                     cfg: MachineConfig) -> int:
-    return _csr_stream(layer.n_retained, spec).cycles(cfg)
-
-
-def dump_stream(stream) -> str:
-    """One instruction per line in LD/MAC text form."""
-    return "\n".join(ins.label() for ins in stream)
+def layer_cycles(layer, spec, schedule, cfg):
+    return layer_stream(layer, spec, schedule, cfg).cycles()
 
 
 def dump_trace(trace: CycleTrace) -> str:

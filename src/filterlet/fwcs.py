@@ -85,7 +85,7 @@ class _RunLayer:
     """
 
     def __post_init__(self):
-        arr = np.asarray(self.arr)
+        arr = np.array(self.arr)
         c_ptr = np.asarray(self.c_ptr, dtype=np.int64).copy()
         f_idx = np.asarray(self.f_idx, dtype=np.int64).copy()
         if arr.size != self.width * (f_idx[-1] if f_idx.size else 0):
@@ -97,6 +97,7 @@ class _RunLayer:
         object.__setattr__(self, "arr", arr)
         object.__setattr__(self, "c_ptr", c_ptr)
         object.__setattr__(self, "f_idx", f_idx)
+        object.__setattr__(self, "_accepted", None)
 
     @property
     def n_filters(self) -> int:
@@ -111,7 +112,10 @@ class _RunLayer:
 
         ``f_idx`` opens every filter and never decreases; each ``c_ptr``
         entry starts a run inside its filter, strictly after the previous
-        entry of the same filter."""
+        entry of the same filter.  The arrays are private read-only copies,
+        so a spec once accepted is not checked again."""
+        if spec == self._accepted:
+            return
         f_idx, c_ptr, width = self.f_idx, self.c_ptr, self.width
         if len(f_idx) != spec.n_filters + 1 or f_idx[0] != 0:
             raise CorruptionError("f_idx length or leading entry wrong")
@@ -129,6 +133,7 @@ class _RunLayer:
         opens[f_idx] = True
         if np.any((np.diff(c_ptr) <= 0) & ~opens[1:-1]):
             raise CorruptionError("c_ptr not strictly increasing within a filter")
+        object.__setattr__(self, "_accepted", spec)
 
 
 @dataclass(frozen=True)
@@ -145,9 +150,6 @@ class FwcsLayer(_RunLayer):
     @property
     def width(self) -> int:
         return self.size
-
-    def filterlets_of(self, n: int) -> range:
-        return range(int(self.f_idx[n]), int(self.f_idx[n + 1]))
 
     def validate(self, spec: ConvLayerSpec) -> None:
         if self.size != spec.filterlet_length:
@@ -289,7 +291,7 @@ def _read_block(buf: bytes, offset: int, dtype: str, cls, magic: bytes,
     end = offset + n_arr * values.itemsize
     if end > len(buf):
         raise CorruptionError(f"truncated {name} values")
-    arr = np.frombuffer(buf[offset:end], dtype=values)
+    arr = np.frombuffer(buf, dtype=values, count=n_arr, offset=offset)
     c_ptr, end = _unpack_u16_array(buf, end)
     f_idx, end = _unpack_u16_array(buf, end)
     try:

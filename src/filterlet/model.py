@@ -91,17 +91,6 @@ class SequentialModel:
             raise DataError(f"model {self.name} has no single weight dtype")
         return bits.pop()
 
-    def with_weights(self, arrays: list[np.ndarray]) -> "SequentialModel":
-        """Same structure with replacement weight values (float use only)."""
-        if len(arrays) != len(self.layers):
-            raise DataError("weight list length mismatch")
-        layers = []
-        for layer, arr in zip(self.layers, arrays):
-            layers.append(LayerDef(layer.name, layer.spec,
-                                   Tensor.from_array(arr, layer.weights.dtype),
-                                   layer.bias, layer.quant))
-        return SequentialModel(self.name, layers)
-
 
 def forward_float64(specs, weight_arrays, biases, input_array) -> np.ndarray:
     """Full-precision forward pass over raw arrays.

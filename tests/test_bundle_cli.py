@@ -15,8 +15,7 @@ from filterlet.bundle import FORMATS, BundleLayer, ModelBundle, \
 from filterlet.cli import _build_parser, main
 from filterlet.convops import conv_dense
 from filterlet.costmodel import Budget, LatencyParams, model_size
-from filterlet.cyclesim import ComputeSchedule, MachineConfig, \
-    csr_layer_cycles, layer_cycles, lower_csr, lower_schedule
+from filterlet.cyclesim import ComputeSchedule, MachineConfig, layer_stream
 from filterlet.errors import CorruptionError, DataError
 from filterlet.fwcs import CsrLayer, FilterletMask, encode_csr, encode_fwcs, \
     write_csr
@@ -593,19 +592,16 @@ class TestCli:
                 for row, layer, mask in zip(rep["layers"], model.layers, masks):
                     if fmt == "csr":
                         packed = encode_csr(layer.weights, mask.to_weight_mask())
-                        stream = lower_csr(packed, layer.spec, cfg)
-                        cycles = csr_layer_cycles(packed, layer.spec, cfg)
                     else:
                         if fmt == "dense":
                             mask = FilterletMask.all_kept(layer.spec)
                         packed = encode_fwcs(layer.weights, mask)
-                        stream = lower_schedule(packed, layer.spec, schedule, cfg)
-                        cycles = layer_cycles(packed, layer.spec, schedule, cfg)
+                    stream = layer_stream(packed, layer.spec, schedule, cfg)
                     want = dict.fromkeys(kinds.values(), 0)
-                    for ins in stream:
+                    for ins in stream.expand():
                         want[kinds[ins.kind]] += 1
                     assert {k: row[k] for k in want} == want
-                    assert row["cycles"] == cycles
+                    assert row["cycles"] == stream.cycles()
                     assert want["macs"] > 0
 
     def test_compare_index_ratio_and_cycles(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ from filterlet.costmodel import LatencyParams, StrategyVector, \
     fit_latency_params, layer_latency, load_latency_params, load_samples_csv, \
     model_size, normalized_mse, runtime_memory, save_latency_params, \
     save_samples_csv, total_time
-from filterlet.cyclesim import ComputeSchedule, MachineConfig, layer_cycles
+from filterlet.cyclesim import ComputeSchedule, MachineConfig, layer_stream
 from filterlet.errors import DataError, FitError, TopologyError
 from filterlet.fwcs import FWCS_FRAMING_BYTES, FilterletMask, encode_fwcs, \
     kept_count, write_fwcs
@@ -41,7 +41,7 @@ def simulated_cycles(spec, alpha, cfg, rng,
     w = Tensor.from_array(
         rng.integers(-100, 100, spec.weight_dims).astype(np.int8))
     layer = encode_fwcs(w, FilterletMask(spec, kept.reshape(spec.n_filters, -1)))
-    return layer_cycles(layer, spec, schedule, cfg)
+    return layer_stream(layer, spec, schedule, cfg).cycles()
 
 
 class TestStrategyVector:

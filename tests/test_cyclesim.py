@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from filterlet.cyclesim import ComputeSchedule, Instruction, LOAD_SCALAR, \
-    LOAD_VEC, MAC_VEC, MachineConfig, csr_counts, csr_layer_cycles, \
-    dump_stream, dump_trace, layer_cycles, lds, ldv, lower_csr, \
-    lower_schedule, macv, schedule_counts, simulate, two_mac_default_stream, \
-    two_mac_pinned_stream, two_mac_two_register_stream
+    LOAD_VEC, MAC_VEC, MachineConfig, dump_trace, layer_stream, lds, ldv, \
+    macv, simulate, two_mac_default_stream, two_mac_pinned_stream
 from filterlet.errors import ConfigError, StreamError
 from filterlet.fwcs import FilterletMask, encode_csr, encode_fwcs
 from filterlet.tensor import ConvLayerSpec, Tensor
@@ -30,6 +28,10 @@ def rand_layer(rng, min_c=1, max_c=8, density=None, max_in=8):
     return spec, encode_fwcs(w, FilterletMask(spec, kept)), w
 
 
+def alu_idle(trace, lo, hi):
+    return [c for c, _, alu in trace.records if lo <= c <= hi and alu == "idle"]
+
+
 class TestSimulate:
     def test_single_load_takes_two_cycles(self):
         assert simulate([ldv("q0", 4)], CFG).total_cycles == 2
@@ -39,18 +41,20 @@ class TestSimulate:
         assert trace.total_cycles == 9
         # the ALU stalls for two cycles while both operands of the second
         # MAC stream in
-        assert trace.unit_idle_cycles("alu", 4, 9) == [6, 7]
+        assert alu_idle(trace, 4, 9) == [6, 7]
 
     def test_two_macs_pinned_operand_take_seven_cycles(self):
         trace = simulate(two_mac_pinned_stream(), CFG)
         assert trace.total_cycles == 7
         # once warmed up the ALU never waits
-        assert trace.unit_idle_cycles("alu", 4, 7) == []
+        assert alu_idle(trace, 4, 7) == []
 
     def test_two_register_variant_stalls_three_cycles(self):
-        trace = simulate(two_mac_two_register_stream(), CFG)
+        # only q0/q1: both reloads wait for the first MAC to finish
+        trace = simulate([ldv("q0", 4), ldv("q1", 4), macv("q0", "q1", 4),
+                          ldv("q0", 4), ldv("q1", 4), macv("q0", "q1", 4)], CFG)
         assert trace.total_cycles == 10
-        assert trace.unit_idle_cycles("alu", 6, 8) == [6, 7, 8]
+        assert alu_idle(trace, 6, 8) == [6, 7, 8]
 
     def test_mac_waits_for_operand_loads_to_start(self):
         # second operand load starts at cycle 3, so the MAC starts at 4
@@ -67,7 +71,7 @@ class TestSimulate:
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         spec, layer, _ = rand_layer(rng, density=0.5)
-        stream = lower_schedule(layer, spec, ComputeSchedule.DEFAULT, CFG)
+        stream = layer_stream(layer, spec, ComputeSchedule.DEFAULT, CFG).expand()
         a = simulate(stream, CFG).total_cycles
         b = simulate(stream, CFG).total_cycles
         assert a == b
@@ -100,7 +104,7 @@ class TestLowerSchedule:
                              input_h=1, input_w=1)
         w = Tensor.from_array(np.ones(spec.weight_dims, np.int8), "int8")
         layer = encode_fwcs(w, FilterletMask.all_kept(spec))
-        stream = lower_schedule(layer, spec, ComputeSchedule.DEFAULT, CFG)
+        stream = layer_stream(layer, spec, ComputeSchedule.DEFAULT, CFG).expand()
         vec = [i.kind for i in stream if i.kind in (LOAD_VEC, MAC_VEC)]
         assert vec == [LOAD_VEC, LOAD_VEC, MAC_VEC]
         # plus the patch prefetch and one index read on the scalar side
@@ -111,7 +115,7 @@ class TestLowerSchedule:
                              input_h=1, input_w=2)
         w = Tensor.from_array(np.ones(spec.weight_dims, np.int8), "int8")
         layer = encode_fwcs(w, FilterletMask.all_kept(spec))
-        stream = lower_schedule(layer, spec, ComputeSchedule.REORDERED, CFG)
+        stream = layer_stream(layer, spec, ComputeSchedule.REORDERED, CFG).expand()
         counts = {}
         for i in stream:
             counts[i.kind] = counts.get(i.kind, 0) + 1
@@ -126,7 +130,7 @@ class TestLowerSchedule:
                              input_h=1, input_w=1)
         w = Tensor.from_array(np.ones(spec.weight_dims, np.int8), "int8")
         layer = encode_fwcs(w, FilterletMask.all_kept(spec))
-        counts = schedule_counts(layer, spec, ComputeSchedule.DEFAULT, CFG)
+        counts = layer_stream(layer, spec, ComputeSchedule.DEFAULT, CFG).counts()
         assert counts["macs"] == 2  # ceil(8/4) chunks per position
 
     def test_mac_count_matches_closed_form(self):
@@ -134,10 +138,10 @@ class TestLowerSchedule:
         for schedule in ComputeSchedule:
             for _ in range(10):
                 spec, layer, _ = rand_layer(rng)
-                stream = lower_schedule(layer, spec, schedule, CFG)
-                want = schedule_counts(layer, spec, schedule, CFG)
+                stream = layer_stream(layer, spec, schedule, CFG)
+                want = stream.counts()
                 got = {"macs": 0, "vector_loads": 0, "scalar_loads": 0}
-                for ins in stream:
+                for ins in stream.expand():
                     key = {MAC_VEC: "macs", LOAD_VEC: "vector_loads",
                            LOAD_SCALAR: "scalar_loads"}[ins.kind]
                     got[key] += 1
@@ -149,14 +153,14 @@ class TestLowerSchedule:
     def test_default_two_loads_per_mac(self):
         rng = np.random.default_rng(2)
         spec, layer, _ = rand_layer(rng, density=0.6)
-        counts = schedule_counts(layer, spec, ComputeSchedule.DEFAULT, CFG)
+        counts = layer_stream(layer, spec, ComputeSchedule.DEFAULT, CFG).counts()
         assert counts["vector_loads"] == 2 * counts["macs"]
 
     def test_reordered_one_load_per_mac_plus_pinned(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             spec, layer, _ = rand_layer(rng, density=0.6)
-            counts = schedule_counts(layer, spec, ComputeSchedule.REORDERED, CFG)
+            counts = layer_stream(layer, spec, ComputeSchedule.REORDERED, CFG).counts()
             tile = max(1, CFG.register_count - 2)
             n_tiles = -(-spec.out_positions // tile)
             chunks = -(-spec.channels // CFG.lanes)
@@ -171,7 +175,7 @@ class TestLayerCycles:
         w = Tensor.from_array(np.ones(spec.weight_dims, np.int8), "int8")
         layer = encode_fwcs(w, FilterletMask.none_kept(spec))
         for schedule in ComputeSchedule:
-            assert layer_cycles(layer, spec, schedule, CFG) == \
+            assert layer_stream(layer, spec, schedule, CFG).cycles() == \
                 spec.n_filters * spec.out_positions * CFG.post_cycles
 
     def test_reordered_never_slower_and_usually_faster(self):
@@ -179,8 +183,8 @@ class TestLayerCycles:
         strict_checked = 0
         for _ in range(100):
             spec, layer, _ = rand_layer(rng)
-            d = layer_cycles(layer, spec, ComputeSchedule.DEFAULT, CFG)
-            r = layer_cycles(layer, spec, ComputeSchedule.REORDERED, CFG)
+            d = layer_stream(layer, spec, ComputeSchedule.DEFAULT, CFG).cycles()
+            r = layer_stream(layer, spec, ComputeSchedule.REORDERED, CFG).cycles()
             assert r <= d
             if layer.n_retained and spec.out_positions >= 2:
                 assert r < d
@@ -193,10 +197,10 @@ class TestLayerCycles:
             spec, layer, _ = rand_layer(rng, min_c=9, max_c=24, density=0.7)
             if layer.n_retained == 0:
                 continue
-            c16 = layer_cycles(layer, spec, ComputeSchedule.REORDERED,
-                               MachineConfig(lanes=16))
-            c8 = layer_cycles(layer, spec, ComputeSchedule.REORDERED,
-                              MachineConfig(lanes=8))
+            c16 = layer_stream(layer, spec, ComputeSchedule.REORDERED,
+                               MachineConfig(lanes=16)).cycles()
+            c8 = layer_stream(layer, spec, ComputeSchedule.REORDERED,
+                              MachineConfig(lanes=8)).cycles()
             assert c8 > c16
 
     def test_reordered_alu_gapless_within_a_chunk_run(self):
@@ -206,7 +210,7 @@ class TestLayerCycles:
                              input_h=2, input_w=3)
         w = Tensor.from_array(np.ones(spec.weight_dims, np.int8), "int8")
         layer = encode_fwcs(w, FilterletMask.all_kept(spec))
-        stream = lower_schedule(layer, spec, ComputeSchedule.REORDERED, CFG)
+        stream = layer_stream(layer, spec, ComputeSchedule.REORDERED, CFG).expand()
         trace = simulate(stream, CFG)
         macs = [op for op in trace.ops if op.ins.kind == MAC_VEC]
         width = spec.out_positions  # 6 positions fit one tile
@@ -224,14 +228,14 @@ class TestLayerCycles:
             mask_bits = np.zeros(
                 (spec.n_filters, spec.filterlets_per_filter), bool)
             for n in range(spec.n_filters):
-                for j in layer.filterlets_of(n):
+                for j in range(layer.f_idx[n], layer.f_idx[n + 1]):
                     mask_bits[n, layer.c_ptr[j] // spec.channels] = True
             csr = encode_csr(w, FilterletMask(spec, mask_bits).to_weight_mask())
-            assert csr_layer_cycles(csr, spec, CFG) > \
-                layer_cycles(layer, spec, ComputeSchedule.REORDERED, CFG)
-            got = csr_counts(csr, spec)
-            stream = lower_csr(csr, spec, CFG)
-            assert got["macs"] == sum(1 for i in stream if i.kind == "macs")
+            stream = layer_stream(csr, spec, ComputeSchedule.DEFAULT, CFG)
+            assert stream.cycles() > \
+                layer_stream(layer, spec, ComputeSchedule.REORDERED, CFG).cycles()
+            assert stream.counts()["macs"] == \
+                sum(1 for i in stream.expand() if i.kind == "macs")
 
 
 def stream_counts(stream):
@@ -286,29 +290,26 @@ class TestPricingWithoutExpansion:
                                     vec_instr_cycles=vic)
                 post = spec.n_filters * spec.out_positions * cfg.post_cycles
                 for schedule in ComputeSchedule:
-                    stream = lower_schedule(fw, spec, schedule, cfg)
-                    assert layer_cycles(fw, spec, schedule, cfg) == \
-                        simulate(stream, cfg).total_cycles + post
-                    assert schedule_counts(fw, spec, schedule, cfg) == \
-                        stream_counts(stream)
+                    stream = layer_stream(fw, spec, schedule, cfg)
+                    ops = stream.expand()
+                    assert stream.cycles() == \
+                        simulate(ops, cfg).total_cycles + post
+                    assert stream.counts() == stream_counts(ops)
             # the CSR stream uses neither vector lanes nor vector registers
             for overlap, vic in flags:
                 cfg = MachineConfig(overlap_enabled=overlap,
                                     vec_instr_cycles=vic)
                 post = spec.n_filters * spec.out_positions * cfg.post_cycles
-                stream = lower_csr(cs, spec, cfg)
-                assert csr_layer_cycles(cs, spec, cfg) == \
-                    simulate(stream, cfg).total_cycles + post
-                assert csr_counts(cs, spec) == stream_counts(stream)
+                stream = layer_stream(cs, spec, ComputeSchedule.DEFAULT, cfg)
+                ops = stream.expand()
+                assert stream.cycles() == simulate(ops, cfg).total_cycles + post
+                assert stream.counts() == stream_counts(ops)
 
 
 class TestDumps:
-    def test_stream_dump_format(self):
-        text = dump_stream([ldv("q0", 4), lds(), macv("q0", "q0", 4)])
-        lines = text.splitlines()
-        assert lines[0] == "LD q0 4"
-        assert lines[1] == "LD - 1"
-        assert lines[2] == "MAC a0 q0 q0"
+    def test_instruction_labels(self):
+        labels = [i.label() for i in (ldv("q0", 4), lds(), macv("q0", "q0", 4))]
+        assert labels == ["LD q0 4", "LD - 1", "MAC a0 q0 q0"]
 
     def test_trace_dump_one_line_per_cycle(self):
         trace = simulate(two_mac_pinned_stream(), CFG)

@@ -247,6 +247,32 @@ class TestCPtrCheck:
         with pytest.raises(CorruptionError):
             self.decode(fmt, layer)
 
+    @pytest.mark.parametrize("fmt", ["fwcs", "csr"])
+    def test_accepted_layer_is_still_checked_for_other_specs(self, fmt):
+        layer = layer_from_rows(fmt, self.SPEC, self.VALID["empty last filter"])
+        layer.validate(self.SPEC)
+        layer.validate(self.SPEC)
+        # one filter fewer; three channels, which no FWCS run of 2 fits and
+        # whose three weights per filter end before CSR entry 3
+        for spec in (make_spec(n=3, kh=2, kw=2, c=2),
+                     make_spec(n=4, kh=1, kw=1, c=3)):
+            with pytest.raises(CorruptionError):
+                layer.validate(spec)
+        layer.validate(self.SPEC)
+
+
+class TestLayerArrays:
+    def test_constructor_leaves_the_callers_array_alone(self):
+        arr = np.ones(8, np.int8)
+        for layer in (FwcsLayer(arr, 2, np.arange(0, 8, 2), np.array([0, 4]),
+                                "int8"),
+                      CsrLayer(arr, np.arange(8), np.array([0, 8]), "int8")):
+            assert arr.flags.writeable
+            arr[0] = 5
+            assert layer.arr[0] == 1
+            assert not layer.arr.flags.writeable
+            arr[0] = 1
+
 
 class TestFootprint:
     def setup_method(self):

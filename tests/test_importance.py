@@ -64,7 +64,8 @@ class TestTaylorScore:
                 kept[n, p] = False
                 zeroed = apply_mask_zeroing(layer.weights,
                                             FilterletMask(layer.spec, kept))
-                m2 = model.with_weights([zeroed.to_array()])
+                m2 = SequentialModel(model.name,
+                                     [LayerDef(layer.name, layer.spec, zeroed)])
                 exact = abs(base - model_loss(m2, sq_loss, sample))
                 h, w_ = divmod(p, layer.spec.kernel_w)
                 wnorm2 = float((w[n, h, w_, :] ** 2).sum())
