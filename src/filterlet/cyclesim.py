@@ -22,24 +22,28 @@ filterlet, where a unit's registers depend only on a small rotation phase.
 ``layer_stream`` picks the description from the type of the layer as
 stored and returns it as a ``LayerStream``.  Lowering expands it, counting
 multiplies each unit's counts by its repeats, and ``LayerStream.cycles``
-runs the same issue state as ``simulate`` over it without expanding it.
-After each unit and each block that state is keyed on the phase and on
-every time relative to the memory unit's next free cycle, with times that
-can no longer delay anything clamped.  Equal keys give equal futures up to
-a shift, so when a key recurs after P steps and D cycles, whole periods are
+runs the same issue loop as ``simulate`` over it without expanding it.
+Each distinct unit is compiled once per machine into issue ops, with its
+durations resolved and its registers and kinds checked when it is
+compiled; a run of loads without a destination, such as a block's patch
+prefetch, only moves the memory unit on and becomes one step.  After each
+unit and each block the issue state is keyed on the phase and on every
+time relative to the memory unit's next free cycle, with times that can no
+longer delay anything clamped.  Equal keys give equal futures up to a
+shift, so when a key recurs after P steps and D cycles, whole periods are
 skipped by adding D per period to every time, and only the remainder is
-simulated.  Every distinct unit is simulated before any skip, so the
-register checks still fire, and the cycle count is exact.
+simulated.  The cycle count is exact.
 """
 
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import ConfigError, StreamError
 from .fwcs import CsrLayer, FwcsLayer
-from .tensor import ConvLayerSpec
+from .tensor import ConvLayerSpec, is_integer
 
 LOAD_VEC = "ldv"
 LOAD_SCALAR = "lds"
@@ -71,6 +75,16 @@ class MachineConfig:
     post_cycles: int = 2  # scalar cycles per output value for bias + requantize
 
     def __post_init__(self):
+        # configs key the compiled-unit memo, where 4.0 would pass for 4
+        for name in ("lanes", "vec_instr_cycles", "register_count",
+                     "post_cycles"):
+            v = getattr(self, name)
+            if not is_integer(v):
+                raise ConfigError(f"{name} {v!r} is not an integer")
+            object.__setattr__(self, name, int(v))
+        if not isinstance(self.overlap_enabled, bool):
+            raise ConfigError(
+                f"overlap_enabled {self.overlap_enabled!r} is not a bool")
         if self.vec_instr_cycles < 1:
             raise ConfigError("vec_instr_cycles must be >= 1")
         if self.lanes not in VALID_LANES:
@@ -81,9 +95,12 @@ class MachineConfig:
             raise ConfigError("post_cycles must be >= 0")
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """One abstract op.  Registers are names like 'q0' (vector) or 's1' (scalar)."""
+class Instruction(NamedTuple):
+    """One abstract op.  Registers are names like 'q0' (vector) or 's1' (scalar).
+
+    A tuple, so a unit of them hashes quickly as a key of the compiled-unit
+    memo.
+    """
 
     kind: str
     dst: str | None = None
@@ -158,6 +175,41 @@ def _check_register(name: str | None, cfg: MachineConfig) -> None:
         )
 
 
+# Issue ops, each (tag, register(s), duration): a load into one register, a
+# MAC reading a tuple of registers, or a step moving the memory unit on.
+_LOAD, _MAC, _ADVANCE = range(3)
+
+
+def _op(ins: Instruction, cfg: MachineConfig) -> tuple:
+    """``ins`` as one issue op under ``cfg``; its registers and kind are
+    checked here."""
+    d = duration(ins, cfg)
+    if ins.kind in _MEM_KINDS:
+        _check_register(ins.dst, cfg)
+        # a load without a destination reads and writes no register
+        return (_ADVANCE, None, d) if ins.dst is None else (_LOAD, ins.dst, d)
+    if ins.kind in _ALU_KINDS:
+        for r in ins.srcs:
+            _check_register(r, cfg)
+        return (_MAC, ins.srcs, d)
+    raise StreamError(f"unknown instruction kind {ins.kind!r}")
+
+
+@lru_cache(maxsize=256)
+def _compile(unit: tuple[Instruction, ...], cfg: MachineConfig) -> tuple:
+    """The issue ops of ``unit`` under ``cfg``, each run of memory-unit steps
+    merged into one."""
+    ops: list[tuple] = []
+    # one object per distinct op keeps the memo small
+    shared: dict[tuple, tuple] = {}
+    for ins in unit:
+        op = _op(ins, cfg)
+        if op[0] == _ADVANCE and ops and ops[-1][0] == _ADVANCE:
+            op = (_ADVANCE, None, ops.pop()[2] + op[2])
+        ops.append(shared.setdefault(op, op))
+    return tuple(ops)
+
+
 class _Timing:
     """Resumable issue state of the two units; every simulation path runs it."""
 
@@ -165,8 +217,7 @@ class _Timing:
         self.cfg = cfg
         self.mem_free = 1
         self.alu_free = 1
-        self.load_start: dict[str, int] = {}
-        self.load_end: dict[str, int] = {}
+        self.ready: dict[str, int] = {}  # first cycle a MAC may read it
         self.reader_end: dict[str, int] = {}
 
     @property
@@ -174,56 +225,50 @@ class _Timing:
         # each unit's latest op ends the cycle before it frees; 0 if none ran
         return max(self.mem_free, self.alu_free) - 1
 
-    def issue(self, ins: Instruction) -> int:
-        """Schedule ``ins`` after everything issued so far; return its start."""
-        d = duration(ins, self.cfg)
-        if ins.kind in _MEM_KINDS:
-            _check_register(ins.dst, self.cfg)
-            start = self.mem_free
-            if ins.dst is not None:
+    def run(self, ops) -> None:
+        """Issue compiled ops in order after everything issued so far."""
+        overlap = self.cfg.overlap_enabled
+        mem_free, alu_free = self.mem_free, self.alu_free
+        ready, reader_end = self.ready, self.reader_end
+        for tag, regs, d in ops:
+            if tag == _LOAD:
                 # WAR: every earlier consumer of this register must be done
-                start = max(start, self.reader_end.get(ins.dst, 0) + 1)
-                self.load_start[ins.dst] = start
-                self.load_end[ins.dst] = start + d - 1
-            self.mem_free = start + d
-        elif ins.kind in _ALU_KINDS:
-            start = self.alu_free
-            for r in ins.srcs:
-                _check_register(r, self.cfg)
-                if r not in self.load_start:
-                    raise StreamError(f"MAC reads {r} before any load wrote it")
-                ready = (self.load_start[r] + 1) if self.cfg.overlap_enabled \
-                    else (self.load_end[r] + 1)
-                start = max(start, ready)
-            self.alu_free = start + d
-            for r in ins.srcs:
-                self.reader_end[r] = max(self.reader_end.get(r, 0), start + d - 1)
-        else:
-            raise StreamError(f"unknown instruction kind {ins.kind!r}")
-        return start
-
-    def run(self, instructions) -> None:
-        for ins in instructions:
-            self.issue(ins)
+                start = max(mem_free, reader_end.get(regs, 0) + 1)
+                # a consumer may start once the first slice is in, or, with
+                # overlap disabled, once the whole load is
+                ready[regs] = start + 1 if overlap else start + d
+                mem_free = start + d
+            elif tag == _MAC:
+                start = alu_free
+                for r in regs:
+                    if r not in ready:
+                        raise StreamError(f"MAC reads {r} before any load wrote it")
+                    start = max(start, ready[r])
+                alu_free = start + d
+                # MACs end in issue order, so this is each reader's last end
+                for r in regs:
+                    reader_end[r] = alu_free - 1
+            else:
+                mem_free += d
+        self.mem_free, self.alu_free = mem_free, alu_free
 
     def key(self) -> tuple:
         """Everything that decides later issue times, relative to ``mem_free``.
 
         A load never starts before ``mem_free`` and a MAC never before
         ``alu_free``, both of which only grow, so a reader end below
-        ``mem_free`` and a load time below ``alu_free`` can no longer bind
-        and are clamped to one cycle before them.
+        ``mem_free`` and a ready cycle at or below ``alu_free`` can no longer
+        bind and are clamped to ``mem_free - 1`` and ``alu_free``.
         """
         m, a = self.mem_free, self.alu_free
         return (a - m,
                 tuple((r, max(v, m - 1) - m) for r, v in self.reader_end.items()),
-                tuple((r, max(v, a - 1) - m) for r, v in self.load_start.items()),
-                tuple((r, max(v, a - 1) - m) for r, v in self.load_end.items()))
+                tuple((r, max(v, a) - m) for r, v in self.ready.items()))
 
     def shift(self, cycles: int) -> None:
         self.mem_free += cycles
         self.alu_free += cycles
-        for times in (self.load_start, self.load_end, self.reader_end):
+        for times in (self.ready, self.reader_end):
             for r in times:
                 times[r] += cycles
 
@@ -233,8 +278,11 @@ def simulate(stream, cfg: MachineConfig = MachineConfig()) -> CycleTrace:
     timing = _Timing(cfg)
     ops: list[ScheduledOp] = []
     for ins in stream:
-        start = timing.issue(ins)
-        ops.append(ScheduledOp(ins, start, start + duration(ins, cfg) - 1))
+        op = _op(ins, cfg)
+        timing.run((op,))
+        # the op's unit is now free from the cycle after it ends
+        free = timing.alu_free if op[0] == _MAC else timing.mem_free
+        ops.append(ScheduledOp(ins, free - op[2], free - 1))
     return CycleTrace(tuple(ops), timing.total)
 
 
@@ -260,8 +308,8 @@ DEMO_STREAMS = {
 }
 
 
-def _chunk_lengths(size: int, lanes: int) -> list[int]:
-    return [min(lanes, size - k) for k in range(0, size, lanes)]
+def _chunk_lengths(size: int, lanes: int) -> tuple[int, ...]:
+    return tuple(min(lanes, size - k) for k in range(0, size, lanes))
 
 
 def _repeat(timing: _Timing, n: int, phase: int, step) -> int:
@@ -307,13 +355,21 @@ class _Block:
     def next_phase(self, phase: int) -> int:
         return (phase + self.step) % len(self.variants)
 
-    def run_unit(self, timing: _Timing, phase: int) -> int:
-        timing.run(self.variants[phase])
-        return self.next_phase(phase)
+    def run(self, timing: _Timing) -> None:
+        """Issue every repeat of the block after what ``timing`` has issued."""
+        units = [_compile(unit, timing.cfg) for unit in self.variants]
+        # the head's scalar loads only move the memory unit on
+        head = ((_ADVANCE, None, self.head),)
 
-    def run_once(self, timing: _Timing, phase: int) -> int:
-        timing.run([lds()] * self.head)
-        return _repeat(timing, self.units, phase, partial(self.run_unit, timing))
+        def unit(phase: int) -> int:
+            timing.run(units[phase])
+            return self.next_phase(phase)
+
+        def once(phase: int) -> int:
+            timing.run(head)
+            return _repeat(timing, self.units, phase, unit)
+
+        _repeat(timing, self.repeats, self.phase, once)
 
 
 _COUNT_KEYS = {LOAD_VEC: "vector_loads", LOAD_SCALAR: "scalar_loads",
@@ -356,11 +412,12 @@ class LayerStream:
         """Simulated cycles of the expanded stream, plus post-processing."""
         timing = _Timing(self.cfg)
         for b in self.blocks:
-            _repeat(timing, b.repeats, b.phase, partial(b.run_once, timing))
+            b.run(timing)
         return timing.total + self.outputs * self.cfg.post_cycles
 
 
-def _rotating_units(chunks: list[int]) -> tuple[tuple[Instruction, ...], ...]:
+@lru_cache(maxsize=256)
+def _rotating_units(chunks: tuple[int, ...]) -> tuple[tuple[Instruction, ...], ...]:
     """Unit per phase ``rot % 3``: an index read, then per chunk a fresh
     weight/feature pair over three rotating registers."""
     pairs = (("q0", "q1"), ("q1", "q2"), ("q2", "q0"))
@@ -378,7 +435,8 @@ def _rotating_units(chunks: list[int]) -> tuple[tuple[Instruction, ...], ...]:
     return tuple(units)
 
 
-def _pinned_units(chunks: list[int], width: int) -> tuple[tuple[Instruction, ...], ...]:
+@lru_cache(maxsize=256)
+def _pinned_units(chunks: tuple[int, ...], width: int) -> tuple[tuple[Instruction, ...], ...]:
     """Unit per phase ``alt % 2``: one filterlet over a tile of ``width``
     positions, the weight chunk pinned in q0 and the features alternating
     between q1 and q2."""

@@ -44,9 +44,10 @@ class Tensor:
         if any(d <= 0 for d in dims):
             raise DataError(f"non-positive extent in {dims}")
         flat = np.ascontiguousarray(self.data, dtype=DTYPES[self.dtype]).reshape(-1)
-        if flat.size != int(np.prod(dims)):
+        # math.prod is exact where numpy's int64 product would wrap
+        if flat.size != math.prod(dims):
             raise DataError(
-                f"data length {flat.size} != prod{dims} = {int(np.prod(dims))}"
+                f"data length {flat.size} != prod{dims} = {math.prod(dims)}"
             )
         flat = flat.copy()
         flat.flags.writeable = False
@@ -62,7 +63,7 @@ class Tensor:
 
     @classmethod
     def zeros(cls, dims, dtype: str = "float32") -> "Tensor":
-        n = int(np.prod([int(d) for d in dims]))
+        n = math.prod(int(d) for d in dims)
         return cls(tuple(dims), dtype, np.zeros(n, dtype=DTYPES[dtype]))
 
     @property
@@ -74,7 +75,7 @@ class Tensor:
         return self.data.reshape(self.dims)
 
 
-def _is_integer(v) -> bool:
+def is_integer(v) -> bool:
     """True for Python and numpy integers; False for bools, floats and the rest."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
@@ -95,7 +96,7 @@ class ConvLayerSpec:
         for name in ("n_filters", "kernel_h", "kernel_w", "channels",
                      "input_h", "input_w", "stride"):
             v = getattr(self, name)
-            if not _is_integer(v) or v < 1:
+            if not is_integer(v) or v < 1:
                 raise DataError(f"{name} {v!r} is not an integer >= 1")
             object.__setattr__(self, name, int(v))
         if self.kernel_h > self.input_h or self.kernel_w > self.input_w:
@@ -154,7 +155,7 @@ def check_scale(name: str, v) -> None:
 
 def check_zero_point(name: str, v) -> None:
     """Raise DataError unless ``v`` is an integer int8 code."""
-    if not _is_integer(v) or not -128 <= v <= 127:
+    if not is_integer(v) or not -128 <= v <= 127:
         raise DataError(f"{name} {v!r} is not an integer in [-128, 127]")
 
 
@@ -248,8 +249,8 @@ def read_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
     if tag not in _TAG_DTYPES:
         raise CorruptionError(f"unknown dtype tag {tag}")
     dtype = _TAG_DTYPES[tag]
-    n = int(np.prod(dims)) if dims else 0
-    if rank == 0 or n <= 0:
+    n = math.prod(dims)
+    if rank == 0 or n == 0:
         raise CorruptionError("tensor with empty shape")
     width = 1 if dtype == "int8" else 4
     end = offset + n * width

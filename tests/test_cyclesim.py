@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from filterlet.cyclesim import ComputeSchedule, Instruction, LOAD_SCALAR, \
     LOAD_VEC, MAC_VEC, MachineConfig, dump_trace, layer_stream, lds, ldv, \
     macv, simulate, two_mac_default_stream, two_mac_pinned_stream
 from filterlet.errors import ConfigError, StreamError
-from filterlet.fwcs import FilterletMask, encode_csr, encode_fwcs
+from filterlet.fwcs import FilterletMask, encode_csr, encode_fwcs, kept_count
 from filterlet.tensor import ConvLayerSpec, Tensor
 
 CFG = MachineConfig(lanes=4)
@@ -30,6 +32,23 @@ def rand_layer(rng, min_c=1, max_c=8, density=None, max_in=8):
 
 def alu_idle(trace, lo, hi):
     return [c for c, _, alu in trace.records if lo <= c <= hi and alu == "idle"]
+
+
+class TestMachineConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lanes", 4.0), ("lanes", True), ("vec_instr_cycles", 2.5),
+        ("vec_instr_cycles", "2"), ("register_count", 6.5),
+        ("register_count", None), ("post_cycles", 2.0),
+        ("overlap_enabled", "no"), ("overlap_enabled", 1),
+        ("overlap_enabled", np.True_)])
+    def test_rejects_fields_of_the_wrong_type(self, field, value):
+        with pytest.raises(ConfigError):
+            MachineConfig(**{field: value})
+
+    def test_numpy_integers_become_python_ints(self):
+        cfg = MachineConfig(lanes=np.int64(8), register_count=np.int32(5))
+        assert type(cfg.lanes) is int and type(cfg.register_count) is int
+        assert cfg == MachineConfig(lanes=8, register_count=5)
 
 
 class TestSimulate:
@@ -304,6 +323,62 @@ class TestPricingWithoutExpansion:
                 ops = stream.expand()
                 assert stream.cycles() == simulate(ops, cfg).total_cycles + post
                 assert stream.counts() == stream_counts(ops)
+
+
+def price_chain():
+    """The benchmark's pricing chain: four 16x3x3x16 layers from a 14x14
+    input, half of each layer's filterlets kept."""
+    rng = np.random.default_rng(7)
+    layers = []
+    side = 14
+    for _ in range(4):
+        spec = ConvLayerSpec(n_filters=16, kernel_h=3, kernel_w=3, channels=16,
+                             input_h=side, input_w=side)
+        total = spec.n_filters * spec.filterlets_per_filter
+        kept = np.zeros(total, bool)
+        kept[rng.choice(total, kept_count(total, 0.5), replace=False)] = True
+        w = Tensor.from_array(
+            rng.integers(-100, 101, spec.weight_dims).astype(np.int8))
+        mask = FilterletMask(spec, kept.reshape(spec.n_filters, -1))
+        layers.append((spec, encode_fwcs(w, mask)))
+        side = spec.out_h
+    return layers
+
+
+class TestPriceChain:
+    def test_cycle_totals_are_pinned(self):
+        cfg = MachineConfig()
+        totals = {schedule: sum(layer_stream(layer, spec, schedule, cfg).cycles()
+                                for spec, layer in price_chain())
+                  for schedule in ComputeSchedule}
+        assert totals == {ComputeSchedule.DEFAULT: 481604,
+                          ComputeSchedule.REORDERED: 329396}
+
+    @pytest.mark.parametrize("field, value", [
+        ("vec_instr_cycles", 3), ("overlap_enabled", False),
+        ("register_count", 4)])
+    def test_configs_do_not_share_compiled_units(self, field, value):
+        # priced back to back in both orders, each config matches a full
+        # simulation under a freshly built equal config
+        base = MachineConfig()
+        other = replace(base, **{field: value})
+        layers = [(spec, fw) for spec, fw, _ in grid_layers()]
+        runs = [(spec, layer, schedule) for spec, layer in layers
+                for schedule in ComputeSchedule]
+
+        def reference(cfg):
+            fresh = replace(cfg)
+            return [simulate(layer_stream(layer, spec, schedule, fresh).expand(),
+                             fresh).total_cycles
+                    + spec.n_filters * spec.out_positions * cfg.post_cycles
+                    for spec, layer, schedule in runs]
+
+        want = {base: reference(base), other: reference(other)}
+        assert want[base] != want[other]
+        for order in ((base, other), (other, base)):
+            for cfg in order:
+                assert [layer_stream(layer, spec, schedule, cfg).cycles()
+                        for spec, layer, schedule in runs] == want[cfg]
 
 
 class TestDumps:

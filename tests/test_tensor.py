@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterlet.errors import BoundsError, CorruptionError, DataError
 from filterlet.tensor import ConvLayerSpec, QuantParams, Tensor, \
@@ -10,6 +14,14 @@ from filterlet.tensor import ConvLayerSpec, QuantParams, Tensor, \
 def spec_for(kh, kw, c, n=1, ih=None, iw=None, stride=1):
     return ConvLayerSpec(n_filters=n, kernel_h=kh, kernel_w=kw, channels=c,
                          input_h=ih or kh, input_w=iw or kw, stride=stride)
+
+
+# extents whose product is 2**64 + 4
+WRAPS_TO_4 = (3340214413, 2761311370, 2)
+TENSOR_HEAD = b"DTTN" + bytes([1])  # magic and the int8 tag
+FUZZ_BLOBS = [write_tensor(Tensor.from_array(np.arange(24, dtype=np.int8)
+                                             .reshape(2, 3, 4))),
+              write_tensor(Tensor.from_array(np.ones((5, 3), np.float32)))]
 
 
 class TestFlatIndex:
@@ -74,6 +86,43 @@ class TestTensor:
             read_tensor(blob[:-1])
         with pytest.raises(CorruptionError):
             read_tensor(b"")
+
+    def test_extents_are_exact(self):
+        # int64 products of these extents wrap to 0 and to 4
+        with pytest.raises(DataError):
+            Tensor((2**32, 2**32), "int8", [])
+        with pytest.raises(DataError):
+            Tensor(WRAPS_TO_4, "int8", np.arange(4))
+        with pytest.raises(ValueError):
+            Tensor.zeros((2**32, 2**32), "int8")
+
+    def test_blob_with_huge_extents_is_truncated(self):
+        for dims in ((2**16,) * 4, WRAPS_TO_4):
+            blob = TENSOR_HEAD + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+            with pytest.raises(CorruptionError, match="truncated"):
+                read_tensor(blob + bytes(4))
+
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(blob=st.sampled_from(FUZZ_BLOBS), data=st.data(),
+           field=st.sampled_from(("header", "rank", "dims", "cut", "extend")))
+    def test_mutated_blob_parses_or_is_corruption(self, blob, data, field):
+        raw = bytearray(blob)
+        if field == "header":  # magic and dtype tag
+            raw[data.draw(st.integers(0, 4))] ^= data.draw(st.integers(1, 255))
+        elif field == "rank":
+            raw[5] = data.draw(st.integers(0, 255))
+        elif field == "dims":
+            k = data.draw(st.integers(0, raw[5] - 1))
+            struct.pack_into("<I", raw, 6 + 4 * k,
+                             data.draw(st.integers(0, 2**32 - 1)))
+        elif field == "cut":
+            del raw[data.draw(st.integers(0, len(raw) - 1)):]
+        else:
+            raw += data.draw(st.binary(min_size=1, max_size=16))
+        try:
+            read_tensor(bytes(raw))
+        except CorruptionError:
+            pass
 
 
 class TestSpec:
