@@ -15,18 +15,20 @@ import numpy as np
 
 from .convops import conv_csr, conv_dense, conv_fwcs
 from .cyclesim import ComputeSchedule, MachineConfig, layer_stream
-from .errors import CorruptionError, DataError, FormatError
-from .fwcs import FilterletMask, decode_csr, decode_fwcs, encode_csr, \
-    encode_fwcs, read_csr, read_fwcs, write_csr, write_fwcs
-from .model import LayerDef, LayerQuant, SequentialModel
-from .tensor import DTYPES, ConvLayerSpec, Tensor, read_tensor, write_tensor
+from .errors import CorruptionError, DataError, FormatError, TopologyError
+from .fwcs import CSR_MAGIC, FWCS_MAGIC, FilterletMask, decode_csr, \
+    decode_fwcs, encode_csr, encode_fwcs, read_csr, read_fwcs, write_csr, \
+    write_fwcs
+from .model import LayerDef, LayerQuant, SequentialModel, check_chain
+from .tensor import DTYPES, TENSOR_MAGIC, ConvLayerSpec, Reader, Tensor, \
+    read_tensor, write_tensor
 
 BUNDLE_MAGIC = b"FLTB"
 BUNDLE_VERSION = 1
 
 FORMATS = ("dense", "fwcs", "csr")
 ROLES = ("model", "grads")
-_FORMAT_MAGIC = {"dense": b"DTTN", "fwcs": b"FWCS", "csr": b"CSRW"}
+_FORMAT_MAGIC = {"dense": TENSOR_MAGIC, "fwcs": FWCS_MAGIC, "csr": CSR_MAGIC}
 
 _INT32_MIN = -(2 ** 31)
 _INT32_MAX = 2 ** 31 - 1
@@ -83,8 +85,7 @@ class BundleLayer:
                 if not exact.all():
                     raise CorruptionError(f"layer {self.name}: int8 bias not an integer")
                 bias = bias.astype(np.int64)
-        if off != len(self.payload):
-            raise CorruptionError(f"layer {self.name}: trailing payload bytes")
+        Reader(self.payload, off, f"layer {self.name} payload").end()
         return weights, bias
 
 
@@ -99,6 +100,7 @@ class ModelBundle:
             raise DataError(f"bundle name {self.name!r} is not a string")
         if self.role not in ROLES:
             raise DataError(f"unknown bundle role {self.role!r}")
+        check_chain([layer.spec for layer in self.layers])
 
     def manifest(self) -> dict:
         layers = []
@@ -140,47 +142,25 @@ class ModelBundle:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "ModelBundle":
-        if buf[:4] != BUNDLE_MAGIC:
-            raise CorruptionError("bad bundle magic")
-        off = 4
-        try:
-            (version,) = struct.unpack_from("<H", buf, off)
-            off += 2
-            (mlen,) = struct.unpack_from("<I", buf, off)
-            off += 4
-        except struct.error as e:
-            raise CorruptionError(f"truncated bundle header: {e}") from None
+        r = Reader(buf, 0, "bundle")
+        r.magic(BUNDLE_MAGIC)
+        version, mlen = r.unpack("<HI")
         if version != BUNDLE_VERSION:
             raise CorruptionError(f"unsupported bundle version {version}")
-        if off + mlen > len(buf):
-            raise CorruptionError("truncated manifest")
         try:
-            manifest = json.loads(buf[off:off + mlen].decode())
+            manifest = json.loads(r.take(mlen).decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CorruptionError(f"manifest is not valid JSON: {e}") from None
         if not isinstance(manifest, dict) or \
                 not isinstance(manifest.get("layers"), list):
             raise CorruptionError("manifest is not an object with a layer list")
-        off += mlen
-        try:
-            (n_blobs,) = struct.unpack_from("<I", buf, off)
-            off += 4
-            lengths = struct.unpack_from(f"<{n_blobs}I", buf, off)
-            off += 4 * n_blobs
-            (crc,) = struct.unpack_from("<I", buf, off)
-            off += 4
-        except struct.error as e:
-            raise CorruptionError(f"truncated blob table: {e}") from None
+        (n_blobs,) = r.unpack("<I")
+        lengths = r.unpack(f"<{n_blobs}I")
+        (crc,) = r.unpack("<I")
         if len(manifest["layers"]) != n_blobs:
             raise CorruptionError("manifest layer count != payload count")
-        blobs = []
-        for n in lengths:
-            if off + n > len(buf):
-                raise CorruptionError("truncated blob data")
-            blobs.append(buf[off:off + n])
-            off += n
-        if off != len(buf):
-            raise CorruptionError("trailing bytes after the last blob")
+        blobs = [r.take(n) for n in lengths]
+        r.end()
         if zlib.crc32(b"".join(blobs)) & 0xFFFFFFFF != crc:
             raise CorruptionError("payload checksum mismatch")
         layers = []
@@ -194,7 +174,7 @@ class ModelBundle:
                     quant=quant, payload=blob,
                 ))
             return cls(manifest["name"], manifest.get("role", "model"), layers)
-        except (KeyError, TypeError, DataError, FormatError) as e:
+        except (KeyError, TypeError, DataError, FormatError, TopologyError) as e:
             raise CorruptionError(f"malformed manifest entry: {e}") from None
 
     def save(self, path) -> None:

@@ -22,7 +22,7 @@ from .fwcs import FilterletMask, encode_csr, encode_fwcs, kept_count, \
 from .importance import apply_mask_zeroing, build_mask, score_model
 from .model import LayerDef, SequentialModel
 from .scheduler import ScheduleProblem, plan_and_pack
-from .tensor import Tensor, read_tensor, write_tensor
+from .tensor import Reader, Tensor, read_tensor, write_tensor
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -37,24 +37,11 @@ def _seed_from(args) -> int:
                               os.environ.get("DTMM_SEED", "0")))
 
 
-def _load_bundle(path) -> ModelBundle:
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise FileNotFoundError(f"cannot read {path}: {e}") from None
-    return ModelBundle.from_bytes(raw)
-
-
 def _load_tensor(path) -> Tensor:
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise FileNotFoundError(f"cannot read {path}: {e}") from None
+    with open(path, "rb") as f:
+        raw = f.read()
     t, end = read_tensor(raw, 0)
-    if end != len(raw):
-        raise CorruptionError(f"{path}: trailing bytes after the tensor")
+    Reader(raw, end, f"tensor in {path}").end()
     return t
 
 
@@ -71,8 +58,8 @@ def _machine_config(args) -> MachineConfig:
 
 
 def _model_and_grads(model_path, grads_path):
-    model_bundle = _load_bundle(model_path)
-    grads_bundle = _load_bundle(grads_path)
+    model_bundle = ModelBundle.load(model_path)
+    grads_bundle = ModelBundle.load(grads_path)
     model_names = [layer.name for layer in model_bundle.layers]
     grad_names = [layer.name for layer in grads_bundle.layers]
     if model_names != grad_names:
@@ -134,7 +121,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_run(args) -> int:
-    bundle = _load_bundle(args.bundle)
+    bundle = ModelBundle.load(args.bundle)
     x = _load_tensor(args.input)
     schedule = ComputeSchedule(args.schedule)
     result: RunResult = run_bundle(bundle, x, schedule, _machine_config(args))
@@ -166,7 +153,7 @@ def cmd_bench(args) -> int:
         return EXIT_OK
     if args.bundle is None:
         raise DataError("bench needs a bundle path unless --demo is given")
-    bundle = _load_bundle(args.bundle)
+    bundle = ModelBundle.load(args.bundle)
     schedule = ComputeSchedule(args.schedule)
     layers = []
     total = 0
@@ -186,7 +173,6 @@ def cmd_compare(args) -> int:
     importance = score_model(model, grads)
     masks = build_mask(importance, [args.ratio] * len(model.layers))
     cfg = _machine_config(args)
-    m_bits = model.value_bits
     rows = []
     for li, (layer, mask) in enumerate(zip(model.layers, masks)):
         spec = layer.spec
@@ -203,26 +189,26 @@ def cmd_compare(args) -> int:
         rows.append({
             "layer": layer.name,
             "dense": {
-                "bytes": storage_footprint(layer.weights, m=m_bits),
+                "bytes": storage_footprint(layer.weights),
                 "cycles": layer_stream(layer.weights, spec,
                                        ComputeSchedule.DEFAULT, cfg).cycles(),
             },
             "structured": {
                 "kept_filters": int(kept_filters.sum()),
-                "bytes": storage_footprint(layer.weights, m=m_bits)
+                "bytes": storage_footprint(layer.weights)
                 * int(kept_filters.sum()) // spec.n_filters,
                 "cycles": layer_stream(struct_fw, spec,
                                        ComputeSchedule.DEFAULT, cfg).cycles(),
             },
             "csr": {
-                "bytes": storage_footprint(cs, m=m_bits),
+                "bytes": storage_footprint(cs),
                 "index_bytes": 2 * len(cs.c_ptr),
                 "index_entries": len(cs.c_ptr),
                 "cycles": layer_stream(cs, spec,
                                        ComputeSchedule.DEFAULT, cfg).cycles(),
             },
             "fwcs": {
-                "bytes": storage_footprint(fw, m=m_bits),
+                "bytes": storage_footprint(fw),
                 "index_bytes": 2 * len(fw.c_ptr),
                 "index_entries": len(fw.c_ptr),
                 "cycles": layer_stream(fw, spec,

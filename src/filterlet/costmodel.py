@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import DataError, FitError, TopologyError
+from .errors import DataError, FitError
 from .fwcs import INDEX_BITS_DEFAULT, kept_count
+from .model import check_chain
 from .tensor import ConvLayerSpec
 
 _PARAM_NAMES = ("t_mem", "t_idx", "t_com", "t_post")
@@ -103,14 +104,6 @@ def model_size(specs: list[ConvLayerSpec], s, m: int = 8) -> int:
         raise DataError("strategy length != layer count")
     return flash_bytes(layer_flash_bits(spec, alpha, m)
                        for spec, alpha in zip(specs, alphas))
-
-
-def check_chain(specs: list[ConvLayerSpec]) -> None:
-    """Raise TopologyError unless each layer consumes its predecessor's output."""
-    for prev, cur in zip(specs, specs[1:]):
-        if cur.channels != prev.n_filters or \
-                (cur.input_h, cur.input_w) != (prev.out_h, prev.out_w):
-            raise TopologyError("layers do not form a sequential chain")
 
 
 def activation_bytes(positions: int, channels: int, m: int = 8) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptionError, DataError, FormatError
-from .tensor import ConvLayerSpec, Tensor
+from .tensor import ConvLayerSpec, Reader, Tensor
 
 FWCS_MAGIC = b"FWCS"
 CSR_MAGIC = b"CSRW"
@@ -220,45 +220,24 @@ def decode_csr(layer: CsrLayer, spec: ConvLayerSpec) -> Tensor:
     return _decode_runs(layer, spec)
 
 
-def storage_footprint(obj, m: int = 8, m0: int = INDEX_BITS_DEFAULT,
-                      spec: ConvLayerSpec | None = None) -> int:
-    """Storage bytes for a layer at m-bit values and m0-bit index entries.
-
-    FWCS counts arr, c_ptr, f_idx and the size field; CSR counts arr, c_ptr,
-    f_idx; dense (Tensor or ConvLayerSpec) counts values only.
-    """
-    if m not in (8, 32):
-        raise DataError(f"value width {m} not in (8, 32)")
-    if isinstance(obj, FwcsLayer):
-        bits = m * len(obj.arr) + m0 * (len(obj.c_ptr) + len(obj.f_idx)) + m0
-    elif isinstance(obj, CsrLayer):
-        bits = m * len(obj.arr) + m0 * (len(obj.c_ptr) + len(obj.f_idx))
-    elif isinstance(obj, Tensor):
-        bits = m * obj.nelems
-    elif isinstance(obj, ConvLayerSpec):
-        bits = m * obj.weight_count
-    else:
-        raise DataError(f"cannot account storage for {type(obj).__name__}")
-    if bits % 8:
-        raise DataError(f"footprint {bits} bits is not byte aligned")
-    return bits // 8
+def storage_footprint(layer) -> int:
+    """Stored bytes of a layer: values at the width of its dtype, u16 index
+    entries.  FWCS counts arr, c_ptr, f_idx and the size field; CSR counts
+    arr, c_ptr and f_idx; a dense Tensor counts values only."""
+    if isinstance(layer, Tensor):
+        return layer.data.nbytes
+    if not isinstance(layer, _RunLayer):
+        raise DataError(f"cannot account storage for {type(layer).__name__}")
+    # FWCS stores one index-width field more: its size
+    entries = len(layer.c_ptr) + len(layer.f_idx) + isinstance(layer, FwcsLayer)
+    return (layer.arr.size * _value_dtype(layer.dtype).itemsize
+            + INDEX_BITS_DEFAULT // 8 * entries)
 
 
 def _pack_u16_array(vals: np.ndarray, what: str) -> bytes:
     if vals.size and (vals.min() < 0 or vals.max() > _U16_MAX):
         raise FormatError(f"{what} entry outside u16 range")
     return struct.pack("<I", vals.size) + vals.astype("<u2").tobytes()
-
-
-def _unpack_u16_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
-    if offset + 4 > len(buf):
-        raise CorruptionError("truncated index block")
-    (count,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    end = offset + 2 * count
-    if end > len(buf):
-        raise CorruptionError("truncated index entries")
-    return np.frombuffer(buf[offset:end], dtype="<u2").astype(np.int64), end
 
 
 def _value_dtype(dtype: str) -> np.dtype:
@@ -278,25 +257,15 @@ def _read_block(buf: bytes, offset: int, dtype: str, cls, magic: bytes,
                 head: str = ""):
     """Inverse of ``_write_block``: a ``cls`` layer built from the ``head``
     struct fields and the shared body, plus the offset past the block."""
-    name = magic.decode()
-    if buf[offset:offset + 4] != magic:
-        raise CorruptionError(f"bad {name} magic")
-    fmt = f"<{head}I"
-    try:
-        *fields, n_arr = struct.unpack_from(fmt, buf, offset + 4)
-    except struct.error as e:
-        raise CorruptionError(f"truncated {name} header: {e}") from None
-    offset += 4 + struct.calcsize(fmt)
-    values = _value_dtype(dtype)
-    end = offset + n_arr * values.itemsize
-    if end > len(buf):
-        raise CorruptionError(f"truncated {name} values")
-    arr = np.frombuffer(buf, dtype=values, count=n_arr, offset=offset)
-    c_ptr, end = _unpack_u16_array(buf, end)
-    f_idx, end = _unpack_u16_array(buf, end)
+    r = Reader(buf, offset, f"{magic.decode()} block")
+    r.magic(magic)
+    *fields, n_arr = r.unpack(f"<{head}I")
+    arr = r.array(_value_dtype(dtype), n_arr)
+    c_ptr = r.array("<u2", *r.unpack("<I"))
+    f_idx = r.array("<u2", *r.unpack("<I"))
     try:
         # the head fields follow arr in both layer classes' field order
-        return cls(arr, *fields, c_ptr, f_idx, dtype), end
+        return cls(arr, *fields, c_ptr, f_idx, dtype), r.offset
     except DataError as e:
         raise CorruptionError(str(e)) from None
 

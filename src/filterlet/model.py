@@ -58,6 +58,21 @@ class LayerDef:
         return self.weights.to_array().astype(np.float64)
 
 
+def check_chain(specs: list[ConvLayerSpec]) -> None:
+    """Raise TopologyError unless each layer consumes its predecessor's output."""
+    for i, (prev, cur) in enumerate(zip(specs, specs[1:]), 1):
+        if cur.channels != prev.n_filters:
+            raise TopologyError(
+                f"layer {i} expects {cur.channels} channels but layer {i - 1} "
+                f"produces {prev.n_filters}"
+            )
+        if (cur.input_h, cur.input_w) != (prev.out_h, prev.out_w):
+            raise TopologyError(
+                f"layer {i} input {cur.input_h}x{cur.input_w} != layer {i - 1} "
+                f"output {prev.out_h}x{prev.out_w}"
+            )
+
+
 @dataclass
 class SequentialModel:
     """A plain chain of convolution layers; layer i feeds layer i+1."""
@@ -66,17 +81,7 @@ class SequentialModel:
     layers: list[LayerDef] = field(default_factory=list)
 
     def __post_init__(self):
-        for prev, cur in zip(self.layers, self.layers[1:]):
-            if cur.spec.channels != prev.spec.n_filters:
-                raise TopologyError(
-                    f"layer {cur.name} expects {cur.spec.channels} channels but "
-                    f"{prev.name} produces {prev.spec.n_filters}"
-                )
-            if (cur.spec.input_h, cur.spec.input_w) != (prev.spec.out_h, prev.spec.out_w):
-                raise TopologyError(
-                    f"layer {cur.name} input {cur.spec.input_h}x{cur.spec.input_w} "
-                    f"!= {prev.name} output {prev.spec.out_h}x{prev.spec.out_w}"
-                )
+        check_chain(self.specs)
 
     @property
     def specs(self) -> list[ConvLayerSpec]:

@@ -24,11 +24,11 @@ import numpy as np
 
 from .bundle import ModelBundle, bundle_from_masks
 from .costmodel import Budget, LatencyParams, StrategyVector, \
-    activation_bytes, check_chain, flash_bytes, input_bytes, \
-    layer_flash_bits, layer_latency, peak_pair_bytes, total_time
+    activation_bytes, flash_bytes, input_bytes, layer_flash_bits, \
+    layer_latency, peak_pair_bytes, total_time
 from .errors import DataError
 from .importance import ImportanceMap, build_mask, layer_mask, pruned_score
-from .model import SequentialModel
+from .model import SequentialModel, check_chain
 from .tensor import ConvLayerSpec
 
 

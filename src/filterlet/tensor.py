@@ -61,11 +61,6 @@ class Tensor:
             dtype = "int8" if arr.dtype == np.int8 else "float32"
         return cls(tuple(arr.shape), dtype, arr.reshape(-1))
 
-    @classmethod
-    def zeros(cls, dims, dtype: str = "float32") -> "Tensor":
-        n = math.prod(int(d) for d in dims)
-        return cls(tuple(dims), dtype, np.zeros(n, dtype=DTYPES[dtype]))
-
     @property
     def nelems(self) -> int:
         return self.data.size
@@ -223,6 +218,47 @@ def patch_matrix(input, spec: ConvLayerSpec) -> np.ndarray:
     return out.reshape(spec.out_positions, -1)
 
 
+class Reader:
+    """Cursor over ``buf`` from ``offset``: every read that would run past the
+    end of ``buf`` raises CorruptionError naming ``what``."""
+
+    def __init__(self, buf: bytes, offset: int, what: str):
+        self.buf = buf
+        self.offset = offset
+        self.what = what
+
+    def _advance(self, n: int) -> int:
+        """Claim the next ``n`` bytes; returns where they start."""
+        start = self.offset
+        if start + n > len(self.buf):
+            raise CorruptionError(f"truncated {self.what}")
+        self.offset = start + n
+        return start
+
+    def magic(self, magic: bytes) -> None:
+        if self.buf[self.offset:self.offset + len(magic)] != magic:
+            raise CorruptionError(f"bad {self.what} magic")
+        self.offset += len(magic)
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.buf, self._advance(struct.calcsize(fmt)))
+
+    def take(self, n: int) -> bytes:
+        start = self._advance(n)
+        return self.buf[start:self.offset]
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        """View of the next ``count`` values of ``dtype`` in ``buf``."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.buf, dtype, count,
+                             self._advance(count * dtype.itemsize))
+
+    def end(self) -> None:
+        """Raise CorruptionError unless every byte of ``buf`` has been read."""
+        if self.offset != len(self.buf):
+            raise CorruptionError(f"trailing bytes after the {self.what}")
+
+
 def write_tensor(t: Tensor) -> bytes:
     """Serialize as: magic, u8 dtype tag, u8 rank, u32 extents, raw LE data."""
     head = TENSOR_MAGIC + struct.pack("<BB", _DTYPE_TAGS[t.dtype], len(t.dims))
@@ -236,29 +272,15 @@ def write_tensor(t: Tensor) -> bytes:
 
 def read_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
     """Parse one serialized tensor; returns (tensor, offset past it)."""
-    if buf[offset:offset + 4] != TENSOR_MAGIC:
-        raise CorruptionError("bad tensor magic")
-    offset += 4
-    try:
-        tag, rank = struct.unpack_from("<BB", buf, offset)
-        offset += 2
-        dims = struct.unpack_from(f"<{rank}I", buf, offset)
-        offset += 4 * rank
-    except struct.error as e:
-        raise CorruptionError(f"truncated tensor header: {e}") from None
+    r = Reader(buf, offset, "tensor")
+    r.magic(TENSOR_MAGIC)
+    tag, rank = r.unpack("<BB")
+    dims = r.unpack(f"<{rank}I")
     if tag not in _TAG_DTYPES:
         raise CorruptionError(f"unknown dtype tag {tag}")
     dtype = _TAG_DTYPES[tag]
     n = math.prod(dims)
     if rank == 0 or n == 0:
         raise CorruptionError("tensor with empty shape")
-    width = 1 if dtype == "int8" else 4
-    end = offset + n * width
-    if end > len(buf):
-        raise CorruptionError("truncated tensor payload")
-    raw = buf[offset:end]
-    if dtype == "int8":
-        data = np.frombuffer(raw, dtype=np.int8)
-    else:
-        data = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-    return Tensor(tuple(dims), dtype, data), end
+    data = r.array(np.int8 if dtype == "int8" else "<f4", n)
+    return Tensor(dims, dtype, data), r.offset

@@ -1,6 +1,8 @@
+import io
 import json
 import struct
 import zlib
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from filterlet.cli import _build_parser, main
 from filterlet.convops import conv_dense
 from filterlet.costmodel import Budget, LatencyParams, model_size
 from filterlet.cyclesim import ComputeSchedule, MachineConfig, layer_stream
-from filterlet.errors import CorruptionError, DataError
+from filterlet.errors import CorruptionError, DataError, TopologyError
 from filterlet.fwcs import CsrLayer, FilterletMask, encode_csr, encode_fwcs, \
     write_csr
 from filterlet.importance import GradientBundle, score_model
@@ -107,6 +109,17 @@ def with_manifest(raw, manifest):
     _, end, _ = manifest_span(raw)
     text = json.dumps(manifest).encode()
     return raw[:6] + struct.pack("<I", len(text)) + text + raw[end:]
+
+
+def with_crc(raw, crc_at):
+    """``raw`` with the CRC at ``crc_at`` recomputed over the bytes after it."""
+    crc = zlib.crc32(bytes(raw[crc_at + 4:])) & 0xFFFFFFFF
+    return bytes(raw[:crc_at]) + struct.pack("<I", crc) + bytes(raw[crc_at + 4:])
+
+
+def parse_and_decode(raw):
+    for layer in ModelBundle.from_bytes(raw).layers:
+        layer.decode_weights()
 
 
 def fuzz_bundles():
@@ -210,11 +223,43 @@ class TestBundleContainer:
         start, end, crc_at = manifest_span(raw)
         lo, hi = (start, end) if in_manifest else (crc_at + 4, len(raw))
         raw[data.draw(st.integers(lo, hi - 1))] ^= flip
-        raw[crc_at:crc_at + 4] = struct.pack(
-            "<I", zlib.crc32(bytes(raw[crc_at + 4:])) & 0xFFFFFFFF)
         try:
-            for layer in ModelBundle.from_bytes(bytes(raw)).layers:
-                layer.decode_weights()
+            parse_and_decode(with_crc(raw, crc_at))
+        except CorruptionError:
+            pass
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(fmt=st.sampled_from(FORMATS), data=st.data())
+    def test_changed_header_field_is_corruption(self, fmt, data):
+        # magic, version, manifest length, blob count or one blob length
+        raw = bytearray(FUZZ_BUNDLES[fmt])
+        _, end, crc_at = manifest_span(raw)
+        at, width = data.draw(st.sampled_from(
+            [(0, 4), (4, 2), (6, 4), *((at, 4) for at in range(end, crc_at, 4))]))
+        old = int.from_bytes(raw[at:at + width], "little")
+        top = 256 ** width - 1
+        new = data.draw(st.one_of(
+            st.integers(0, top),
+            st.integers(max(0, old - 8), min(top, old + 8))).filter(
+                lambda v: v != old))
+        raw[at:at + width] = new.to_bytes(width, "little")
+        with pytest.raises(CorruptionError):
+            parse_and_decode(bytes(raw))
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(fmt=st.sampled_from(FORMATS), data=st.data(), in_blobs=st.booleans())
+    def test_spliced_bundle_parses_or_is_corruption(self, fmt, data, in_blobs):
+        # a span of the bundle copied over another offset: anywhere, or
+        # inside the blobs with the CRC made to match
+        raw = FUZZ_BUNDLES[fmt]
+        _, _, crc_at = manifest_span(raw)
+        n = data.draw(st.integers(2, 64))
+        src = data.draw(st.integers(0, len(raw) - n))
+        dst = data.draw(st.integers(crc_at + 4 if in_blobs else 0, len(raw) - 1))
+        edited = bytearray(raw)
+        edited[dst:dst + n] = raw[src:src + n]
+        try:
+            parse_and_decode(with_crc(edited, crc_at) if in_blobs else bytes(edited))
         except CorruptionError:
             pass
 
@@ -229,6 +274,11 @@ class TestBundleContainer:
             edited = raw + data.draw(st.binary(min_size=1, max_size=64))
         with pytest.raises(CorruptionError):
             ModelBundle.from_bytes(edited)
+
+    def test_layers_that_do_not_chain_are_rejected(self):
+        layers = bundle_from_model(int8_chain(n_layers=3)).layers
+        with pytest.raises(TopologyError):
+            ModelBundle("gap", "model", [layers[0], layers[2]])
 
 
 class TestRunBundle:
@@ -355,6 +405,49 @@ def workdir(tmp_path):
     return tmp_path, model, model_path, grads_path, input_path
 
 
+@pytest.fixture(scope="module")
+def fuzz_input(tmp_path_factory):
+    """Path of an input tensor that the first layer of FUZZ_BUNDLES takes."""
+    x = np.random.default_rng(23).integers(-100, 100, (10, 10, 3))
+    path = tmp_path_factory.mktemp("fuzz") / "input.dttn"
+    path.write_bytes(write_tensor(Tensor.from_array(x.astype(np.int8))))
+    return path
+
+
+class TestCliOnMutatedBundles:
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(fmt=st.sampled_from(FORMATS), command=st.sampled_from(("run", "bench")),
+           data=st.data(), how=st.sampled_from(("bytes", "crc", "digit")))
+    def test_exits_0_or_4(self, fuzz_input, fmt, command, data, how):
+        # one to eight bytes overwritten anywhere, then the CRC made to match
+        # or not; or one digit of a number in the manifest changed, so that
+        # the JSON still parses; run may exit 3 only when the first layer no
+        # longer takes the unchanged input
+        raw = bytearray(FUZZ_BUNDLES[fmt])
+        start, end, crc_at = manifest_span(raw)
+        if how == "digit":
+            at = data.draw(st.sampled_from(
+                [i for i in range(start, end) if chr(raw[i]).isdigit()]))
+            raw[at] = ord(data.draw(st.sampled_from("0123456789")))
+        else:
+            n = data.draw(st.integers(1, 8))
+            at = data.draw(st.integers(0, len(raw) - n))
+            raw[at:at + n] = data.draw(st.binary(min_size=n, max_size=n))
+        raw = with_crc(raw, crc_at) if how == "crc" else bytes(raw)
+        path = fuzz_input.parent / "bundle.fltb"
+        path.write_bytes(raw)
+        argv = [command, str(path)]
+        if command == "run":
+            argv.append(str(fuzz_input))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        if command == "run" and code == 3:
+            first = ModelBundle.from_bytes(raw).layers[0]
+            assert first.spec.input_dims != (10, 10, 3)
+        else:
+            assert code in (0, 4)
+
+
 class TestCli:
     def test_prune_run_round_trip(self, workdir, capsys):
         tmp, model, model_path, grads_path, input_path = workdir
@@ -471,6 +564,14 @@ class TestCli:
                      "--dlmax", "1"])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_unreadable_bundle_exits_3(self, workdir, capsys, command):
+        tmp, _, _, _, input_path = workdir
+        argv = [command, str(tmp)]  # a directory
+        if command == "run":
+            argv.append(str(input_path))
+        assert main(argv) == 3
+
     def test_corrupt_bundle_exits_4(self, workdir, capsys):
         tmp, _, model_path, _, input_path = workdir
         raw = bytearray(model_path.read_bytes())
@@ -490,7 +591,7 @@ class TestCli:
         ModelBundle("bad", "model", [BundleLayer(
             "conv0", "csr", spec, "int8", False, quant, block)]).save(bp)
         xp = tmp_path / "x.dttn"
-        xp.write_bytes(write_tensor(Tensor.zeros(spec.input_dims, "int8")))
+        xp.write_bytes(write_tensor(Tensor.from_array(np.zeros(spec.input_dims, np.int8))))
         assert main(["run", str(bp), str(xp)]) == 4
 
     @pytest.mark.parametrize("command", ["run", "bench"])
@@ -515,6 +616,9 @@ class TestCli:
             bad.append(ModelBundle.from_bytes(raw).manifest())
             bad[-1]["layers"][1][key] = value
         bad.append({**ModelBundle.from_bytes(raw).manifest(), "name": 7})
+        # layer 0 still takes the input but no longer feeds layer 1
+        bad.append(ModelBundle.from_bytes(raw).manifest())
+        bad[-1]["layers"][0]["spec"]["stride"] = 2
         argv = [command, str(tmp / "bad.fltb")]
         if command == "run":
             argv.append(str(input_path))

@@ -79,7 +79,7 @@ class TestConvDense:
                              input_h=3, input_w=3)
         x = Tensor.from_array(np.random.default_rng(1).normal(
             size=spec.input_dims).astype(np.float32))
-        out = conv_dense(x, Tensor.zeros(spec.weight_dims), spec)
+        out = conv_dense(x, Tensor.from_array(np.zeros(spec.weight_dims)), spec)
         assert not out.any()
 
     def test_matches_nested_loops_with_stride_and_bias(self):
@@ -276,7 +276,7 @@ class TestLaneConfig:
     def test_dtype_mismatch_raises(self):
         spec = ConvLayerSpec(n_filters=1, kernel_h=1, kernel_w=1, channels=1,
                              input_h=2, input_w=2)
-        x = Tensor.zeros(spec.input_dims, "float32")
-        w = Tensor.zeros(spec.weight_dims, "int8")
+        x = Tensor.from_array(np.zeros(spec.input_dims))
+        w = Tensor.from_array(np.zeros(spec.weight_dims, np.int8))
         with pytest.raises(DataError):
             conv_dense(x, w, spec)

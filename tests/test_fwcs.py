@@ -285,30 +285,35 @@ class TestFootprint:
         self.mask = FilterletMask(self.spec, kept)
 
     def test_dense(self):
-        assert storage_footprint(self.spec, m=8) == 1152
-        assert storage_footprint(self.w, m=8) == 1152
+        assert storage_footprint(self.w) == 1152
+        assert storage_footprint(Tensor.from_array(
+            self.w.to_array().astype(np.float32))) == 4 * 1152
+
+    def test_only_stored_layers(self):
+        with pytest.raises(DataError):
+            storage_footprint(self.spec)
 
     def test_fwcs_half_pruned(self):
         layer = encode_fwcs(self.w, self.mask)
         # 576 weight bytes + 72 u16 c_ptr + 17 u16 f_idx + u16 size
-        assert storage_footprint(layer, m=8, m0=16) == 576 + 144 + 34 + 2 == 756
+        assert storage_footprint(layer) == 576 + 144 + 34 + 2 == 756
 
     def test_csr_half_pruned_exceeds_dense(self):
         layer = encode_csr(self.w, self.mask.to_weight_mask())
-        total = storage_footprint(layer, m=8, m0=16)
+        total = storage_footprint(layer)
         assert total == 576 + 1152 + 34 == 1762
-        assert total > storage_footprint(self.spec, m=8)
+        assert total > storage_footprint(self.w)
 
     def test_footprint_equals_serialized_payload(self):
         rng = np.random.default_rng(10)
-        for dtype, m in (("int8", 8), ("float32", 32)):
+        for dtype in ("int8", "float32"):
             w = random_weights(self.spec, rng, dtype)
             fw = encode_fwcs(w, self.mask)
             cs = encode_csr(w, self.mask.to_weight_mask())
             assert len(write_fwcs(fw)) - FWCS_FRAMING_BYTES == \
-                storage_footprint(fw, m=m, m0=16)
+                storage_footprint(fw)
             assert len(write_csr(cs)) - CSR_FRAMING_BYTES == \
-                storage_footprint(cs, m=m, m0=16)
+                storage_footprint(cs)
 
 
 class TestSerialization:

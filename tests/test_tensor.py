@@ -64,7 +64,7 @@ class TestTensor:
             Tensor((2, 2), "float32", np.zeros(5))
 
     def test_immutable(self):
-        t = Tensor.zeros((2, 2), "int8")
+        t = Tensor.from_array(np.zeros((2, 2), np.int8))
         with pytest.raises(ValueError):
             t.data[0] = 1
 
@@ -79,7 +79,7 @@ class TestTensor:
             assert np.array_equal(back.data, t.data)
 
     def test_blob_corruption(self):
-        blob = write_tensor(Tensor.zeros((2, 2), "int8"))
+        blob = write_tensor(Tensor.from_array(np.zeros((2, 2), np.int8)))
         with pytest.raises(CorruptionError):
             read_tensor(b"XXXX" + blob[4:])
         with pytest.raises(CorruptionError):
@@ -93,8 +93,6 @@ class TestTensor:
             Tensor((2**32, 2**32), "int8", [])
         with pytest.raises(DataError):
             Tensor(WRAPS_TO_4, "int8", np.arange(4))
-        with pytest.raises(ValueError):
-            Tensor.zeros((2**32, 2**32), "int8")
 
     def test_blob_with_huge_extents_is_truncated(self):
         for dims in ((2**16,) * 4, WRAPS_TO_4):
@@ -236,7 +234,7 @@ class TestExtractPatch:
 
     def test_out_of_range_position(self):
         spec = spec_for(2, 2, 1, ih=4, iw=4)
-        x = Tensor.zeros((4, 4, 1))
+        x = Tensor.from_array(np.zeros((4, 4, 1)))
         with pytest.raises(BoundsError):
             extract_patch(x, spec, 3, 0)
 
