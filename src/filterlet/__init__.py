@@ -22,8 +22,7 @@ from .importance import GradientBundle, ImportanceMap, apply_mask_zeroing, \
     build_mask, delta_loss, finite_diff_gradient, model_loss, score_model, \
     taylor_score
 from .model import LayerDef, LayerQuant, SequentialModel, forward_float64
-from .scheduler import ScheduleProblem, ScheduleResult, anneal, feasible, \
-    plan_and_pack
+from .scheduler import ScheduleProblem, ScheduleResult, anneal, plan_and_pack
 from .tensor import ConvLayerSpec, QuantParams, Tensor, dequantize, \
     extract_patch, flat_index, quantize, read_tensor, write_tensor
 

@@ -142,6 +142,22 @@ def finite_diff_gradient(model: SequentialModel, loss_fn, sample,
     return GradientBundle(grads, provenance="finite-difference oracle")
 
 
+def prune_order(scores: np.ndarray) -> np.ndarray:
+    """Flat filterlet indices of one layer, lowest score first."""
+    # stable sort on score alone leaves equal scores in flat-index order,
+    # i.e. ascending (filter, position)
+    return np.argsort(scores.reshape(-1), kind="stable")
+
+
+def order_mask(spec: ConvLayerSpec, order: np.ndarray,
+               keep: int) -> FilterletMask:
+    """Keep the last ``keep`` filterlets of a :func:`prune_order`."""
+    kept = np.zeros(order.size, dtype=bool)
+    kept[order[order.size - keep:]] = True
+    return FilterletMask(
+        spec, kept.reshape(spec.n_filters, spec.filterlets_per_filter))
+
+
 def layer_mask(spec: ConvLayerSpec, scores: np.ndarray,
                alpha: float) -> FilterletMask:
     """Prune the lowest-scoring filterlets of one layer at fraction alpha.
@@ -149,14 +165,7 @@ def layer_mask(spec: ConvLayerSpec, scores: np.ndarray,
     The kept count is round-half-up of (1-alpha)*count; ties in score keep
     the earlier (filter, position) pair.
     """
-    total = scores.size
-    keep = kept_count(total, alpha)
-    # stable sort on score alone leaves equal scores in flat-index order,
-    # i.e. ascending (filter, position)
-    order = np.argsort(scores.reshape(-1), kind="stable")
-    kept = np.zeros(total, dtype=bool)
-    kept[order[total - keep:]] = True
-    return FilterletMask(spec, kept.reshape(scores.shape))
+    return order_mask(spec, prune_order(scores), kept_count(scores.size, alpha))
 
 
 def build_mask(importance: ImportanceMap, alphas) -> list[FilterletMask]:

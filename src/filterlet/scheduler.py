@@ -6,18 +6,27 @@ latency range, so the chain can cross infeasible regions, but only feasible
 candidates are ever returned as the incumbent.
 
 Every metric of a strategy combines per-layer terms (latency, flash bits,
-pruned score, output activation bytes) that depend only on that layer's
-fraction.  Each layer visits few distinct fractions and the chain keeps
-proposing states it has seen, so within one call ``anneal`` computes each
-layer's terms once per fraction and each state's evaluation once.  What is
-left per step is the chain itself, so its draws are decoded from raw words of
-the seeded stream (``_Draws``) rather than asked of a numpy ``Generator`` one
-call at a time.
+pruned score, output activation bytes).  Latency reads the layer's exact
+fraction; the other three depend only on its kept count, so a problem sorts
+each layer's scores once and builds one mask per (layer, kept count), however
+many searches and evaluations use it.
+
+The chain walks indexed states.  A layer's fraction is an id into the floats
+that ``+-step`` moves reach from 0 (drift such as ``0.7000000000000001``
+included), and each move of an id is resolved once.  Each distinct strategy
+is numbered once, with its predicted time, feasibility and penalized
+objective in flat columns and a lazily filled table of its ``2n`` neighbours,
+so a step is a draw, a neighbour lookup, an objective lookup and a compare.
+The best states are chosen and the trace is built once the chain has run.
+The draws are decoded from raw words of the seeded stream (``_Draws``) rather
+than asked of a numpy ``Generator`` one call at a time.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -25,9 +34,11 @@ import numpy as np
 from .bundle import ModelBundle, bundle_from_masks
 from .costmodel import Budget, LatencyParams, StrategyVector, \
     activation_bytes, flash_bytes, input_bytes, layer_flash_bits, \
-    layer_latency, peak_pair_bytes, total_time
+    layer_latency, total_time
 from .errors import DataError
-from .importance import ImportanceMap, build_mask, layer_mask, pruned_score
+from .fwcs import kept_count
+from .importance import ImportanceMap, build_mask, order_mask, prune_order, \
+    pruned_score
 from .model import SequentialModel, check_chain
 from .tensor import ConvLayerSpec
 
@@ -35,7 +46,12 @@ from .tensor import ConvLayerSpec
 @dataclass(frozen=True)
 class ScheduleProblem:
     """One pruning-strategy search instance; ``m`` is the bit width of a
-    stored weight (8 for int8, 32 for float32 models)."""
+    stored weight (8 for int8, 32 for float32 models).
+
+    Each layer's score order and its terms per kept count are computed on
+    first use and kept with the problem, so its scores must not change after
+    it is first searched or evaluated.
+    """
 
     specs: list[ConvLayerSpec]
     importance: ImportanceMap
@@ -50,9 +66,12 @@ class ScheduleProblem:
             raise DataError("importance map specs differ from the layers")
         check_chain(self.specs)
 
+    @cached_property
+    def _tables(self) -> list["_LayerTable"]:
+        return [_LayerTable(self, i) for i in range(len(self.specs))]
 
-@dataclass(frozen=True)
-class Evaluation:
+
+class Evaluation(NamedTuple):
     """All constraint-relevant metrics of one candidate strategy."""
 
     time: float
@@ -63,8 +82,7 @@ class Evaluation:
     violations: dict[str, tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class LayerTerms:
+class LayerTerms(NamedTuple):
     """One layer's share of a strategy's metrics at one pruned fraction."""
 
     time: float      # predicted cycles
@@ -73,42 +91,68 @@ class LayerTerms:
     out_bytes: int   # output feature map bytes, emptied filters dropped
 
 
+class _LayerTable:
+    """Terms of one layer of a problem: one stable argsort of its scores,
+    and the mask-derived terms once per kept count."""
+
+    __slots__ = ("problem", "spec", "scores", "order", "by_keep")
+
+    def __init__(self, problem: ScheduleProblem, i: int):
+        self.problem = problem
+        self.spec = problem.specs[i]
+        self.scores = problem.importance.scores[i]
+        self.order = prune_order(self.scores)
+        self.by_keep: dict[int, tuple[int, float, int]] = {}
+
+    def terms(self, alpha: float) -> LayerTerms:
+        spec, m = self.spec, self.problem.m
+        keep = kept_count(self.scores.size, alpha)
+        kept = self.by_keep.get(keep)
+        if kept is None:
+            mask = order_mask(spec, self.order, keep)
+            kept = self.by_keep[keep] = (
+                layer_flash_bits(spec, alpha, m),
+                pruned_score(self.scores, mask),
+                activation_bytes(spec.out_positions, mask.kept_channels(), m))
+        return LayerTerms(layer_latency(spec, alpha, self.problem.latency),
+                          *kept)
+
+
 def layer_terms(problem: ScheduleProblem, i: int, alpha: float) -> LayerTerms:
     """Terms of layer ``i`` at pruned fraction ``alpha``."""
-    spec = problem.specs[i]
-    scores = problem.importance.scores[i]
-    mask = layer_mask(spec, scores, alpha)
-    return LayerTerms(
-        time=layer_latency(spec, alpha, problem.latency),
-        bits=layer_flash_bits(spec, alpha, problem.m),
-        dl=pruned_score(scores, mask),
-        out_bytes=activation_bytes(spec.out_positions, mask.kept_channels(),
-                                   problem.m),
-    )
+    return problem._tables[i].terms(alpha)
 
 
-def _combine(terms: list[LayerTerms], in_bytes: int,
-             problem: ScheduleProblem) -> Evaluation:
-    # the sums run in the order and from the start values of total_time,
-    # delta_loss and model_size, so the results are bit-identical to theirs
-    time = sum(t.time for t in terms)
+def _combine(terms, in_bytes: int, problem: ScheduleProblem) -> Evaluation:
+    # time is summed by sum() from 0, as total_time sums it, and dl from 0.0
+    # in layer order, as delta_loss sums it, so both are bit-identical to
+    # theirs; the flash bits and the adjacent-pair peak are exact integers
+    times = []
     dl = 0.0
-    for t in terms:
-        dl += t.dl
-    size = flash_bytes(t.bits for t in terms)
-    ram = peak_pair_bytes([in_bytes] + [t.out_bytes for t in terms])
+    bits = ram = 0
+    prev = in_bytes
+    for t_time, t_bits, t_dl, out in terms:
+        times.append(t_time)
+        dl += t_dl
+        bits += t_bits
+        if prev + out > ram:
+            ram = prev + out
+        prev = out
+    time = sum(times)
+    size = flash_bytes((bits,))
+    budget = problem.budget
     violations = {}
-    if dl > problem.budget.dl_max:
-        violations["dl"] = (dl, problem.budget.dl_max)
-    if size > problem.budget.mem_flash:
-        violations["flash"] = (float(size), float(problem.budget.mem_flash))
-    if ram > problem.budget.mem_ram:
-        violations["ram"] = (float(ram), float(problem.budget.mem_ram))
+    if dl > budget.dl_max:
+        violations["dl"] = (dl, budget.dl_max)
+    if size > budget.mem_flash:
+        violations["flash"] = (float(size), float(budget.mem_flash))
+    if ram > budget.mem_ram:
+        violations["ram"] = (float(ram), float(budget.mem_ram))
     return Evaluation(time, size, ram, dl, not violations, violations)
 
 
 def evaluate(s, problem: ScheduleProblem) -> Evaluation:
-    """Every metric of strategy ``s``, from freshly computed layer terms.
+    """Every metric of strategy ``s``, combined from its layer terms.
 
     Equal to ``total_time``, ``model_size``, ``delta_loss`` of ``build_mask``
     and ``runtime_memory`` with the masks' kept channels.
@@ -118,12 +162,6 @@ def evaluate(s, problem: ScheduleProblem) -> Evaluation:
         raise DataError("strategy length != layer count")
     return _combine([layer_terms(problem, i, a) for i, a in enumerate(alphas)],
                     input_bytes(problem.specs[0], problem.m), problem)
-
-
-def feasible(s, problem: ScheduleProblem) -> tuple[bool, dict]:
-    """Constraint check plus a violation report (value, limit) per breach."""
-    ev = evaluate(s, problem)
-    return ev.feasible, dict(ev.violations)
 
 
 def _violation_measure(ev: Evaluation, budget: Budget) -> float:
@@ -144,8 +182,9 @@ _LOW32 = 0xFFFFFFFF
 
 
 class _Draws:
-    """``integers(n)`` and ``random()`` of ``np.random.default_rng(seed)``,
-    decoded from raw words of the same PCG64 stream read ``_CHUNK`` at a time.
+    """``random()`` of ``np.random.default_rng(seed)`` and its
+    ``integers(n)`` fused with a ``random() < 0.5`` coin, decoded from raw
+    words of the same PCG64 stream read ``_CHUNK`` at a time.
 
     ``random()`` takes the top 53 bits of a whole word.  ``integers(n)`` is
     Lemire's bounded draw on 32-bit halves: a word drawn for an integer gives
@@ -164,11 +203,12 @@ class _Draws:
     def random(self) -> float:
         return (self._word() >> 11) * 2.0 ** -53
 
-    def integers(self, n: int) -> int:
-        """Uniform in ``[0, n)`` for ``1 <= n <= 2**32``."""
-        if n == 1:
-            return 0
-        while True:
+    def move(self, n: int) -> int:
+        """``2 * integers(n) + (random() >= 0.5)`` for ``1 <= n <= 2**32``:
+        a layer and a direction in one call."""
+        i = 0
+        # integers(1) draws nothing
+        while n > 1:
             x = self._half
             if x is None:
                 w = self._word()
@@ -178,7 +218,10 @@ class _Draws:
             m = x * n
             # reject the low products that would bias the result
             if m & _LOW32 >= (2 ** 32 - n) % n:
-                return m >> 32
+                i = m >> 32
+                break
+        # random() < 0.5 exactly when the word's top bit is clear
+        return 2 * i + (self._word() >> 63)
 
 
 class TraceRow(NamedTuple):
@@ -190,7 +233,7 @@ class TraceRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Best strategy found plus its independently re-evaluated metrics."""
+    """Best strategy found plus its re-evaluated metrics."""
 
     s: StrategyVector
     predicted_time: float
@@ -223,9 +266,13 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
         raise DataError("iters must be >= 1")
     if not 0.0 < cooling < 1.0:
         raise DataError("cooling must be in (0, 1)")
-    draws = _Draws(seed)
-    pick, uniform = draws.integers, draws.random
+    # a step of 0 or nan never moves and a negative one runs another chain
+    if not 0.0 < step <= 1.0:
+        raise DataError("step must be in (0, 1]")
+    if t0 is not None and not 0.0 <= t0 < math.inf:
+        raise DataError("t0 must be finite and >= 0")
     n = len(problem.specs)
+    two_n = 2 * n
 
     base_time = total_time(problem.specs, np.zeros(n), problem.latency)
     min_time = total_time(problem.specs, np.ones(n), problem.latency)
@@ -234,61 +281,99 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     if t0 is None:
         t0 = 0.1 * max(base_time, 1.0)
 
-    def penalized(ev: Evaluation) -> float:
-        return ev.time + lam * _violation_measure(ev, problem.budget)
+    # fraction ids: fracs[f] is the float, moved[2 * f + down] the id one
+    # step up or down from it (-1 until resolved); keyed on the exact float
+    # and never on a grid index, as moves drift off the grid and latency
+    # reads the exact fraction
+    fracs, frac_ids, moved = [0.0], {0.0: 0}, [-1, -1]
 
     in_bytes = input_bytes(problem.specs[0], problem.m)
-    # each layer's terms, keyed on the exact fraction and never on a grid
-    # index: +-step moves drift off the grid, and layer_latency reads alpha
-    memo = [{} for _ in range(n)]
+    tables = problem._tables
+    # per layer, its terms by fraction id
+    terms = [{} for _ in range(n)]
 
-    def terms_at(i: int, alpha: float) -> LayerTerms:
-        t = memo[i].get(alpha)
-        if t is None:
-            t = memo[i][alpha] = layer_terms(problem, i, alpha)
-        return t
+    def terms_of(fids: tuple[int, ...]) -> list[LayerTerms]:
+        out = []
+        for memo, table, f in zip(terms, tables, fids):
+            t = memo.get(f)
+            if t is None:
+                t = memo[f] = table.terms(fracs[f])
+            out.append(t)
+        return out
 
-    # about nine in ten candidates are states the chain has proposed before
-    visited: dict[tuple[float, ...], tuple[float, bool, float]] = {}
+    # state k: its fraction ids, predicted time, feasibility, penalized
+    # objective, and in nbrs[two_n * k + slot] its neighbour by move slot
+    # (-1 until resolved)
+    state_ids: dict[tuple[int, ...], int] = {}
+    states: list[tuple[int, ...]] = []
+    times: list[float] = []
+    oks: list[bool] = []
+    objs: list[float] = []
+    nbrs: list[int] = []
 
-    def visit(s: tuple[float, ...]) -> tuple[float, bool, float]:
-        """Predicted time, feasibility and penalized objective of a new state."""
-        ev = _combine([terms_at(i, a) for i, a in enumerate(s)], in_bytes,
-                      problem)
-        seen = visited[s] = (ev.time, ev.feasible, penalized(ev))
-        return seen
+    def number(fids: tuple[int, ...]) -> int:
+        k = state_ids.get(fids)
+        if k is None:
+            ev = _combine(terms_of(fids), in_bytes, problem)
+            k = state_ids[fids] = len(states)
+            states.append(fids)
+            times.append(ev.time)
+            oks.append(ev.feasible)
+            objs.append(ev.time + lam * _violation_measure(ev, problem.budget))
+            nbrs.extend(repeat(-1, two_n))
+        return k
 
-    cur = (0.0,) * n
-    cur_time, cur_feasible, cur_obj = visit(cur)
-    best_feasible = cur if cur_feasible else None
-    best_feasible_time = cur_time if cur_feasible else math.inf
-    best_pen = cur
-    best_pen_obj = cur_obj
+    def neighbour(k: int, slot: int) -> int:
+        """State ``k`` with layer ``slot >> 1`` moved up (even ``slot``) or
+        down (odd)."""
+        fids = states[k]
+        i = slot >> 1
+        j = 2 * fids[i] + (slot & 1)
+        g = moved[j]
+        if g < 0:
+            v = fracs[fids[i]]
+            v = min(1.0, max(0.0, v - step if slot & 1 else v + step))
+            g = frac_ids.get(v)
+            if g is None:
+                g = frac_ids[v] = len(fracs)
+                fracs.append(v)
+                moved.extend((-1, -1))
+            moved[j] = g
+        nbrs[two_n * k + slot] = nbr = number((*fids[:i], g, *fids[i + 1:]))
+        return nbr
 
-    temp = float(t0)
-    temps, objs, oks = [temp], [cur_obj], [cur_feasible]
-    for it in range(1, iters + 1):
-        i = pick(n)
-        sign = 1.0 if uniform() < 0.5 else -1.0
-        cand = (*cur[:i], min(1.0, max(0.0, cur[i] + sign * step)), *cur[i + 1:])
-        time, ok, obj = visited.get(cand) or visit(cand)
-        accept = obj <= cur_obj or uniform() < math.exp(
-            min(0.0, (cur_obj - obj) / max(temp, 1e-12)))
-        if accept:
+    # temps[it - 1] is the temperature step it is judged at
+    temps = list(accumulate(repeat(cooling, iters - 1), mul,
+                            initial=float(t0)))
+    draws = _Draws(seed)
+    move, uniform = draws.move, draws.random
+    cur = number((0,) * n)
+    cur_obj = objs[cur]
+    cands, curs = [cur], [cur]
+    for temp in temps:
+        slot = move(n)
+        cand = nbrs[two_n * cur + slot]
+        if cand < 0:
+            cand = neighbour(cur, slot)
+        obj = objs[cand]
+        # uphill, obj > cur_obj: the exponent is negative
+        if obj <= cur_obj or uniform() < math.exp(
+                (cur_obj - obj) / max(temp, 1e-12)):
             cur, cur_obj = cand, obj
-        if ok and time < best_feasible_time:
-            best_feasible, best_feasible_time = cand, time
-        if obj < best_pen_obj:
-            best_pen, best_pen_obj = cand, obj
-        temps.append(temp)
-        objs.append(cur_obj)
-        oks.append(ok)
-        temp *= cooling
+        cands.append(cand)
+        curs.append(cur)
 
-    chosen = best_feasible if best_feasible is not None else best_pen
-    final = evaluate(chosen, problem)
+    # states are numbered in the order the chain first proposed them, so the
+    # lowest-numbered minimum is the first one visited
+    feasible_states = [k for k, ok in enumerate(oks) if ok]
+    if feasible_states:
+        chosen = min(feasible_states, key=times.__getitem__)
+    else:
+        chosen = min(range(len(states)), key=objs.__getitem__)
+    s = StrategyVector(tuple(fracs[f] for f in states[chosen]))
+    final = evaluate(s, problem)
     return ScheduleResult(
-        s=StrategyVector(tuple(float(a) for a in chosen)),
+        s=s,
         predicted_time=final.time,
         predicted_size=final.size,
         predicted_ram=final.ram,
@@ -298,7 +383,9 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
         iterations=iters,
         # TraceRow._make without a Python call per row
         trace=tuple(map(tuple.__new__, repeat(TraceRow),
-                        zip(range(iters + 1), temps, objs, oks))),
+                        zip(range(iters + 1), chain((float(t0),), temps),
+                            map(objs.__getitem__, curs),
+                            map(oks.__getitem__, cands)))),
     )
 
 

@@ -557,6 +557,17 @@ class TestCli:
                      "--dlmax", "0", "--seed", "0", "--iters", "100"])
         assert code == 2
 
+    @pytest.mark.parametrize("setting", [["--step", "0"], ["--step", "nan"],
+                                         ["--step", "-0.05"], ["--t0", "nan"]])
+    def test_meaningless_search_settings_exit_3(self, workdir, capsys,
+                                                setting):
+        tmp, _, model_path, grads_path, _ = workdir
+        code = main(["prune", str(model_path), str(grads_path),
+                     str(tmp / "x.fltb"), "--flash", "2000", "--ram",
+                     "10000000", "--dlmax", "1e9", "--iters", "20", *setting])
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_grads_exits_3(self, workdir, capsys):
         tmp, model, model_path, _, _ = workdir
         code = main(["prune", str(model_path), str(tmp / "nope.fltb"),

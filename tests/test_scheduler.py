@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from filterlet.bundle import bundle_from_model, run_bundle
 from filterlet.costmodel import Budget, LatencyParams, StrategyVector, \
     model_size, runtime_memory, total_time
 from filterlet.errors import DataError, TopologyError
+from filterlet.fwcs import FilterletMask
 from filterlet.importance import GradientBundle, ImportanceMap, build_mask, \
     delta_loss, score_model
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
-from filterlet.scheduler import _CHUNK, ScheduleProblem, _Draws, anneal, \
-    evaluate, feasible, plan_and_pack
+from filterlet.scheduler import _CHUNK, ScheduleProblem, ScheduleResult, \
+    TraceRow, _Draws, anneal, evaluate, plan_and_pack
 from filterlet.tensor import ConvLayerSpec, Tensor
 
 LAT = LatencyParams(1.0, 1.0, 2.0, 2.0, lanes=4)
@@ -78,23 +80,120 @@ def trace_digest(trace):
     return h.hexdigest()[:16]
 
 
+def reference_anneal(problem, seed=0, iters=5000, t0=None, cooling=0.995,
+                     step=0.05):
+    """The annealing chain as a plain loop over strategy tuples: numpy's
+    Generator draws, a dict of visited strategies, and every metric of a new
+    strategy re-derived from all of its masks by the whole-model functions.
+    ``anneal`` must equal it bit for bit, trace included."""
+    rng = np.random.default_rng(seed)
+    specs, budget, n = problem.specs, problem.budget, len(problem.specs)
+    base_time = total_time(specs, np.zeros(n), problem.latency)
+    min_time = total_time(specs, np.ones(n), problem.latency)
+    lam = 10.0 * max(base_time - min_time, 1.0)
+    if t0 is None:
+        t0 = 0.1 * max(base_time, 1.0)
+
+    def metrics(s):
+        masks = build_mask(problem.importance, s)
+        time = total_time(specs, s, problem.latency)
+        size = model_size(specs, s, problem.m)
+        dl = delta_loss(problem.importance, masks)
+        ram = runtime_memory(specs, s, problem.m,
+                             kept_channels=[m.kept_channels() for m in masks])
+        violations, v = {}, 0.0
+        if dl > budget.dl_max:
+            violations["dl"] = (dl, budget.dl_max)
+            v += (dl - budget.dl_max) / max(budget.dl_max, 1e-12)
+        if size > budget.mem_flash:
+            violations["flash"] = (float(size), float(budget.mem_flash))
+            v += (size - budget.mem_flash) / budget.mem_flash
+        if ram > budget.mem_ram:
+            violations["ram"] = (float(ram), float(budget.mem_ram))
+            v += (ram - budget.mem_ram) / budget.mem_ram
+        return (time, size, ram, dl, violations), time + lam * v
+
+    visited = {}
+
+    def visit(s):
+        if s not in visited:
+            visited[s] = metrics(s)
+        (time, _, _, _, violations), obj = visited[s]
+        return time, not violations, obj
+
+    cur = (0.0,) * n
+    cur_time, cur_feasible, cur_obj = visit(cur)
+    best_feasible = cur if cur_feasible else None
+    best_feasible_time = cur_time if cur_feasible else math.inf
+    best_pen, best_pen_obj = cur, cur_obj
+    temp = float(t0)
+    rows = [TraceRow(0, temp, cur_obj, cur_feasible)]
+    for it in range(1, iters + 1):
+        i = rng.integers(n)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        cand = (*cur[:i], min(1.0, max(0.0, cur[i] + sign * step)),
+                *cur[i + 1:])
+        time, ok, obj = visit(cand)
+        if obj <= cur_obj or rng.random() < math.exp(
+                min(0.0, (cur_obj - obj) / max(temp, 1e-12))):
+            cur, cur_obj = cand, obj
+        if ok and time < best_feasible_time:
+            best_feasible, best_feasible_time = cand, time
+        if obj < best_pen_obj:
+            best_pen, best_pen_obj = cand, obj
+        rows.append(TraceRow(it, temp, cur_obj, ok))
+        temp *= cooling
+    chosen = best_feasible if best_feasible is not None else best_pen
+    (time, size, ram, dl, violations), _ = visited[chosen]
+    return ScheduleResult(StrategyVector(chosen), time, size, ram, dl,
+                          not violations, violations, iters, tuple(rows))
+
+
+def small_chain_problem(rng, n_layers, budget):
+    """A random chain of ``n_layers`` small layers with random scores; the
+    budget kind is "flash" (flash and loss bind), "ram" (the dense model's
+    peak SRAM does not fit) or "infeasible" (no pruning allowed, and the
+    dense model does not fit flash)."""
+    specs, channels, side = [], int(rng.integers(1, 5)), int(rng.integers(7, 11))
+    for _ in range(n_layers):
+        k = int(rng.integers(1, 3))
+        spec = ConvLayerSpec(n_filters=int(rng.integers(2, 7)), kernel_h=k,
+                             kernel_w=k, channels=channels, input_h=side,
+                             input_w=side)
+        specs.append(spec)
+        channels, side = spec.n_filters, spec.out_h
+    imp = ImportanceMap(specs, [rng.random((s.n_filters, s.filterlets_per_filter))
+                                for s in specs])
+    zeros = [0.0] * n_layers
+    dense_flash = model_size(specs, zeros)
+    dense_ram = runtime_memory(specs, zeros)
+    total_dl = sum(float(s.sum()) for s in imp.scores)
+    flash_share, ram_share, dl_share = {"flash": (0.6, 1.0, 0.35),
+                                        "ram": (1.0, 0.7, 0.6),
+                                        "infeasible": (0.5, 1.0, 0.0)}[budget]
+    return ScheduleProblem(specs, imp, Budget(
+        mem_flash=int(flash_share * dense_flash),
+        mem_ram=int(ram_share * dense_ram),
+        dl_max=dl_share * total_dl), LAT)
+
+
 class TestFeasible:
     def test_all_ones_with_zero_dl_budget(self):
         problem = two_layer_problem(dl_frac=0.0)
-        ok, report = feasible([1.0, 1.0], problem)
-        assert not ok and "dl" in report
+        ev = evaluate([1.0, 1.0], problem)
+        assert not ev.feasible and "dl" in ev.violations
 
     def test_all_zeros_with_huge_budgets(self):
         problem = two_layer_problem(flash_frac=10.0, dl_frac=1.0)
-        ok, report = feasible([0.0, 0.0], problem)
-        assert ok and report == {}
+        ev = evaluate([0.0, 0.0], problem)
+        assert ev.feasible and ev.violations == {}
 
     def test_agrees_with_direct_constraint_evaluation(self):
         rng = np.random.default_rng(7)
         problem = two_layer_problem()
         for _ in range(50):
             s = list(rng.uniform(0, 1, 2))
-            ok, _ = feasible(s, problem)
+            ok = evaluate(s, problem).feasible
             masks = build_mask(problem.importance, s)
             want = (
                 delta_loss(problem.importance, masks) <= problem.budget.dl_max
@@ -180,6 +279,21 @@ class TestAnneal:
             anneal(problem, iters=0)
         with pytest.raises(DataError):
             anneal(problem, cooling=1.5)
+
+    # a step of 0 or nan never moves, a negative or inf one runs another
+    # chain, and a t0 of nan accepts every candidate
+    @pytest.mark.parametrize("kwargs", [
+        {"step": 0.0}, {"step": math.nan}, {"step": -0.05}, {"step": 1.5},
+        {"step": math.inf}, {"t0": math.nan}, {"t0": -1.0}, {"t0": math.inf}])
+    def test_meaningless_search_settings_are_rejected(self, kwargs):
+        with pytest.raises(DataError):
+            anneal(two_layer_problem(), iters=10, **kwargs)
+
+    def test_extreme_settings_still_search(self):
+        problem = two_layer_problem(flash_bytes=1, dl_frac=1.0)
+        for kwargs in ({"step": 1.0}, {"t0": 0.0}):
+            result = anneal(problem, seed=1, iters=400, **kwargs)
+            assert result.feasible and result.s.alphas == (1.0, 1.0)
 
 
 def int8_model(seed=0, n_layers=1):
@@ -324,31 +438,83 @@ class TestDraws:
     """The chain's draw reader must equal ``np.random.default_rng(seed)``
     call for call; this fails if numpy changes the Generator's stream."""
 
-    # 1 draws nothing, 6 is a layer count, 2**31 + 5 rejects about half of
-    # its 32-bit draws
+    # 1 draws no integer, 6 is a layer count, 2**31 + 5 rejects about half
+    # of its 32-bit draws
     NS = (1, 2, 3, 6, 7, 100, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32)
+
+    @staticmethod
+    def numpy_move(rng, n):
+        i = rng.integers(n)
+        return 2 * i + (rng.random() >= 0.5)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_random_interleaving_matches_numpy(self, seed):
         plan = np.random.default_rng([seed, 7])
         draws, rng = _Draws(seed), np.random.default_rng(seed)
-        # about 3 words per 4 draws: several chunks' worth of words
+        # about 5 words per 4 draws: several chunks' worth of words
         for _ in range(5 * _CHUNK):
             if plan.random() < 0.5:
                 assert draws.random() == rng.random()
             else:
                 n = self.NS[plan.integers(len(self.NS))]
-                assert draws.integers(n) == rng.integers(n)
+                assert draws.move(n) == self.numpy_move(rng, n)
 
     def test_buffered_half_crosses_a_refill(self):
-        # the last word of the first chunk gives an integer its low half, a
-        # float refills, and the next integer takes the buffered high half
+        # the last word of the first chunk gives a move's layer its low
+        # half, its coin refills, and the next move's layer takes the
+        # buffered high half
         draws, rng = _Draws(11), np.random.default_rng(11)
         for _ in range(_CHUNK - 1):
             assert draws.random() == rng.random()
         for _ in range(3):
-            assert draws.integers(6) == rng.integers(6)
+            assert draws.move(6) == self.numpy_move(rng, 6)
             assert draws.random() == rng.random()
+
+
+class TestAgainstReferenceChain:
+    STEPS = (0.05, 0.07, 0.1, 0.3, 1.0)
+    BUDGETS = ("flash", "ram", "infeasible")
+
+    @pytest.mark.parametrize("iters", (1, 50, 2000))
+    @pytest.mark.parametrize("step", STEPS)
+    def test_equals_the_reference_chain(self, step, iters):
+        for b, budget in enumerate(self.BUDGETS):
+            case = [self.STEPS.index(step), iters, b]
+            rng = np.random.default_rng(case)
+            n_layers = 1 + (sum(case) % 4)
+            problem = small_chain_problem(rng, n_layers, budget)
+            dense = evaluate([0.0] * n_layers, problem)
+            if budget == "ram":
+                assert "ram" in dense.violations
+            kwargs = {"seed": int(rng.integers(1000)), "iters": iters,
+                      "step": step,
+                      "t0": (None, 0.0, 30.0, 1e6)[rng.integers(4)],
+                      "cooling": (0.995, 0.9, 0.5)[rng.integers(3)]}
+            got = anneal(problem, **kwargs)
+            assert got == reference_anneal(problem, **kwargs), (budget, kwargs)
+            if budget == "infeasible":
+                assert not got.feasible
+
+    def test_one_sort_per_layer_and_one_mask_per_kept_count(self, monkeypatch):
+        problem = six_layer_problem(ram_share=0.6, dl_share=0.6,
+                                    flash_share=1.0)
+        layer_of = {id(spec): i for i, spec in enumerate(problem.specs)}
+        sorts, masks = [], []
+        argsort, post_init = np.argsort, FilterletMask.__post_init__
+
+        def counting_argsort(*args, **kwargs):
+            sorts.append(1)
+            return argsort(*args, **kwargs)
+
+        def counting_post_init(mask):
+            post_init(mask)
+            masks.append((layer_of[id(mask.spec)], int(mask.kept.sum())))
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        monkeypatch.setattr(FilterletMask, "__post_init__", counting_post_init)
+        anneal(problem, seed=5, iters=2000)
+        assert len(sorts) <= len(problem.specs)
+        assert masks and len(masks) == len(set(masks))
 
 
 class TestPinnedAnneal:
