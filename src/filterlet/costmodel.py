@@ -15,7 +15,7 @@ from scipy.optimize import nnls
 from .errors import DataError, FitError
 from .fwcs import INDEX_BITS_DEFAULT, kept_count
 from .model import check_chain
-from .tensor import ConvLayerSpec
+from .tensor import ConvLayerSpec, is_integer
 
 _PARAM_NAMES = ("t_mem", "t_idx", "t_com", "t_post")
 
@@ -74,6 +74,9 @@ class LatencyParams:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise DataError(f"{name} must be finite and non-negative")
+        if not is_integer(self.lanes):
+            raise DataError(f"lanes {self.lanes!r} is not an integer")
+        object.__setattr__(self, "lanes", int(self.lanes))
         if self.lanes < 1:
             raise DataError("lanes must be >= 1")
 
@@ -236,17 +239,26 @@ def save_latency_params(path, p: LatencyParams) -> None:
 
 def load_latency_params(path) -> LatencyParams:
     vals: dict[str, float] = {}
+    lanes = 4
     with open(path, encoding="utf-8") as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            vals[key.strip()] = float(val)
+            key = key.strip()
+            if key != "lanes":
+                vals[key] = float(val)
+            else:
+                try:
+                    lanes = int(val)
+                except ValueError:
+                    raise DataError(
+                        f"lanes {val.strip()!r} is not an integer") from None
     try:
         return LatencyParams(
             vals["t_mem"], vals["t_idx"], vals["t_com"], vals["t_post"],
-            lanes=int(vals.get("lanes", 4)),
+            lanes=lanes,
         )
     except KeyError as e:
         raise DataError(f"missing latency parameter {e}") from None

@@ -22,23 +22,33 @@ filterlet, where a unit's registers depend only on a small rotation phase.
 ``layer_stream`` picks the description from the type of the layer as
 stored and returns it as a ``LayerStream``.  Lowering expands it, counting
 multiplies each unit's counts by its repeats, and ``LayerStream.cycles``
-runs the same issue loop as ``simulate`` over it without expanding it.
-Each distinct unit is compiled once per machine into issue ops, with its
-durations resolved and its registers and kinds checked when it is
-compiled; a run of loads without a destination, such as a block's patch
-prefetch, only moves the memory unit on and becomes one step.  After each
-unit and each block the issue state is keyed on the phase and on every
-time relative to the memory unit's next free cycle, with times that can no
-longer delay anything clamped.  Equal keys give equal futures up to a
-shift, so when a key recurs after P steps and D cycles, whole periods are
-skipped by adding D per period to every time, and only the remainder is
-simulated.  The cycle count is exact.
+prices it without expanding it.
+
+Every timing rule sets a start cycle to a max of earlier times plus fixed
+offsets, so issuing one instruction is a max-plus map of a flat issue state:
+the memory unit's and the ALU's next free cycles, then per register the
+first cycle a MAC may read it and the last cycle of its latest reader.  The
+rules are written once, as these per-instruction maps; ``simulate`` applies
+them one instruction at a time.  Maps compose exactly, so each block's units
+are compiled once per machine, with their registers and kinds checked then:
+per rotation phase, the map of that phase's unit and the map of a whole
+phase cycle (the units after which the phase is back where it started).
+``LayerStream.cycles`` assigns the stream's slots once, checks up front that
+no MAC reads a register before a load writes it, and applies a block's cycle
+maps in place of its units.  After each cycle and each repeat the state is
+keyed on the phase and on every slot relative to the memory unit's next
+free cycle, as a flat tuple, with times that can no longer delay anything
+clamped.  Equal keys give equal futures up to a shift, so when a key recurs
+after P steps and D cycles, whole periods are skipped by adding D per
+period to every slot, and only the remainder is applied.  The cycle count
+is exact.
 """
 
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from math import gcd
 from typing import NamedTuple
 
 from .errors import ConfigError, StreamError
@@ -98,8 +108,8 @@ class MachineConfig:
 class Instruction(NamedTuple):
     """One abstract op.  Registers are names like 'q0' (vector) or 's1' (scalar).
 
-    A tuple, so a unit of them hashes quickly as a key of the compiled-unit
-    memo.
+    A tuple, so each distinct instruction is mapped once per compiled
+    block or simulated stream.
     """
 
     kind: str
@@ -175,115 +185,128 @@ def _check_register(name: str | None, cfg: MachineConfig) -> None:
         )
 
 
-# Issue ops, each (tag, register(s), duration): a load into one register, a
-# MAC reading a tuple of registers, or a step moving the memory unit on.
-_LOAD, _MAC, _ADVANCE = range(3)
+# The issue state is a flat list of slots: the memory unit's next free cycle,
+# the ALU's, then for the k-th register the first cycle a MAC may read it
+# (slot 2 + 2k) and the last cycle of its latest reader (slot 3 + 2k).
+_MEM, _ALU = 0, 1
 
 
-def _op(ins: Instruction, cfg: MachineConfig) -> tuple:
-    """``ins`` as one issue op under ``cfg``; its registers and kind are
-    checked here."""
+class _Map(NamedTuple):
+    """A max-plus map of the issue state.
+
+    Slot ``slots[i]`` becomes the max of ``state[src] + offset`` over the
+    pairs ``terms[i]``, all read before any slot is written; every other
+    slot keeps its value.
+    """
+
+    slots: tuple[int, ...]
+    terms: tuple[tuple[tuple[int, int], ...], ...]
+    needs: frozenset[str]  # registers read before the map loads them
+    loads: frozenset[str]
+
+
+_IDENTITY = _Map((), (), frozenset(), frozenset())
+
+
+def _plus(terms, offset: int) -> tuple:
+    return tuple((src, off + offset) for src, off in terms)
+
+
+def _op_map(ins: Instruction, cfg: MachineConfig, slot: dict[str, int]) -> _Map:
+    """The map issuing ``ins`` under ``cfg``, over registers whose ready
+    slots ``slot`` gives; its registers and kind are checked here."""
     d = duration(ins, cfg)
     if ins.kind in _MEM_KINDS:
         _check_register(ins.dst, cfg)
-        # a load without a destination reads and writes no register
-        return (_ADVANCE, None, d) if ins.dst is None else (_LOAD, ins.dst, d)
+        if ins.dst is None:  # reads and writes no register
+            return _Map((_MEM,), (((_MEM, d),),), frozenset(), frozenset())
+        ready = slot[ins.dst]
+        # WAR: every earlier consumer of this register must be done
+        start = ((_MEM, 0), (ready + 1, 1))
+        # a consumer may start once the first slice is in, or, with overlap
+        # disabled, once the whole load is
+        first = 1 if cfg.overlap_enabled else d
+        return _Map((_MEM, ready), (_plus(start, d), _plus(start, first)),
+                    frozenset(), frozenset((ins.dst,)))
     if ins.kind in _ALU_KINDS:
         for r in ins.srcs:
             _check_register(r, cfg)
-        return (_MAC, ins.srcs, d)
+        regs = tuple(dict.fromkeys(ins.srcs))
+        start = ((_ALU, 0),) + tuple((slot[r], 0) for r in regs)
+        # MACs end in issue order, so this is each reader's last end
+        return _Map((_ALU,) + tuple(slot[r] + 1 for r in regs),
+                    (_plus(start, d),) + (_plus(start, d - 1),) * len(regs),
+                    frozenset(regs), frozenset())
     raise StreamError(f"unknown instruction kind {ins.kind!r}")
 
 
-@lru_cache(maxsize=256)
-def _compile(unit: tuple[Instruction, ...], cfg: MachineConfig) -> tuple:
-    """The issue ops of ``unit`` under ``cfg``, each run of memory-unit steps
-    merged into one."""
-    ops: list[tuple] = []
-    # one object per distinct op keeps the memo small
-    shared: dict[tuple, tuple] = {}
-    for ins in unit:
-        op = _op(ins, cfg)
-        if op[0] == _ADVANCE and ops and ops[-1][0] == _ADVANCE:
-            op = (_ADVANCE, None, ops.pop()[2] + op[2])
-        ops.append(shared.setdefault(op, op))
-    return tuple(ops)
+def _compose(first: _Map, then: _Map) -> _Map:
+    """``then`` applied after ``first``, as one map."""
+    before = dict(zip(first.slots, first.terms))
+    rows = dict(before)
+    for s, terms in zip(then.slots, then.terms):
+        best: dict[int, int] = {}
+        for src, off in terms:
+            for s0, off0 in before.get(src, ((src, 0),)):
+                if s0 not in best or off + off0 > best[s0]:
+                    best[s0] = off + off0
+        rows[s] = tuple(best.items())
+    return _Map(tuple(rows), tuple(rows.values()),
+                first.needs | (then.needs - first.loads),
+                first.loads | then.loads)
 
 
-class _Timing:
-    """Resumable issue state of the two units; every simulation path runs it."""
+def _apply(m: _Map, x: list[int]) -> None:
+    for s, v in zip(m.slots, [max([x[src] + off for src, off in terms])
+                              for terms in m.terms]):
+        x[s] = v
 
-    def __init__(self, cfg: MachineConfig):
-        self.cfg = cfg
-        self.mem_free = 1
-        self.alu_free = 1
-        self.ready: dict[str, int] = {}  # first cycle a MAC may read it
-        self.reader_end: dict[str, int] = {}
 
-    @property
-    def total(self) -> int:
-        # each unit's latest op ends the cycle before it frees; 0 if none ran
-        return max(self.mem_free, self.alu_free) - 1
+def _check_reads(m: _Map, loaded: set[str]) -> None:
+    """Raise unless every register ``m`` reads first is in ``loaded``, then
+    add the registers it loads."""
+    missing = m.needs - loaded
+    if missing:
+        raise StreamError(f"MAC reads {min(missing)} before any load wrote it")
+    loaded |= m.loads
 
-    def run(self, ops) -> None:
-        """Issue compiled ops in order after everything issued so far."""
-        overlap = self.cfg.overlap_enabled
-        mem_free, alu_free = self.mem_free, self.alu_free
-        ready, reader_end = self.ready, self.reader_end
-        for tag, regs, d in ops:
-            if tag == _LOAD:
-                # WAR: every earlier consumer of this register must be done
-                start = max(mem_free, reader_end.get(regs, 0) + 1)
-                # a consumer may start once the first slice is in, or, with
-                # overlap disabled, once the whole load is
-                ready[regs] = start + 1 if overlap else start + d
-                mem_free = start + d
-            elif tag == _MAC:
-                start = alu_free
-                for r in regs:
-                    if r not in ready:
-                        raise StreamError(f"MAC reads {r} before any load wrote it")
-                    start = max(start, ready[r])
-                alu_free = start + d
-                # MACs end in issue order, so this is each reader's last end
-                for r in regs:
-                    reader_end[r] = alu_free - 1
-            else:
-                mem_free += d
-        self.mem_free, self.alu_free = mem_free, alu_free
 
-    def key(self) -> tuple:
-        """Everything that decides later issue times, relative to ``mem_free``.
+def _key(phase: int, x: list[int]) -> tuple:
+    """Everything that decides later issue times, relative to the memory
+    unit's next free cycle.
 
-        A load never starts before ``mem_free`` and a MAC never before
-        ``alu_free``, both of which only grow, so a reader end below
-        ``mem_free`` and a ready cycle at or below ``alu_free`` can no longer
-        bind and are clamped to ``mem_free - 1`` and ``alu_free``.
-        """
-        m, a = self.mem_free, self.alu_free
-        return (a - m,
-                tuple((r, max(v, m - 1) - m) for r, v in self.reader_end.items()),
-                tuple((r, max(v, a) - m) for r, v in self.ready.items()))
-
-    def shift(self, cycles: int) -> None:
-        self.mem_free += cycles
-        self.alu_free += cycles
-        for times in (self.ready, self.reader_end):
-            for r in times:
-                times[r] += cycles
+    A load never starts before the memory unit is free and a MAC never
+    before the ALU is, and both only grow, so a reader end below the one
+    and a ready cycle at or below the other can no longer bind and are
+    clamped to them.
+    """
+    m, a = x[_MEM], x[_ALU]
+    return (phase, a - m, *[max(v, a) - m for v in x[2::2]],
+            *[max(v, m - 1) - m for v in x[3::2]])
 
 
 def simulate(stream, cfg: MachineConfig = MachineConfig()) -> CycleTrace:
     """Greedy in-order dual-unit schedule of ``stream``; cycles are 1-based."""
-    timing = _Timing(cfg)
+    x = [1, 1]
+    slot: dict[str, int] = {}  # a register's ready slot, from its first use
+    maps: dict[Instruction, tuple] = {}
+    loaded: set[str] = set()
     ops: list[ScheduledOp] = []
     for ins in stream:
-        op = _op(ins, cfg)
-        timing.run((op,))
+        if ins not in maps:
+            for r in (ins.dst, *ins.srcs):
+                if r is not None and r not in slot:
+                    slot[r] = len(x)
+                    x += [0, 0]
+            maps[ins] = (_op_map(ins, cfg, slot), duration(ins, cfg),
+                         _ALU if ins.kind in _ALU_KINDS else _MEM)
+        m, d, unit = maps[ins]
+        _check_reads(m, loaded)
+        _apply(m, x)
         # the op's unit is now free from the cycle after it ends
-        free = timing.alu_free if op[0] == _MAC else timing.mem_free
-        ops.append(ScheduledOp(ins, free - op[2], free - 1))
-    return CycleTrace(tuple(ops), timing.total)
+        ops.append(ScheduledOp(ins, x[unit] - d, x[unit] - 1))
+    # each unit's latest op ends the cycle before it frees; 0 if none ran
+    return CycleTrace(tuple(ops), max(x[_MEM], x[_ALU]) - 1)
 
 
 def two_mac_default_stream(span: int = 4) -> list[Instruction]:
@@ -312,29 +335,78 @@ def _chunk_lengths(size: int, lanes: int) -> tuple[int, ...]:
     return tuple(min(lanes, size - k) for k in range(0, size, lanes))
 
 
-def _repeat(timing: _Timing, n: int, phase: int, step) -> int:
-    """Apply ``step`` (phase -> next phase) ``n`` times from ``phase``.
+def _repeat(x: list[int], n: int, phase: int, step) -> int:
+    """Apply ``step`` (phase -> next phase, updating the state ``x``) ``n``
+    times from ``phase``.
 
     Once the phase and the clamped state repeat, with a period of P steps
-    and a gain of D cycles, the next whole periods are skipped by shifting
-    every time by D per period; the remainder is run step by step.
+    and a gain of D cycles, the next whole periods are skipped by adding D
+    per period to every slot; the remainder is run step by step.
     """
     seen: dict | None = {}
     i = 0
     while i < n:
         if seen is not None:
-            key = (phase, timing.key())
+            key = _key(phase, x)
             if key in seen:
                 j, mem_free = seen[key]
                 periods = (n - i) // (i - j)
-                timing.shift(periods * (timing.mem_free - mem_free))
+                gain = periods * (x[_MEM] - mem_free)
+                x[:] = [v + gain for v in x]
                 i += periods * (i - j)
                 seen = None
                 continue
-            seen[key] = (i, timing.mem_free)
+            seen[key] = (i, x[_MEM])
         phase = step(phase)
         i += 1
     return phase
+
+
+class _Program(NamedTuple):
+    """A block's units compiled for one machine: per phase, the map of its
+    unit and the map of one phase cycle, the ``period`` units after which
+    the phase first returns to where it started."""
+
+    variants: tuple  # held so that no other tuple takes its id in the memo
+    regs: tuple[str, ...]  # register k has the ready slot 2 + 2k
+    units: tuple[_Map, ...]
+    cycles: tuple[_Map, ...]
+    period: int
+
+
+def _compile(variants: tuple, step: int, cfg: MachineConfig) -> _Program:
+    """The unit variants of a block whose units advance the phase by
+    ``step``, as maps under ``cfg``."""
+    regs =tuple(sorted({r for unit in variants for ins in unit
+                         for r in (ins.dst, *ins.srcs) if r is not None}))
+    slot = {r: 2 + 2 * k for k, r in enumerate(regs)}
+    ops = {ins: _op_map(ins, cfg, slot)
+           for ins in dict.fromkeys(ins for unit in variants for ins in unit)}
+    units = tuple(reduce(_compose, [ops[ins] for ins in unit], _IDENTITY)
+                  for unit in variants)
+    n = len(units)
+    period = n // gcd(step, n)
+    cycles = tuple(reduce(_compose, [units[(p + k * step) % n]
+                                     for k in range(period)])
+                   for p in range(n))
+    return _Program(variants, regs, units, cycles, period)
+
+
+_PROGRAMS: dict[tuple, _Program] = {}
+
+
+def _program(variants: tuple, step: int, cfg: MachineConfig) -> _Program:
+    """``_compile``, memoized on the identity of ``variants``:
+    ``_rotating_units`` and ``_pinned_units`` are memoized themselves, so a
+    layer's units are the same object every time it is lowered, and hashing
+    every instruction of them would cost more than the memo saves."""
+    key = (id(variants), step, cfg)
+    prog = _PROGRAMS.get(key)
+    if prog is None:
+        if len(_PROGRAMS) >= 256:
+            del _PROGRAMS[next(iter(_PROGRAMS))]
+        prog = _PROGRAMS[key] = _compile(variants, step, cfg)
+    return prog
 
 
 @dataclass(frozen=True)
@@ -355,21 +427,37 @@ class _Block:
     def next_phase(self, phase: int) -> int:
         return (phase + self.step) % len(self.variants)
 
-    def run(self, timing: _Timing) -> None:
-        """Issue every repeat of the block after what ``timing`` has issued."""
-        units = [_compile(unit, timing.cfg) for unit in self.variants]
-        # the head's scalar loads only move the memory unit on
-        head = ((_ADVANCE, None, self.head),)
+    def check_reads(self, prog: _Program, loaded: set[str]) -> None:
+        """Raise if a MAC of the block reads a register that no load of
+        ``loaded`` or of the block has written before it.
 
-        def unit(phase: int) -> int:
-            timing.run(units[phase])
-            return self.next_phase(phase)
+        The first ``len(variants)`` units visit every phase the block
+        reaches, and a check that passes once passes for every later visit.
+        """
+        phase = self.phase
+        for _ in range(min(self.repeats * self.units, len(self.variants))):
+            _check_reads(prog.units[phase], loaded)
+            phase = self.next_phase(phase)
+
+    def run(self, prog: _Program, x: list[int]) -> None:
+        """Issue every repeat of the block after the state ``x``, whose
+        registers are ``prog.regs``."""
+        units, cycles = prog.units, prog.cycles
+        full, rest = divmod(self.units, prog.period)
+
+        def cycle(phase: int) -> int:
+            _apply(cycles[phase], x)
+            return phase
 
         def once(phase: int) -> int:
-            timing.run(head)
-            return _repeat(timing, self.units, phase, unit)
+            x[_MEM] += self.head  # the head's scalar loads only move it on
+            phase = _repeat(x, full, phase, cycle)
+            for _ in range(rest):
+                _apply(units[phase], x)
+                phase = self.next_phase(phase)
+            return phase
 
-        _repeat(timing, self.repeats, self.phase, once)
+        _repeat(x, self.repeats, self.phase, once)
 
 
 _COUNT_KEYS = {LOAD_VEC: "vector_loads", LOAD_SCALAR: "scalar_loads",
@@ -410,10 +498,21 @@ class LayerStream:
 
     def cycles(self) -> int:
         """Simulated cycles of the expanded stream, plus post-processing."""
-        timing = _Timing(self.cfg)
-        for b in self.blocks:
-            b.run(timing)
-        return timing.total + self.outputs * self.cfg.post_cycles
+        progs = [_program(b.variants, b.step, self.cfg) for b in self.blocks]
+        loaded: set[str] = set()
+        for b, prog in zip(self.blocks, progs):
+            b.check_reads(prog, loaded)
+        regs = sorted({r for prog in progs for r in prog.regs})
+        x = [1, 1] + [0, 0] * len(regs)
+        for b, prog in zip(self.blocks, progs):
+            # the block's own slots, gathered from the stream's and put back
+            idx = [_MEM, _ALU, *(2 + 2 * regs.index(r) + k
+                                 for r in prog.regs for k in (0, 1))]
+            local = [x[i] for i in idx]
+            b.run(prog, local)
+            for i, v in zip(idx, local):
+                x[i] = v
+        return max(x[_MEM], x[_ALU]) - 1 + self.outputs * self.cfg.post_cycles
 
 
 @lru_cache(maxsize=256)

@@ -51,7 +51,9 @@ class ImportanceMap:
             raise DataError("specs/scores length mismatch")
         mats = []
         for spec, s in zip(self.specs, self.scores):
-            s = np.asarray(s, dtype=np.float64)
+            # a copy nobody else can write: problems memoize terms of it
+            s = np.array(s, dtype=np.float64)
+            s.flags.writeable = False
             want = (spec.n_filters, spec.filterlets_per_filter)
             if s.shape != want:
                 raise DataError(f"score shape {s.shape} != {want}")

@@ -575,6 +575,20 @@ class TestCli:
                      "--dlmax", "1"])
         assert code == 3
 
+    @pytest.mark.parametrize("lanes, code", [("8", 0), ("4.9", 3), ("4.0", 3)])
+    def test_params_file_lanes_must_be_an_integer(self, workdir, capsys,
+                                                  lanes, code):
+        tmp, _, model_path, grads_path, _ = workdir
+        params = tmp / "params.txt"
+        params.write_text("t_mem=1.0\nt_idx=1.0\nt_com=2.0\nt_post=2.0\n"
+                          f"lanes={lanes}\n")
+        assert main(["prune", str(model_path), str(grads_path),
+                     str(tmp / "x.fltb"), "--flash", "10000000", "--ram",
+                     "10000000", "--dlmax", "1e9", "--iters", "10",
+                     "--params", str(params)]) == code
+        if code:
+            assert "lanes" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "bench"])
     def test_unreadable_bundle_exits_3(self, workdir, capsys, command):
         tmp, _, _, _, input_path = workdir

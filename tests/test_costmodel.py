@@ -150,6 +150,16 @@ class TestLayerLatency:
         assert total_time(specs, s, p) == pytest.approx(
             layer_latency(specs[0], 0.2, p) + layer_latency(specs[1], 0.7, p))
 
+    @pytest.mark.parametrize("lanes", [4.5, 4.0, True, "4", None])
+    def test_lanes_must_be_an_integer(self, lanes):
+        with pytest.raises(DataError, match="lanes"):
+            LatencyParams(1.0, 1.0, 2.0, 2.0, lanes=lanes)
+
+    def test_numpy_integer_lanes_become_python_ints(self):
+        p = LatencyParams(1.0, 1.0, 2.0, 2.0, lanes=np.int64(8))
+        assert type(p.lanes) is int
+        assert p == LatencyParams(1.0, 1.0, 2.0, 2.0, lanes=8)
+
     def test_params_must_be_non_negative(self):
         with pytest.raises(DataError):
             LatencyParams(-1.0, 0.0, 0.0, 0.0)
@@ -217,6 +227,14 @@ class TestPersistence:
         save_latency_params(path, p)
         back = load_latency_params(path)
         assert back == p
+
+    @pytest.mark.parametrize("text", ["4.9", "4.0", "four", "True", ""])
+    def test_non_integer_lanes_in_a_file_rejected(self, tmp_path, text):
+        path = tmp_path / "params.txt"
+        path.write_text(f"t_mem=1.0\nt_idx=1.0\nt_com=2.0\nt_post=2.0\n"
+                        f"lanes={text}\n")
+        with pytest.raises(DataError, match="lanes"):
+            load_latency_params(path)
 
     def test_samples_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

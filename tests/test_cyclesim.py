@@ -1,10 +1,15 @@
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from filterlet import cyclesim
 from filterlet.cyclesim import ComputeSchedule, Instruction, LOAD_SCALAR, \
-    LOAD_VEC, MAC_VEC, MachineConfig, dump_trace, layer_stream, lds, ldv, \
+    LOAD_VEC, LayerStream, MAC_SCALAR, MAC_VEC, MachineConfig, _Block, \
+    _apply, _check_reads, _compile, dump_trace, layer_stream, lds, ldv, macs, \
     macv, simulate, two_mac_default_stream, two_mac_pinned_stream
 from filterlet.errors import ConfigError, StreamError
 from filterlet.fwcs import FilterletMask, encode_csr, encode_fwcs, kept_count
@@ -392,3 +397,188 @@ class TestDumps:
         assert len(lines) == 7
         assert lines[0].startswith("1,LD q0 4,")
         assert all(line.count(",") == 2 for line in lines)
+
+
+class IssueState(NamedTuple):
+    mem_free: int
+    alu_free: int
+    ready: dict  # register -> first cycle a MAC may read it
+    reader_end: dict  # register -> last cycle of its latest reader
+
+
+FRESH = IssueState(1, 1, {}, {})
+
+
+def reference_issue(stream, cfg, state=FRESH) -> IssueState:
+    """Issue ``stream`` after ``state`` one instruction at a time, with the
+    three timing rules written out over dicts: the plain loop that the
+    simulator's composed maps must agree with."""
+    mem_free, alu_free = state.mem_free, state.alu_free
+    ready, reader_end = dict(state.ready), dict(state.reader_end)
+    for ins in stream:
+        d = cfg.vec_instr_cycles if ins.kind in (LOAD_VEC, MAC_VEC) else 1
+        if ins.kind in (MAC_VEC, MAC_SCALAR):
+            start = alu_free
+            for r in ins.srcs:
+                if r not in ready:
+                    raise StreamError(f"MAC reads {r} before any load wrote it")
+                start = max(start, ready[r])
+            alu_free = start + d
+            for r in ins.srcs:
+                reader_end[r] = alu_free - 1
+        elif ins.dst is None:
+            mem_free += d
+        else:
+            # a load waits for every earlier reader of its register to end
+            start = max(mem_free, reader_end.get(ins.dst, 0) + 1)
+            ready[ins.dst] = start + 1 if cfg.overlap_enabled else start + d
+            mem_free = start + d
+    return IssueState(mem_free, alu_free, ready, reader_end)
+
+
+def slots_of(state: IssueState, regs) -> list[int]:
+    """``state`` as the simulator's flat slots over the registers ``regs``."""
+    x = [state.mem_free, state.alu_free]
+    for r in regs:
+        x += [state.ready.get(r, 0), state.reader_end.get(r, 0)]
+    return x
+
+
+@st.composite
+def machines(draw):
+    return MachineConfig(vec_instr_cycles=draw(st.integers(1, 3)),
+                         overlap_enabled=draw(st.booleans()),
+                         register_count=draw(st.integers(3, 11)))
+
+
+@st.composite
+def pools(draw, cfg):
+    """A few vector registers of ``cfg``'s file and a few scalar ones."""
+    q = draw(st.lists(st.integers(0, cfg.register_count - 1), min_size=1,
+                      max_size=4, unique=True))
+    s = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    return [f"q{k}" for k in q], [f"s{k}" for k in s]
+
+
+def load_list(pool):
+    q, s = pool
+    return [ldv(r, span) for r in q for span in (1, 3)] + \
+        [lds(r) for r in s] + [lds()]
+
+
+def instructions(pool):
+    q, s = pool
+    return st.sampled_from(
+        load_list(pool) + [macv(a, b, span) for a in q for b in q
+                           for span in (1, 3)]
+        + [macs((a, b)) for a in s for b in s])
+
+
+class TestAgainstReferenceIssue:
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(data=st.data())
+    def test_a_unit_map_gives_the_reference_slots(self, data):
+        cfg = data.draw(machines())
+        pool = data.draw(pools(cfg))
+        before = reference_issue(data.draw(st.lists(st.sampled_from(
+            load_list(pool)), max_size=8)),
+                                 cfg)
+        unit = tuple(data.draw(st.lists(instructions(pool), min_size=1,
+                                        max_size=10)))
+        prog = _compile((unit,), 1, cfg)
+        loaded = set(before.ready)
+        try:
+            want = reference_issue(unit, cfg, before)
+        except StreamError:
+            with pytest.raises(StreamError):
+                _check_reads(prog.units[0], loaded)
+            return
+        _check_reads(prog.units[0], loaded)
+        x = slots_of(before, prog.regs)
+        _apply(prog.units[0], x)
+        assert x == slots_of(want, prog.regs)
+        assert loaded == set(want.ready)
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(data=st.data())
+    def test_blocks_price_like_the_reference_on_their_expansion(self, data):
+        cfg = data.draw(machines())
+        blocks = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            pool = data.draw(pools(cfg))
+            if data.draw(st.booleans()):
+                # load every register of the pool first, so that most
+                # streams read nothing unloaded
+                blocks.append(_Block(1, 0, 1, (tuple(
+                    ldv(r) for r in pool[0]) + tuple(lds(r) for r in pool[1]),
+                ), 0))
+            n = data.draw(st.integers(1, 4))
+            variants = tuple(
+                tuple(data.draw(st.lists(instructions(pool), min_size=1,
+                                         max_size=6)))
+                for _ in range(n))
+            blocks.append(_Block(
+                repeats=data.draw(st.integers(0, 12)),
+                head=data.draw(st.integers(0, 5)),
+                units=data.draw(st.integers(0, 24)), variants=variants,
+                step=data.draw(st.integers(0, 5)),
+                phase=data.draw(st.integers(0, n - 1))))
+        stream = LayerStream(tuple(blocks), data.draw(st.integers(0, 3)), cfg)
+        ops = stream.expand()
+        try:
+            want = reference_issue(ops, cfg)
+        except StreamError:
+            with pytest.raises(StreamError):
+                stream.cycles()
+            with pytest.raises(StreamError):
+                simulate(ops, cfg)
+            return
+        total = max(want.mem_free, want.alu_free) - 1
+        assert simulate(ops, cfg).total_cycles == total
+        assert stream.cycles() == total + stream.outputs * cfg.post_cycles
+
+    def test_a_read_before_any_load_raises_before_anything_is_issued(
+            self, monkeypatch):
+        applied = []
+        monkeypatch.setattr(cyclesim, "_apply",
+                            lambda m, x: applied.append(m))
+        # the second block's second phase reads q2, which nothing loads
+        pair = (ldv("q0"), ldv("q1"), macv("q0", "q1"))
+        blocks = (_Block(20, 3, 5, (pair,), 0),
+                  _Block(4, 1, 3, ((ldv("q0"), macv("q0", "q0")),
+                                   (ldv("q1"), macv("q1", "q2"))), 1))
+        stream = LayerStream(blocks, 0, CFG)
+        with pytest.raises(StreamError, match="q2"):
+            stream.cycles()
+        assert applied == []
+        with pytest.raises(StreamError, match="q2"):
+            reference_issue(stream.expand(), CFG)
+        with pytest.raises(StreamError, match="q2"):
+            simulate(stream.expand(), CFG)
+
+
+class TestIssueCounts:
+    # map applications and period keys of one price_chain() layer; issuing
+    # one instruction, or one unit, at a time would take hundreds
+    PINNED = {ComputeSchedule.DEFAULT: (4, 9),
+              ComputeSchedule.REORDERED: (4, 9)}
+
+    @pytest.mark.parametrize("schedule", list(ComputeSchedule))
+    def test_one_layer_takes_a_few_maps_and_keys(self, monkeypatch, schedule):
+        spec, layer = price_chain()[0]
+        stream = layer_stream(layer, spec, schedule, MachineConfig())
+        applied, keys = [], []
+        apply, key = cyclesim._apply, cyclesim._key
+
+        def counting_apply(m, x):
+            applied.append(1)
+            apply(m, x)
+
+        def counting_key(phase, x):
+            keys.append(1)
+            return key(phase, x)
+
+        monkeypatch.setattr(cyclesim, "_apply", counting_apply)
+        monkeypatch.setattr(cyclesim, "_key", counting_key)
+        stream.cycles()
+        assert (len(applied), len(keys)) == self.PINNED[schedule]

@@ -433,6 +433,26 @@ class TestEvaluate:
             ScheduleProblem(problem.specs, ImportanceMap([s1], imp.scores),
                             problem.budget, LAT)
 
+    def test_scores_are_frozen_copies(self):
+        # the problem memoizes per-layer terms of the scores on first use,
+        # so an edit the caller makes afterwards must not reach them
+        problem = two_layer_problem()
+        source = [s.copy() for s in problem.importance.scores]
+        imp = ImportanceMap(problem.specs, source)
+        frozen = ScheduleProblem(problem.specs, imp, problem.budget, LAT)
+        before = evaluate([0.5, 0.3], frozen)
+        kept = [s.copy() for s in imp.scores]
+        for s in source:
+            s[...] = 7.0
+        assert all(np.array_equal(a, b) for a, b in zip(imp.scores, kept))
+        assert not any(s.flags.writeable for s in imp.scores)
+        assert evaluate([0.5, 0.3], frozen) == before
+        assert evaluate([0.5, 0.3],
+                        ScheduleProblem(problem.specs, imp, problem.budget,
+                                        LAT)) == before
+        with pytest.raises(ValueError):
+            imp.scores[0][0, 0] = 1.0
+
 
 class TestDraws:
     """The chain's draw reader must equal ``np.random.default_rng(seed)``
