@@ -9,7 +9,7 @@ layer's declared format followed by an optional bias tensor block.
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,31 +103,11 @@ class ModelBundle:
         check_chain([layer.spec for layer in self.layers])
 
     def manifest(self) -> dict:
-        layers = []
-        for layer in self.layers:
-            entry = {
-                "name": layer.name,
-                "format": layer.fmt,
-                "dtype": layer.dtype,
-                "has_bias": layer.has_bias,
-                "spec": {
-                    "n_filters": layer.spec.n_filters,
-                    "kernel_h": layer.spec.kernel_h,
-                    "kernel_w": layer.spec.kernel_w,
-                    "channels": layer.spec.channels,
-                    "input_h": layer.spec.input_h,
-                    "input_w": layer.spec.input_w,
-                    "stride": layer.spec.stride,
-                },
-                "quant": None if layer.quant is None else {
-                    "input_scale": layer.quant.input_scale,
-                    "weight_scale": layer.quant.weight_scale,
-                    "output_scale": layer.quant.output_scale,
-                    "input_zero_point": layer.quant.input_zero_point,
-                    "output_zero_point": layer.quant.output_zero_point,
-                },
-            }
-            layers.append(entry)
+        layers = [{"name": layer.name, "format": layer.fmt,
+                   "dtype": layer.dtype, "has_bias": layer.has_bias,
+                   "spec": asdict(layer.spec),
+                   "quant": None if layer.quant is None else asdict(layer.quant)}
+                  for layer in self.layers]
         return {"name": self.name, "role": self.role, "layers": layers}
 
     def to_bytes(self) -> bytes:

@@ -27,10 +27,7 @@ class StrategyVector:
     alphas: tuple[float, ...]
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
-        if any(not (0.0 <= a <= 1.0) or not np.isfinite(a) for a in alphas):
-            raise DataError(f"alpha outside [0, 1] in {alphas}")
-        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "alphas", strategy_alphas(self.alphas))
 
     def __len__(self):
         return len(self.alphas)
@@ -39,10 +36,18 @@ class StrategyVector:
         return iter(self.alphas)
 
 
-def _as_alphas(s) -> list[float]:
-    alphas = list(s.alphas) if isinstance(s, StrategyVector) else [float(a) for a in s]
-    if any(not (0.0 <= a <= 1.0) for a in alphas):
+def strategy_alphas(s, n_layers: int | None = None) -> tuple[float, ...]:
+    """The pruned fractions of strategy ``s``, a ``StrategyVector`` or any
+    sequence of reals, as floats.
+
+    Raises DataError unless each is in [0, 1] (nan is not) and, when
+    ``n_layers`` is given, there is one per layer.
+    """
+    alphas = tuple(float(a) for a in s)
+    if any(not 0.0 <= a <= 1.0 for a in alphas):
         raise DataError(f"alpha outside [0, 1] in {alphas}")
+    if n_layers is not None and len(alphas) != n_layers:
+        raise DataError("strategy length != layer count")
     return alphas
 
 
@@ -102,9 +107,7 @@ def model_size(specs: list[ConvLayerSpec], s, m: int = 8) -> int:
     Uses the same kept-count rounding as mask construction, so the result
     matches the serialized payloads exactly up to per-layer framing.
     """
-    alphas = _as_alphas(s)
-    if len(alphas) != len(specs):
-        raise DataError("strategy length != layer count")
+    alphas = strategy_alphas(s, len(specs))
     return flash_bytes(layer_flash_bits(spec, alpha, m)
                        for spec, alpha in zip(specs, alphas))
 
@@ -132,9 +135,7 @@ def runtime_memory(specs: list[ConvLayerSpec], s, m: int = 8,
     loses every filterlet; pass ``kept_channels`` (per-layer surviving filter
     counts, e.g. from the built masks) to account for fully emptied filters.
     """
-    alphas = _as_alphas(s)
-    if len(alphas) != len(specs):
-        raise DataError("strategy length != layer count")
+    alphas = strategy_alphas(s, len(specs))
     if not specs:
         raise DataError("no layers")
     check_chain(specs)
@@ -168,9 +169,7 @@ def layer_latency(spec: ConvLayerSpec, alpha: float, p: LatencyParams) -> float:
 
 def total_time(specs: list[ConvLayerSpec], s, p: LatencyParams) -> float:
     """Summed predicted cycles over all convolution layers."""
-    alphas = _as_alphas(s)
-    if len(alphas) != len(specs):
-        raise DataError("strategy length != layer count")
+    alphas = strategy_alphas(s, len(specs))
     return sum(layer_latency(spec, a, p) for spec, a in zip(specs, alphas))
 
 

@@ -29,16 +29,17 @@ offsets, so issuing one instruction is a max-plus map of a flat issue state:
 the memory unit's and the ALU's next free cycles, then per register the
 first cycle a MAC may read it and the last cycle of its latest reader.  The
 rules are written once, as these per-instruction maps; ``simulate`` applies
-them one instruction at a time.  Maps compose exactly, so each block's units
-are compiled once per machine, with their registers and kinds checked then:
-per rotation phase, the map of that phase's unit and the map of a whole
-phase cycle (the units after which the phase is back where it started).
-``LayerStream.cycles`` assigns the stream's slots once, checks up front that
-no MAC reads a register before a load writes it, and applies a block's cycle
-maps in place of its units.  After each cycle and each repeat the state is
-keyed on the phase and on every slot relative to the memory unit's next
-free cycle, as a flat tuple, with times that can no longer delay anything
-clamped.  Equal keys give equal futures up to a shift, so when a key recurs
+them one instruction at a time.  Maps compose exactly, so each family of
+units (rotating, pinned, CSR) is compiled where it is built, once per unit
+shape and machine, with its registers and kinds checked then: per rotation
+phase, the map of that phase's unit and the map of a whole phase cycle (the
+units after which the phase is back where it started).  A block holds that
+program.  ``LayerStream.cycles`` assigns the stream's slots once, checks up
+front that no MAC reads a register before a load writes it, and applies a
+block's cycle maps in place of its units.  After each cycle and each repeat
+the state is keyed on the phase and on every slot relative to the memory
+unit's next free cycle, as a flat tuple, with times that can no longer
+delay anything clamped.  Equal keys give equal futures up to a shift, so when a key recurs
 after P steps and D cycles, whole periods are skipped by adding D per
 period to every slot, and only the remainder is applied.  The cycle count
 is exact.
@@ -363,11 +364,13 @@ def _repeat(x: list[int], n: int, phase: int, step) -> int:
 
 
 class _Program(NamedTuple):
-    """A block's units compiled for one machine: per phase, the map of its
-    unit and the map of one phase cycle, the ``period`` units after which
-    the phase first returns to where it started."""
+    """A block's unit variants, each advancing the phase by ``step``, and
+    their maps for one machine: per phase, the map of its unit and the map
+    of one phase cycle, the ``period`` units after which the phase first
+    returns to where it started."""
 
-    variants: tuple  # held so that no other tuple takes its id in the memo
+    variants: tuple[tuple[Instruction, ...], ...]
+    step: int
     regs: tuple[str, ...]  # register k has the ready slot 2 + 2k
     units: tuple[_Map, ...]
     cycles: tuple[_Map, ...]
@@ -377,7 +380,7 @@ class _Program(NamedTuple):
 def _compile(variants: tuple, step: int, cfg: MachineConfig) -> _Program:
     """The unit variants of a block whose units advance the phase by
     ``step``, as maps under ``cfg``."""
-    regs =tuple(sorted({r for unit in variants for ins in unit
+    regs = tuple(sorted({r for unit in variants for ins in unit
                          for r in (ins.dst, *ins.srcs) if r is not None}))
     slot = {r: 2 + 2 * k for k, r in enumerate(regs)}
     ops = {ins: _op_map(ins, cfg, slot)
@@ -389,45 +392,28 @@ def _compile(variants: tuple, step: int, cfg: MachineConfig) -> _Program:
     cycles = tuple(reduce(_compose, [units[(p + k * step) % n]
                                      for k in range(period)])
                    for p in range(n))
-    return _Program(variants, regs, units, cycles, period)
-
-
-_PROGRAMS: dict[tuple, _Program] = {}
-
-
-def _program(variants: tuple, step: int, cfg: MachineConfig) -> _Program:
-    """``_compile``, memoized on the identity of ``variants``:
-    ``_rotating_units`` and ``_pinned_units`` are memoized themselves, so a
-    layer's units are the same object every time it is lowered, and hashing
-    every instruction of them would cost more than the memo saves."""
-    key = (id(variants), step, cfg)
-    prog = _PROGRAMS.get(key)
-    if prog is None:
-        if len(_PROGRAMS) >= 256:
-            del _PROGRAMS[next(iter(_PROGRAMS))]
-        prog = _PROGRAMS[key] = _compile(variants, step, cfg)
-    return prog
+    return _Program(variants, step, regs, units, cycles, period)
 
 
 @dataclass(frozen=True)
 class _Block:
     """``repeats`` x [``head`` scalar loads, then ``units`` units].
 
-    The unit at phase ``p`` is ``variants[p]``; each unit advances the phase
-    by ``step`` (mod the number of variants), starting from ``phase``.
+    The unit at phase ``p`` is ``program.variants[p]``; each unit advances
+    the phase by ``program.step`` (mod the number of variants), starting
+    from ``phase``.
     """
 
     repeats: int
     head: int
     units: int
-    variants: tuple[tuple[Instruction, ...], ...]
-    step: int
+    program: _Program
     phase: int = 0
 
     def next_phase(self, phase: int) -> int:
-        return (phase + self.step) % len(self.variants)
+        return (phase + self.program.step) % len(self.program.variants)
 
-    def check_reads(self, prog: _Program, loaded: set[str]) -> None:
+    def check_reads(self, loaded: set[str]) -> None:
         """Raise if a MAC of the block reads a register that no load of
         ``loaded`` or of the block has written before it.
 
@@ -435,13 +421,14 @@ class _Block:
         reaches, and a check that passes once passes for every later visit.
         """
         phase = self.phase
-        for _ in range(min(self.repeats * self.units, len(self.variants))):
-            _check_reads(prog.units[phase], loaded)
+        for _ in range(min(self.repeats * self.units, len(self.program.units))):
+            _check_reads(self.program.units[phase], loaded)
             phase = self.next_phase(phase)
 
-    def run(self, prog: _Program, x: list[int]) -> None:
+    def run(self, x: list[int]) -> None:
         """Issue every repeat of the block after the state ``x``, whose
-        registers are ``prog.regs``."""
+        registers are ``program.regs``."""
+        prog = self.program
         units, cycles = prog.units, prog.cycles
         full, rest = divmod(self.units, prog.period)
 
@@ -484,7 +471,7 @@ class LayerStream:
             for _ in range(b.repeats):
                 stream.extend([lds()] * b.head)
                 for _ in range(b.units):
-                    stream.extend(b.variants[phase])
+                    stream.extend(b.program.variants[phase])
                     phase = b.next_phase(phase)
         return stream
 
@@ -492,31 +479,30 @@ class LayerStream:
         counts = {"macs": 0, "vector_loads": 0, "scalar_loads": 0}
         for b in self.blocks:
             counts["scalar_loads"] += b.repeats * b.head
-            for ins in b.variants[0]:
+            for ins in b.program.variants[0]:
                 counts[_COUNT_KEYS[ins.kind]] += b.repeats * b.units
         return counts
 
     def cycles(self) -> int:
         """Simulated cycles of the expanded stream, plus post-processing."""
-        progs = [_program(b.variants, b.step, self.cfg) for b in self.blocks]
         loaded: set[str] = set()
-        for b, prog in zip(self.blocks, progs):
-            b.check_reads(prog, loaded)
-        regs = sorted({r for prog in progs for r in prog.regs})
+        for b in self.blocks:
+            b.check_reads(loaded)
+        regs = sorted({r for b in self.blocks for r in b.program.regs})
         x = [1, 1] + [0, 0] * len(regs)
-        for b, prog in zip(self.blocks, progs):
+        for b in self.blocks:
             # the block's own slots, gathered from the stream's and put back
             idx = [_MEM, _ALU, *(2 + 2 * regs.index(r) + k
-                                 for r in prog.regs for k in (0, 1))]
+                                 for r in b.program.regs for k in (0, 1))]
             local = [x[i] for i in idx]
-            b.run(prog, local)
+            b.run(local)
             for i, v in zip(idx, local):
                 x[i] = v
         return max(x[_MEM], x[_ALU]) - 1 + self.outputs * self.cfg.post_cycles
 
 
 @lru_cache(maxsize=256)
-def _rotating_units(chunks: tuple[int, ...]) -> tuple[tuple[Instruction, ...], ...]:
+def _rotating_units(chunks: tuple[int, ...], cfg: MachineConfig) -> _Program:
     """Unit per phase ``rot % 3``: an index read, then per chunk a fresh
     weight/feature pair over three rotating registers."""
     pairs = (("q0", "q1"), ("q1", "q2"), ("q2", "q0"))
@@ -531,11 +517,12 @@ def _rotating_units(chunks: tuple[int, ...]) -> tuple[tuple[Instruction, ...], .
             unit += groups[cl][rot % 3]
             rot += 2
         units.append(tuple(unit))
-    return tuple(units)
+    return _compile(tuple(units), 2 * len(chunks), cfg)
 
 
 @lru_cache(maxsize=256)
-def _pinned_units(chunks: tuple[int, ...], width: int) -> tuple[tuple[Instruction, ...], ...]:
+def _pinned_units(chunks: tuple[int, ...], width: int,
+                  cfg: MachineConfig) -> _Program:
     """Unit per phase ``alt % 2``: one filterlet over a tile of ``width``
     positions, the weight chunk pinned in q0 and the features alternating
     between q1 and q2."""
@@ -555,7 +542,16 @@ def _pinned_units(chunks: tuple[int, ...], width: int) -> tuple[tuple[Instructio
                 unit += pairs[alt % 2]
                 alt += 1
         units.append(tuple(unit))
-    return tuple(units)
+    return _compile(tuple(units), width * len(chunks), cfg)
+
+
+@lru_cache(maxsize=16)
+def _csr_units(cfg: MachineConfig) -> _Program:
+    """Unit per phase ``rot % 4``: an index read, then a weight and a
+    feature into two of eight rotating scalar registers, then a scalar MAC."""
+    return _compile(tuple((lds(), lds(f"s{2 * rot}"), lds(f"s{2 * rot + 1}"),
+                           macs((f"s{2 * rot}", f"s{2 * rot + 1}")))
+                          for rot in range(4)), 1, cfg)
 
 
 def _fwcs_blocks(n_retained: int, size: int, spec: ConvLayerSpec,
@@ -568,7 +564,7 @@ def _fwcs_blocks(n_retained: int, size: int, spec: ConvLayerSpec,
     chunks = _chunk_lengths(size, cfg.lanes)
     if schedule is ComputeSchedule.DEFAULT:
         blocks = [_Block(spec.out_positions, patch, n_retained,
-                         _rotating_units(chunks), 2 * len(chunks))]
+                         _rotating_units(chunks, cfg))]
     elif schedule is ComputeSchedule.REORDERED:
         tile = max(1, cfg.register_count - 2)
         full, last = divmod(spec.out_positions, tile)
@@ -581,30 +577,23 @@ def _fwcs_blocks(n_retained: int, size: int, spec: ConvLayerSpec,
                 # nothing to reuse in a one-position tile; rotating
                 # registers avoid the pinned register's reload stall
                 blocks.append(_Block(repeats, patch, n_retained,
-                                     _rotating_units(chunks), 2 * len(chunks)))
+                                     _rotating_units(chunks, cfg)))
                 continue
-            step = width * len(chunks)
-            blocks.append(_Block(repeats, patch * width, n_retained,
-                                 _pinned_units(chunks, width), step, alt % 2))
-            alt += repeats * n_retained * step
+            prog = _pinned_units(chunks, width, cfg)
+            blocks.append(_Block(repeats, patch * width, n_retained, prog,
+                                 alt % 2))
+            alt += repeats * n_retained * prog.step
     else:
         raise ConfigError(f"unknown schedule {schedule}")
     return blocks
 
 
-# CSR unit per phase ``rot % 4``: an index read, then a weight and a feature
-# into two of eight rotating scalar registers, then a scalar MAC
-_CSR_UNITS = tuple(
-    (lds(), lds(f"s{2 * rot}"), lds(f"s{2 * rot + 1}"),
-     macs((f"s{2 * rot}", f"s{2 * rot + 1}")))
-    for rot in range(4))
-
-
-def _csr_blocks(n_retained: int, spec: ConvLayerSpec) -> list[_Block]:
+def _csr_blocks(n_retained: int, spec: ConvLayerSpec,
+                cfg: MachineConfig) -> list[_Block]:
     if n_retained == 0:
         return []
     patch = spec.filterlets_per_filter * spec.channels
-    return [_Block(spec.out_positions, patch, n_retained, _CSR_UNITS, 1)]
+    return [_Block(spec.out_positions, patch, n_retained, _csr_units(cfg))]
 
 
 def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
@@ -623,7 +612,7 @@ def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
     emits nothing.
     """
     if isinstance(weights, CsrLayer):
-        blocks = _csr_blocks(weights.n_retained, spec)
+        blocks = _csr_blocks(weights.n_retained, spec, cfg)
     elif isinstance(weights, FwcsLayer):
         blocks = _fwcs_blocks(weights.n_retained, weights.size, spec, schedule,
                               cfg)
@@ -634,7 +623,7 @@ def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
 
 
 # Former per-format entry points, kept as aliases of ``layer_stream`` only
-# because the benchmark harness names them; they go with ROADMAP item 6.
+# because the benchmark harness names them; they go with ROADMAP item 7.
 def lower_schedule(layer, spec, schedule, cfg):
     return layer_stream(layer, spec, schedule, cfg).expand()
 

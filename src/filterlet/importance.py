@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costmodel import strategy_alphas
 from .errors import DataError
 from .fwcs import FilterletMask, kept_count
 from .model import SequentialModel, forward_float64
@@ -172,9 +173,7 @@ def layer_mask(spec: ConvLayerSpec, scores: np.ndarray,
 
 def build_mask(importance: ImportanceMap, alphas) -> list[FilterletMask]:
     """One :func:`layer_mask` per layer, layer i at fraction alpha_i."""
-    alphas = [float(a) for a in alphas]
-    if len(alphas) != importance.n_layers:
-        raise DataError("strategy length != layer count")
+    alphas = strategy_alphas(alphas, importance.n_layers)
     return [layer_mask(spec, scores, alpha) for spec, scores, alpha
             in zip(importance.specs, importance.scores, alphas)]
 

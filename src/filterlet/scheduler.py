@@ -34,7 +34,7 @@ import numpy as np
 from .bundle import ModelBundle, bundle_from_masks
 from .costmodel import Budget, LatencyParams, StrategyVector, \
     activation_bytes, flash_bytes, input_bytes, layer_flash_bits, \
-    layer_latency, total_time
+    layer_latency, strategy_alphas, total_time
 from .errors import DataError
 from .fwcs import kept_count
 from .importance import ImportanceMap, build_mask, order_mask, prune_order, \
@@ -157,9 +157,7 @@ def evaluate(s, problem: ScheduleProblem) -> Evaluation:
     Equal to ``total_time``, ``model_size``, ``delta_loss`` of ``build_mask``
     and ``runtime_memory`` with the masks' kept channels.
     """
-    alphas = [float(a) for a in s]
-    if len(alphas) != len(problem.specs):
-        raise DataError("strategy length != layer count")
+    alphas = strategy_alphas(s, len(problem.specs))
     return _combine([layer_terms(problem, i, a) for i, a in enumerate(alphas)],
                     input_bytes(problem.specs[0], problem.m), problem)
 

@@ -509,9 +509,9 @@ class TestAgainstReferenceIssue:
             if data.draw(st.booleans()):
                 # load every register of the pool first, so that most
                 # streams read nothing unloaded
-                blocks.append(_Block(1, 0, 1, (tuple(
+                blocks.append(_Block(1, 0, 1, _compile((tuple(
                     ldv(r) for r in pool[0]) + tuple(lds(r) for r in pool[1]),
-                ), 0))
+                ), 0, cfg)))
             n = data.draw(st.integers(1, 4))
             variants = tuple(
                 tuple(data.draw(st.lists(instructions(pool), min_size=1,
@@ -520,8 +520,8 @@ class TestAgainstReferenceIssue:
             blocks.append(_Block(
                 repeats=data.draw(st.integers(0, 12)),
                 head=data.draw(st.integers(0, 5)),
-                units=data.draw(st.integers(0, 24)), variants=variants,
-                step=data.draw(st.integers(0, 5)),
+                units=data.draw(st.integers(0, 24)),
+                program=_compile(variants, data.draw(st.integers(0, 5)), cfg),
                 phase=data.draw(st.integers(0, n - 1))))
         stream = LayerStream(tuple(blocks), data.draw(st.integers(0, 3)), cfg)
         ops = stream.expand()
@@ -544,9 +544,10 @@ class TestAgainstReferenceIssue:
                             lambda m, x: applied.append(m))
         # the second block's second phase reads q2, which nothing loads
         pair = (ldv("q0"), ldv("q1"), macv("q0", "q1"))
-        blocks = (_Block(20, 3, 5, (pair,), 0),
-                  _Block(4, 1, 3, ((ldv("q0"), macv("q0", "q0")),
-                                   (ldv("q1"), macv("q1", "q2"))), 1))
+        blocks = (_Block(20, 3, 5, _compile((pair,), 0, CFG)),
+                  _Block(4, 1, 3, _compile(((ldv("q0"), macv("q0", "q0")),
+                                            (ldv("q1"), macv("q1", "q2"))),
+                                           1, CFG)))
         stream = LayerStream(blocks, 0, CFG)
         with pytest.raises(StreamError, match="q2"):
             stream.cycles()
