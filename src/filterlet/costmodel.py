@@ -7,6 +7,7 @@ or simulated layer timings by least squares.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.optimize import nnls
 from .errors import DataError, FitError
 from .fwcs import INDEX_BITS_DEFAULT, kept_count
 from .model import check_chain
-from .tensor import ConvLayerSpec, is_integer
+from .tensor import ConvLayerSpec, is_integer, is_real
 
 _PARAM_NAMES = ("t_mem", "t_idx", "t_com", "t_post")
 
@@ -77,8 +78,8 @@ class LatencyParams:
     def __post_init__(self):
         for name in _PARAM_NAMES:
             v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise DataError(f"{name} must be finite and non-negative")
+            if not is_real(v) or not (math.isfinite(v) and v >= 0):
+                raise DataError(f"{name} {v!r} must be finite and non-negative")
         if not is_integer(self.lanes):
             raise DataError(f"lanes {self.lanes!r} is not an integer")
         object.__setattr__(self, "lanes", int(self.lanes))

@@ -257,8 +257,10 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     deterministic for a fixed seed.
 
     Moves perturb one layer's fraction by +-step (clamped to [0, 1]).  The
-    returned strategy is the best feasible candidate visited; if none exists
-    the best penalized candidate is returned with ``feasible`` False.
+    returned strategy is the best feasible candidate visited.  A chain that
+    visits no feasible candidate runs once more, from its best penalized
+    candidate re-heated to ``t0``, on the same draws; if that one finds none
+    either, the best penalized candidate is returned with ``feasible`` False.
     """
     if iters < 1:
         raise DataError("iters must be >= 1")
@@ -346,24 +348,29 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     draws = _Draws(seed)
     move, uniform = draws.move, draws.random
     cur = number((0,) * n)
-    cur_obj = objs[cur]
     cands, curs = [cur], [cur]
-    for temp in temps:
-        slot = move(n)
-        cand = nbrs[two_n * cur + slot]
-        if cand < 0:
-            cand = neighbour(cur, slot)
-        obj = objs[cand]
-        # uphill, obj > cur_obj: the exponent is negative
-        if obj <= cur_obj or uniform() < math.exp(
-                (cur_obj - obj) / max(temp, 1e-12)):
-            cur, cur_obj = cand, obj
-        cands.append(cand)
-        curs.append(cur)
-
-    # states are numbered in the order the chain first proposed them, so the
-    # lowest-numbered minimum is the first one visited
-    feasible_states = [k for k, ok in enumerate(oks) if ok]
+    for run in range(2):
+        cur_obj = objs[cur]
+        for temp in temps:
+            slot = move(n)
+            cand = nbrs[two_n * cur + slot]
+            if cand < 0:
+                cand = neighbour(cur, slot)
+            obj = objs[cand]
+            # uphill, obj > cur_obj: the exponent is negative
+            if obj <= cur_obj or uniform() < math.exp(
+                    (cur_obj - obj) / max(temp, 1e-12)):
+                cur, cur_obj = cand, obj
+            cands.append(cand)
+            curs.append(cur)
+        # states are numbered in the order the chain first proposed them, so
+        # the lowest-numbered minimum is the first one visited
+        feasible_states = [k for k, ok in enumerate(oks) if ok]
+        if feasible_states or run:
+            break
+        # nothing feasible seen: run once more from the best penalized
+        # state, re-heated, on the same draws
+        cur = min(range(len(states)), key=objs.__getitem__)
     if feasible_states:
         chosen = min(feasible_states, key=times.__getitem__)
     else:
@@ -378,10 +385,11 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
         predicted_dl=final.dl,
         feasible=final.feasible,
         violations=dict(final.violations),
-        iterations=iters,
+        iterations=len(cands) - 1,
         # TraceRow._make without a Python call per row
         trace=tuple(map(tuple.__new__, repeat(TraceRow),
-                        zip(range(iters + 1), chain((float(t0),), temps),
+                        zip(range(len(cands)),
+                            chain((float(t0),), temps, temps),
                             map(objs.__getitem__, curs),
                             map(oks.__getitem__, cands)))),
     )

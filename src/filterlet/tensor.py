@@ -75,6 +75,12 @@ def is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def is_real(v) -> bool:
+    """True for Python and numpy reals, nan and inf included; False for bools
+    and the rest."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ConvLayerSpec:
     """Geometry of one convolution layer (valid padding, square stride)."""
@@ -143,8 +149,7 @@ def flat_index(spec: ConvLayerSpec, h: int, w: int, c: int) -> int:
 
 def check_scale(name: str, v) -> None:
     """Raise DataError unless ``v`` is a real number, positive and finite."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-            or not (math.isfinite(v) and v > 0):
+    if not is_real(v) or not (math.isfinite(v) and v > 0):
         raise DataError(f"{name} {v!r} is not positive and finite")
 
 

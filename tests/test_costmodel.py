@@ -164,6 +164,19 @@ class TestLayerLatency:
         with pytest.raises(DataError):
             LatencyParams(-1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("v", ["1", None, True, float("nan"),
+                                   float("inf"), -1])
+    def test_params_must_be_finite_non_negative_reals(self, v):
+        for k in range(4):
+            args = [1.0, 1.0, 2.0, 2.0]
+            args[k] = v
+            with pytest.raises(DataError, match="non-negative"):
+                LatencyParams(*args)
+
+    @pytest.mark.parametrize("v", [1, np.float64(2.0), 0])
+    def test_params_take_ints_and_numpy_reals(self, v):
+        assert LatencyParams(v, 1.0, 2.0, 2.0).t_mem == v
+
 
 class TestFit:
     def test_exact_recovery_on_noiseless_samples(self):

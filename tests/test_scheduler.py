@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from filterlet.scheduler import _CHUNK, ScheduleProblem, ScheduleResult, \
 from filterlet.tensor import ConvLayerSpec, Tensor
 
 LAT = LatencyParams(1.0, 1.0, 2.0, 2.0, lanes=4)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def two_layer_problem(seed=5, flash_frac=0.6, dl_frac=0.35, ram=10 ** 9,
@@ -126,27 +129,35 @@ def reference_anneal(problem, seed=0, iters=5000, t0=None, cooling=0.995,
     best_feasible = cur if cur_feasible else None
     best_feasible_time = cur_time if cur_feasible else math.inf
     best_pen, best_pen_obj = cur, cur_obj
-    temp = float(t0)
-    rows = [TraceRow(0, temp, cur_obj, cur_feasible)]
-    for it in range(1, iters + 1):
-        i = rng.integers(n)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        cand = (*cur[:i], min(1.0, max(0.0, cur[i] + sign * step)),
-                *cur[i + 1:])
-        time, ok, obj = visit(cand)
-        if obj <= cur_obj or rng.random() < math.exp(
-                min(0.0, (cur_obj - obj) / max(temp, 1e-12))):
-            cur, cur_obj = cand, obj
-        if ok and time < best_feasible_time:
-            best_feasible, best_feasible_time = cand, time
-        if obj < best_pen_obj:
-            best_pen, best_pen_obj = cand, obj
-        rows.append(TraceRow(it, temp, cur_obj, ok))
-        temp *= cooling
+    rows = [TraceRow(0, float(t0), cur_obj, cur_feasible)]
+    for run in range(2):
+        if run:
+            if best_feasible is not None:
+                break
+            # nothing feasible seen: once more from the best penalized
+            # strategy, re-heated, on the same draws
+            cur, cur_obj = best_pen, best_pen_obj
+        temp = float(t0)
+        for _ in range(iters):
+            i = rng.integers(n)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            cand = (*cur[:i], min(1.0, max(0.0, cur[i] + sign * step)),
+                    *cur[i + 1:])
+            time, ok, obj = visit(cand)
+            if obj <= cur_obj or rng.random() < math.exp(
+                    min(0.0, (cur_obj - obj) / max(temp, 1e-12))):
+                cur, cur_obj = cand, obj
+            if ok and time < best_feasible_time:
+                best_feasible, best_feasible_time = cand, time
+            if obj < best_pen_obj:
+                best_pen, best_pen_obj = cand, obj
+            rows.append(TraceRow(len(rows), temp, cur_obj, ok))
+            temp *= cooling
     chosen = best_feasible if best_feasible is not None else best_pen
     (time, size, ram, dl, violations), _ = visited[chosen]
     return ScheduleResult(StrategyVector(chosen), time, size, ram, dl,
-                          not violations, violations, iters, tuple(rows))
+                          not violations, violations, len(rows) - 1,
+                          tuple(rows))
 
 
 def small_chain_problem(rng, n_layers, budget):
@@ -406,10 +417,32 @@ class TestEvaluate:
         assert evaluate(StrategyVector(tuple(s)), problem) == ev
 
     def test_rejects_bad_strategies(self):
+        # every function that takes a strategy checks it the same way, and
+        # takes a StrategyVector or a plain list alike
         problem = two_layer_problem()
-        for s in ([0.5], [0.5, 0.5, 0.5], [0.5, 1.5], [float("nan"), 0.0]):
-            with pytest.raises(DataError):
-                evaluate(s, problem)
+        specs = problem.specs
+        entry_points = {
+            "evaluate": lambda s: evaluate(s, problem),
+            "model_size": lambda s: model_size(specs, s),
+            "runtime_memory": lambda s: runtime_memory(specs, s),
+            "total_time": lambda s: total_time(specs, s, LAT),
+            "build_mask": lambda s: [m.kept.tolist() for m in build_mask(
+                problem.importance, s)],
+        }
+        good = [0.25, 0.5]
+        for name, f in entry_points.items():
+            assert f(StrategyVector(tuple(good))) == f(good), name
+        for s in ([0.5, 1.5], [float("nan"), 0.0]):
+            with pytest.raises(DataError, match="alpha outside"):
+                StrategyVector(tuple(s))
+            for name, f in entry_points.items():
+                with pytest.raises(DataError, match="alpha outside"):
+                    f(s)
+        for s in ([0.5], [0.5, 0.5, 0.5]):
+            for name, f in entry_points.items():
+                for strategy in (s, StrategyVector(tuple(s))):
+                    with pytest.raises(DataError, match="length"):
+                        f(strategy)
 
     def test_problem_layers_must_chain(self):
         problem = two_layer_problem()
@@ -560,9 +593,10 @@ class TestPinnedAnneal:
                    0.39999999999999997, 0.44999999999999996),
                   1071308.0, 6264, 13744, 730.5476499769258, {},
                   "19f13a4a505db2b5"),
+        # sees nothing feasible, so the chain runs twice (10000 steps)
         "infeasible": ({"dl_share": 0.0}, {"seed": 3},
                        (0.0,) * 6, 2180684.0, 13680, 14144, 0.0,
-                       {"flash": (13680.0, 7524.0)}, "cbd154c27a4f5205"),
+                       {"flash": (13680.0, 7524.0)}, "4e799c6cc902d6ce"),
         "step0.1": ({}, {"seed": 4, "step": 0.1},
                     (0.7999999999999999, 0.7, 0.7, 0.5, 0.30000000000000004,
                      0.2),
@@ -587,5 +621,41 @@ class TestPinnedAnneal:
                 result.predicted_ram, result.predicted_dl) == (time, size, ram, dl)
         assert result.feasible == (not violations)
         assert result.violations == violations
-        assert len(result.trace) == 5001
+        # a chain that sees nothing feasible runs twice
+        assert result.iterations == (5000 if result.feasible else 10000)
+        assert len(result.trace) == result.iterations + 1
         assert trace_digest(result.trace) == digest
+
+
+class TestRestart:
+    """A chain that sees nothing feasible runs once more from its best
+    penalized state; these problems need it."""
+
+    @staticmethod
+    def benchmark_problem(draw_seed, op):
+        """The problem and anneal seed of ``prune-6L`` operation ``op`` on
+        draw seed ``draw_seed``, built by the benchmark's own code."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        prune = workloads.Prune()
+        st_ = prune.build(prune.draw(draw_seed))
+        model = st_["model"]
+        problem = ScheduleProblem(model.specs,
+                                  score_model(model, st_["grads"]),
+                                  st_["budget"], st_["latency"])
+        return problem, prune.prepare(st_, "prune", op)
+
+    @pytest.mark.parametrize("draw_seed, op, anneal_seed", [
+        (10, 936, 2063266948), (202, 571, 1594113555)])
+    def test_benchmark_anneals_that_saw_nothing_feasible(self, draw_seed, op,
+                                                         anneal_seed):
+        problem, seed = self.benchmark_problem(draw_seed, op)
+        assert seed == anneal_seed
+        result = anneal(problem, seed=seed)
+        assert result.feasible
+        assert result.iterations == 10000
+        assert len(result.trace) == 10001
+        # the first run saw nothing feasible
+        assert not any(r.feasible for r in result.trace[:5001])
