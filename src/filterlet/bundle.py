@@ -9,7 +9,7 @@ layer's declared format followed by an optional bias tensor block.
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,10 +103,13 @@ class ModelBundle:
         check_chain([layer.spec for layer in self.layers])
 
     def manifest(self) -> dict:
+        # a spec's and a quant's fields are exactly their instance dicts;
+        # dataclasses.asdict would deep-copy each value, at ten times the cost
         layers = [{"name": layer.name, "format": layer.fmt,
                    "dtype": layer.dtype, "has_bias": layer.has_bias,
-                   "spec": asdict(layer.spec),
-                   "quant": None if layer.quant is None else asdict(layer.quant)}
+                   "spec": dict(vars(layer.spec)),
+                   "quant": None if layer.quant is None
+                   else dict(vars(layer.quant))}
                   for layer in self.layers]
         return {"name": self.name, "role": self.role, "layers": layers}
 

@@ -39,10 +39,10 @@ front that no MAC reads a register before a load writes it, and applies a
 block's cycle maps in place of its units.  After each cycle and each repeat
 the state is keyed on the phase and on every slot relative to the memory
 unit's next free cycle, as a flat tuple, with times that can no longer
-delay anything clamped.  Equal keys give equal futures up to a shift, so when a key recurs
-after P steps and D cycles, whole periods are skipped by adding D per
-period to every slot, and only the remainder is applied.  The cycle count
-is exact.
+delay anything clamped.  Equal keys give equal futures up to a shift, so
+when a key recurs after P steps and D cycles, whole periods are skipped by
+adding D per period to every slot, and only the remainder is applied.  The
+cycle count is exact.
 """
 
 import re
