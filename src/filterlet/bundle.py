@@ -19,6 +19,7 @@ from .errors import CorruptionError, DataError, FormatError, TopologyError
 from .fwcs import CSR_MAGIC, FWCS_MAGIC, FilterletMask, decode_csr, \
     decode_fwcs, encode_csr, encode_fwcs, read_csr, read_fwcs, write_csr, \
     write_fwcs
+from .importance import GradientBundle
 from .model import LayerDef, LayerQuant, SequentialModel, check_chain
 from .tensor import DTYPES, TENSOR_MAGIC, ConvLayerSpec, Reader, Tensor, \
     read_tensor, write_tensor
@@ -64,7 +65,8 @@ class BundleLayer:
             raise DataError(f"layer {self.name}: int8 weights need quant params")
 
     def decode_weights(self):
-        """(weights as stored: Tensor, FwcsLayer or CsrLayer; bias or None)."""
+        """(weights as stored: Tensor, FwcsLayer or CsrLayer; bias or None,
+        float32 as stored, or int64 for an int8 layer)."""
         if self.fmt == "dense":
             weights, off = read_tensor(self.payload, 0)
             if weights.dims != self.spec.weight_dims:
@@ -78,7 +80,7 @@ class BundleLayer:
             bias_t, off = read_tensor(self.payload, off)
             if bias_t.dims != (self.spec.n_filters,):
                 raise CorruptionError(f"layer {self.name}: bias shape mismatch")
-            bias = bias_t.data.astype(np.float64)
+            bias = bias_t.data
             if self.dtype == "int8":
                 # int8 biases are packed from int64 integers
                 exact = (np.rint(bias) == bias) & (np.abs(bias) < 2.0 ** 63)
@@ -173,28 +175,26 @@ class ModelBundle:
         return sum(len(layer.payload) for layer in self.layers)
 
 
-def _bias_block(layer: LayerDef) -> bytes:
-    if layer.bias is None:
-        return b""
-    # biases travel as float32, which holds integers exactly only up to 2^24
-    packed = layer.bias.astype(np.float32)
-    if np.issubdtype(layer.bias.dtype, np.integer) and \
-            np.any(packed.astype(np.int64) != layer.bias):
-        raise DataError(f"layer {layer.name}: integer bias not exact as float32")
-    return write_tensor(Tensor.from_array(packed, "float32"))
+def _bundle_layer(layer: LayerDef, fmt: str, block: bytes) -> BundleLayer:
+    """``layer`` stored as the ``fmt`` weight ``block``, then its bias, if
+    any, as a float32 tensor."""
+    payload = block
+    if layer.bias is not None:
+        # float32 holds integers exactly only up to 2^24
+        packed = layer.bias.astype(np.float32)
+        if np.issubdtype(layer.bias.dtype, np.integer) and \
+                np.any(packed.astype(np.int64) != layer.bias):
+            raise DataError(f"layer {layer.name}: integer bias not exact as float32")
+        payload += write_tensor(Tensor.from_array(packed, "float32"))
+    return BundleLayer(layer.name, fmt, layer.spec, layer.weights.dtype,
+                       layer.bias is not None, layer.quant, payload)
 
 
 def bundle_from_model(model: SequentialModel, role: str = "model") -> ModelBundle:
     """Dense bundle of every layer of ``model``."""
-    layers = []
-    for layer in model.layers:
-        payload = write_tensor(layer.weights) + _bias_block(layer)
-        layers.append(BundleLayer(
-            name=layer.name, fmt="dense", spec=layer.spec,
-            dtype=layer.weights.dtype, has_bias=layer.bias is not None,
-            quant=layer.quant, payload=payload,
-        ))
-    return ModelBundle(model.name, role, layers)
+    return ModelBundle(model.name, role, [
+        _bundle_layer(layer, "dense", write_tensor(layer.weights))
+        for layer in model.layers])
 
 
 def bundle_from_masks(model: SequentialModel, masks: list[FilterletMask],
@@ -210,11 +210,7 @@ def bundle_from_masks(model: SequentialModel, masks: list[FilterletMask],
             block = write_csr(encode_csr(layer.weights, mask.to_weight_mask()))
         else:
             raise FormatError(f"cannot pack pruned layers as {fmt!r}")
-        layers.append(BundleLayer(
-            name=layer.name, fmt=fmt, spec=layer.spec,
-            dtype=layer.weights.dtype, has_bias=layer.bias is not None,
-            quant=layer.quant, payload=block + _bias_block(layer),
-        ))
+        layers.append(_bundle_layer(layer, fmt, block))
     return ModelBundle(model.name, "model", layers)
 
 
@@ -227,17 +223,11 @@ def model_from_bundle(bundle: ModelBundle) -> SequentialModel:
             weights = decode_fwcs(weights, bl.spec)
         elif bl.fmt == "csr":
             weights = decode_csr(weights, bl.spec)
-        if bias is not None and bl.dtype == "float32":
-            bias = bias.astype(np.float32)
-        layers.append(LayerDef(bl.name, bl.spec, weights,
-                               None if bias is None else np.asarray(bias),
-                               bl.quant))
+        layers.append(LayerDef(bl.name, bl.spec, weights, bias, bl.quant))
     return SequentialModel(bundle.name, layers)
 
 
-def gradients_from_bundle(bundle: ModelBundle):
-    from .importance import GradientBundle
-
+def gradients_from_bundle(bundle: ModelBundle) -> GradientBundle:
     if bundle.role != "grads":
         raise DataError(f"expected a gradient bundle, got role {bundle.role!r}")
     grads = []

@@ -17,8 +17,8 @@ from .costmodel import Budget, LatencyParams, load_latency_params
 from .cyclesim import DEMO_STREAMS, MAC_VEC, ComputeSchedule, MachineConfig, \
     dump_trace, layer_stream, simulate
 from .errors import CorruptionError, DataError, FilterletError
-from .fwcs import FilterletMask, encode_csr, encode_fwcs, kept_count, \
-    storage_footprint
+from .fwcs import INDEX_DTYPE, FilterletMask, encode_csr, encode_fwcs, \
+    kept_count, storage_footprint
 from .importance import apply_mask_zeroing, build_mask, score_model
 from .model import LayerDef, SequentialModel
 from .scheduler import ScheduleProblem, plan_and_pack
@@ -57,21 +57,23 @@ def _machine_config(args) -> MachineConfig:
     return MachineConfig(lanes=args.lanes)
 
 
-def _model_and_grads(model_path, grads_path):
-    model_bundle = ModelBundle.load(model_path)
-    grads_bundle = ModelBundle.load(grads_path)
+def _scored_model(args):
+    """The model of ``args.model`` and its importance map under the
+    gradients of ``args.grads``."""
+    model_bundle = ModelBundle.load(args.model)
+    grads_bundle = ModelBundle.load(args.grads)
     model_names = [layer.name for layer in model_bundle.layers]
     grad_names = [layer.name for layer in grads_bundle.layers]
     if model_names != grad_names:
         raise DataError(
             f"gradient layers {grad_names} do not match model layers {model_names}"
         )
-    return model_from_bundle(model_bundle), gradients_from_bundle(grads_bundle)
+    model = model_from_bundle(model_bundle)
+    return model, score_model(model, gradients_from_bundle(grads_bundle))
 
 
 def cmd_prune(args) -> int:
-    model, grads = _model_and_grads(args.model, args.grads)
-    importance = score_model(model, grads)
+    model, importance = _scored_model(args)
     if args.params:
         latency = load_latency_params(args.params)
     else:
@@ -169,8 +171,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    model, grads = _model_and_grads(args.model, args.grads)
-    importance = score_model(model, grads)
+    model, importance = _scored_model(args)
     masks = build_mask(importance, [args.ratio] * len(model.layers))
     cfg = _machine_config(args)
     rows = []
@@ -202,14 +203,14 @@ def cmd_compare(args) -> int:
             },
             "csr": {
                 "bytes": storage_footprint(cs),
-                "index_bytes": 2 * len(cs.c_ptr),
+                "index_bytes": INDEX_DTYPE.itemsize * len(cs.c_ptr),
                 "index_entries": len(cs.c_ptr),
                 "cycles": layer_stream(cs, spec,
                                        ComputeSchedule.DEFAULT, cfg).cycles(),
             },
             "fwcs": {
                 "bytes": storage_footprint(fw),
-                "index_bytes": 2 * len(fw.c_ptr),
+                "index_bytes": INDEX_DTYPE.itemsize * len(fw.c_ptr),
                 "index_entries": len(fw.c_ptr),
                 "cycles": layer_stream(fw, spec,
                                        ComputeSchedule.REORDERED, cfg).cycles(),

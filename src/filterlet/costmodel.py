@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import DataError, FitError
-from .fwcs import INDEX_BITS_DEFAULT, kept_count
+from .fwcs import INDEX_DTYPE, kept_count
 from .model import check_chain
 from .tensor import ConvLayerSpec, is_integer, is_real
 
@@ -91,7 +91,7 @@ def layer_flash_bits(spec: ConvLayerSpec, alpha: float, m: int = 8) -> int:
     """Flash bits of one layer at pruned fraction ``alpha``: ``m`` bits per
     retained weight plus one index entry per retained filterlet."""
     k = kept_count(spec.n_filters * spec.filterlets_per_filter, alpha)
-    return m * k * spec.channels + INDEX_BITS_DEFAULT * k
+    return m * k * spec.channels + 8 * INDEX_DTYPE.itemsize * k
 
 
 def flash_bytes(layer_bits) -> int:
@@ -264,8 +264,10 @@ def load_latency_params(path) -> LatencyParams:
         raise DataError(f"missing latency parameter {e}") from None
 
 
-_CSV_FIELDS = ("n_filters", "kernel_h", "kernel_w", "channels",
-               "stride", "input_h", "input_w", "alpha", "cycles")
+# the ConvLayerSpec fields of a sample row, in column order
+_SPEC_COLUMNS = ("n_filters", "kernel_h", "kernel_w", "channels",
+                 "stride", "input_h", "input_w")
+_CSV_FIELDS = _SPEC_COLUMNS + ("alpha", "cycles")
 
 
 def save_samples_csv(path, samples) -> None:
@@ -274,9 +276,8 @@ def save_samples_csv(path, samples) -> None:
         writer = csv.writer(f)
         writer.writerow(_CSV_FIELDS)
         for spec, alpha, cycles in samples:
-            writer.writerow([spec.n_filters, spec.kernel_h, spec.kernel_w,
-                             spec.channels, spec.stride, spec.input_h,
-                             spec.input_w, alpha, cycles])
+            writer.writerow([getattr(spec, c) for c in _SPEC_COLUMNS]
+                            + [alpha, cycles])
 
 
 def load_samples_csv(path) -> list[tuple[ConvLayerSpec, float, float]]:
@@ -286,11 +287,6 @@ def load_samples_csv(path) -> list[tuple[ConvLayerSpec, float, float]]:
         if reader.fieldnames is None or set(_CSV_FIELDS) - set(reader.fieldnames):
             raise DataError(f"sample CSV must carry columns {_CSV_FIELDS}")
         for row in reader:
-            spec = ConvLayerSpec(
-                n_filters=int(row["n_filters"]), kernel_h=int(row["kernel_h"]),
-                kernel_w=int(row["kernel_w"]), channels=int(row["channels"]),
-                input_h=int(row["input_h"]), input_w=int(row["input_w"]),
-                stride=int(row["stride"]),
-            )
+            spec = ConvLayerSpec(**{c: int(row[c]) for c in _SPEC_COLUMNS})
             out.append((spec, float(row["alpha"]), float(row["cycles"])))
     return out

@@ -558,8 +558,6 @@ def _fwcs_blocks(n_retained: int, size: int, spec: ConvLayerSpec,
                  schedule: ComputeSchedule, cfg: MachineConfig) -> list[_Block]:
     """The blocks of an FWCS layer keeping ``n_retained`` filterlets of
     length ``size``; which filterlets are kept does not change them."""
-    if n_retained == 0:
-        return []
     patch = spec.filterlets_per_filter * spec.channels
     chunks = _chunk_lengths(size, cfg.lanes)
     if schedule is ComputeSchedule.DEFAULT:
@@ -588,14 +586,6 @@ def _fwcs_blocks(n_retained: int, size: int, spec: ConvLayerSpec,
     return blocks
 
 
-def _csr_blocks(n_retained: int, spec: ConvLayerSpec,
-                cfg: MachineConfig) -> list[_Block]:
-    if n_retained == 0:
-        return []
-    patch = spec.filterlets_per_filter * spec.channels
-    return [_Block(spec.out_positions, patch, n_retained, _csr_units(cfg))]
-
-
 def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
                  cfg: MachineConfig) -> LayerStream:
     """The stream executing one layer as stored, lowered for ``cfg``.
@@ -612,14 +602,17 @@ def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
     emits nothing.
     """
     if isinstance(weights, CsrLayer):
-        blocks = _csr_blocks(weights.n_retained, spec, cfg)
+        patch = spec.filterlets_per_filter * spec.channels
+        blocks = [_Block(spec.out_positions, patch, weights.n_retained,
+                         _csr_units(cfg))]
     elif isinstance(weights, FwcsLayer):
         blocks = _fwcs_blocks(weights.n_retained, weights.size, spec, schedule,
                               cfg)
     else:
         blocks = _fwcs_blocks(spec.n_filters * spec.filterlets_per_filter,
                               spec.channels, spec, schedule, cfg)
-    return LayerStream(tuple(blocks), spec.n_filters * spec.out_positions, cfg)
+    return LayerStream(tuple(b for b in blocks if b.units),
+                       spec.n_filters * spec.out_positions, cfg)
 
 
 # Former per-format entry points, kept as aliases of ``layer_stream`` only

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptionError, DataError, FormatError
-from .tensor import ConvLayerSpec, Reader, Tensor
+from .tensor import DTYPES, ConvLayerSpec, Reader, Tensor
 
 FWCS_MAGIC = b"FWCS"
 CSR_MAGIC = b"CSRW"
@@ -22,8 +22,9 @@ CSR_MAGIC = b"CSRW"
 FWCS_FRAMING_BYTES = 16
 CSR_FRAMING_BYTES = 16
 
-INDEX_BITS_DEFAULT = 16
-_U16_MAX = 0xFFFF
+# every index entry, the FWCS size field included, is stored as this dtype
+INDEX_DTYPE = np.dtype("<u2")
+_INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
 
 
 def kept_count(total: int, alpha: float) -> int:
@@ -230,27 +231,23 @@ def storage_footprint(layer) -> int:
         raise DataError(f"cannot account storage for {type(layer).__name__}")
     # FWCS stores one index-width field more: its size
     entries = len(layer.c_ptr) + len(layer.f_idx) + isinstance(layer, FwcsLayer)
-    return (layer.arr.size * _value_dtype(layer.dtype).itemsize
-            + INDEX_BITS_DEFAULT // 8 * entries)
+    return (layer.arr.size * DTYPES[layer.dtype].itemsize
+            + INDEX_DTYPE.itemsize * entries)
 
 
-def _pack_u16_array(vals: np.ndarray, what: str) -> bytes:
-    if vals.size and (vals.min() < 0 or vals.max() > _U16_MAX):
+def _pack_index_array(vals: np.ndarray, what: str) -> bytes:
+    if vals.size and (vals.min() < 0 or vals.max() > _INDEX_MAX):
         raise FormatError(f"{what} entry outside u16 range")
-    return struct.pack("<I", vals.size) + vals.astype("<u2").tobytes()
-
-
-def _value_dtype(dtype: str) -> np.dtype:
-    return np.dtype(np.int8 if dtype == "int8" else "<f4")
+    return struct.pack("<I", vals.size) + vals.astype(INDEX_DTYPE).tobytes()
 
 
 def _write_block(layer, magic: bytes, head: bytes = b"") -> bytes:
     """``magic``, the packed ``head`` fields, then u32+values, u32+u16 c_ptr
     and u32+u16 f_idx: the body both packed formats share."""
-    raw = layer.arr.astype(_value_dtype(layer.dtype)).tobytes()
+    raw = layer.arr.astype(DTYPES[layer.dtype], copy=False).tobytes()
     return (magic + head + struct.pack("<I", len(layer.arr)) + raw
-            + _pack_u16_array(layer.c_ptr, "c_ptr")
-            + _pack_u16_array(layer.f_idx, "f_idx"))
+            + _pack_index_array(layer.c_ptr, "c_ptr")
+            + _pack_index_array(layer.f_idx, "f_idx"))
 
 
 def _read_block(buf: bytes, offset: int, dtype: str, cls, magic: bytes,
@@ -260,9 +257,9 @@ def _read_block(buf: bytes, offset: int, dtype: str, cls, magic: bytes,
     r = Reader(buf, offset, f"{magic.decode()} block")
     r.magic(magic)
     *fields, n_arr = r.unpack(f"<{head}I")
-    arr = r.array(_value_dtype(dtype), n_arr)
-    c_ptr = r.array("<u2", *r.unpack("<I"))
-    f_idx = r.array("<u2", *r.unpack("<I"))
+    arr = r.array(DTYPES[dtype], n_arr)
+    c_ptr = r.array(INDEX_DTYPE, *r.unpack("<I"))
+    f_idx = r.array(INDEX_DTYPE, *r.unpack("<I"))
     try:
         # the head fields follow arr in both layer classes' field order
         return cls(arr, *fields, c_ptr, f_idx, dtype), r.offset
@@ -272,13 +269,15 @@ def _read_block(buf: bytes, offset: int, dtype: str, cls, magic: bytes,
 
 def write_fwcs(layer: FwcsLayer) -> bytes:
     """FWCS block: magic, u16 size, u32+arr bytes, u32+u16 c_ptr, u32+u16 f_idx."""
-    if not 0 <= layer.size <= _U16_MAX:
+    if not 0 <= layer.size <= _INDEX_MAX:
         raise FormatError("size outside u16 range")
-    return _write_block(layer, FWCS_MAGIC, struct.pack("<H", layer.size))
+    return _write_block(layer, FWCS_MAGIC,
+                        struct.pack("<" + INDEX_DTYPE.char, layer.size))
 
 
 def read_fwcs(buf: bytes, offset: int, dtype: str) -> tuple[FwcsLayer, int]:
-    return _read_block(buf, offset, dtype, FwcsLayer, FWCS_MAGIC, "H")
+    return _read_block(buf, offset, dtype, FwcsLayer, FWCS_MAGIC,
+                       INDEX_DTYPE.char)
 
 
 def write_csr(layer: CsrLayer) -> bytes:

@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, TopologyError
-from .tensor import ConvLayerSpec, QuantParams, Tensor, check_scale, \
-    check_zero_point, dequantize, patch_matrix
+from .tensor import DTYPES, ConvLayerSpec, QuantParams, Tensor, \
+    check_scale, check_zero_point, dequantize, patch_matrix
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ class SequentialModel:
     @property
     def value_bits(self) -> int:
         """Bits of one stored weight: 8 for int8 layers, 32 for float32."""
-        bits = {8 if layer.weights.dtype == "int8" else 32
-                for layer in self.layers}
+        bits = {8 * DTYPES[layer.weights.dtype].itemsize for layer in self.layers}
         if len(bits) != 1:
             raise DataError(f"model {self.name} has no single weight dtype")
         return bits.pop()

@@ -18,7 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundsError, CorruptionError, DataError
 
-DTYPES = {"float32": np.float32, "int8": np.int8}
+# each dtype name and the little-endian numpy dtype its values are stored as
+DTYPES = {"float32": np.dtype("<f4"), "int8": np.dtype("i1")}
 _DTYPE_TAGS = {"float32": 0, "int8": 1}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
@@ -268,11 +269,8 @@ def write_tensor(t: Tensor) -> bytes:
     """Serialize as: magic, u8 dtype tag, u8 rank, u32 extents, raw LE data."""
     head = TENSOR_MAGIC + struct.pack("<BB", _DTYPE_TAGS[t.dtype], len(t.dims))
     head += struct.pack(f"<{len(t.dims)}I", *t.dims)
-    if t.dtype == "int8":
-        body = t.data.tobytes()
-    else:
-        body = t.data.astype("<f4").tobytes()
-    return head + body
+    # a Tensor holds its data as DTYPES[dtype], already little-endian
+    return head + t.data.tobytes()
 
 
 def read_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
@@ -287,5 +285,4 @@ def read_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
     n = math.prod(dims)
     if rank == 0 or n == 0:
         raise CorruptionError("tensor with empty shape")
-    data = r.array(np.int8 if dtype == "int8" else "<f4", n)
-    return Tensor(dims, dtype, data), r.offset
+    return Tensor(dims, dtype, r.array(DTYPES[dtype], n)), r.offset
