@@ -41,12 +41,14 @@ def strategy_alphas(s, n_layers: int | None = None) -> tuple[float, ...]:
     """The pruned fractions of strategy ``s``, a ``StrategyVector`` or any
     sequence of reals, as floats.
 
-    Raises DataError unless each is in [0, 1] (nan is not) and, when
-    ``n_layers`` is given, there is one per layer.
+    Raises DataError unless each is a real number in [0, 1] (nan, strings
+    and bools are not) and, when ``n_layers`` is given, there is one per
+    layer.
     """
-    alphas = tuple(float(a) for a in s)
-    if any(not 0.0 <= a <= 1.0 for a in alphas):
+    alphas = tuple(s)
+    if not all(is_real(a) and 0.0 <= a <= 1.0 for a in alphas):
         raise DataError(f"alpha outside [0, 1] in {alphas}")
+    alphas = tuple(float(a) for a in alphas)
     if n_layers is not None and len(alphas) != n_layers:
         raise DataError("strategy length != layer count")
     return alphas
@@ -54,13 +56,18 @@ def strategy_alphas(s, n_layers: int | None = None) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Budget:
-    """Deployment limits: flash bytes, SRAM bytes, and allowed loss change."""
+    """Deployment limits: flash bytes, SRAM bytes, and allowed loss change
+    (``inf`` for none)."""
 
     mem_flash: int
     mem_ram: int
     dl_max: float
 
     def __post_init__(self):
+        if not (is_integer(self.mem_flash) and is_integer(self.mem_ram)):
+            raise DataError("memory budgets must be integers")
+        if not is_real(self.dl_max) or math.isnan(self.dl_max):
+            raise DataError(f"dl_max {self.dl_max!r} is not a real number")
         if self.mem_flash <= 0 or self.mem_ram <= 0 or self.dl_max < 0:
             raise DataError("budgets must be positive (dl_max may be zero)")
 
@@ -80,6 +87,7 @@ class LatencyParams:
             v = getattr(self, name)
             if not is_real(v) or not (math.isfinite(v) and v >= 0):
                 raise DataError(f"{name} {v!r} must be finite and non-negative")
+            object.__setattr__(self, name, float(v))
         if not is_integer(self.lanes):
             raise DataError(f"lanes {self.lanes!r} is not an integer")
         object.__setattr__(self, "lanes", int(self.lanes))

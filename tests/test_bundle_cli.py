@@ -117,6 +117,22 @@ def with_crc(raw, crc_at):
     return bytes(raw[:crc_at]) + struct.pack("<I", crc) + bytes(raw[crc_at + 4:])
 
 
+def overwrite(raw, data, start=0):
+    """``raw`` with one to eight bytes overwritten at a drawn offset from
+    ``start`` on."""
+    raw = bytearray(raw)
+    n = data.draw(st.integers(1, 8))
+    at = data.draw(st.integers(start, len(raw) - n))
+    raw[at:at + n] = data.draw(st.binary(min_size=n, max_size=n))
+    return bytes(raw)
+
+
+def quiet_main(argv):
+    """Exit code of the command line on ``argv``, its output discarded."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
 def parse_and_decode(raw):
     for layer in ModelBundle.from_bytes(raw).layers:
         layer.decode_weights()
@@ -430,22 +446,79 @@ class TestCliOnMutatedBundles:
                 [i for i in range(start, end) if chr(raw[i]).isdigit()]))
             raw[at] = ord(data.draw(st.sampled_from("0123456789")))
         else:
-            n = data.draw(st.integers(1, 8))
-            at = data.draw(st.integers(0, len(raw) - n))
-            raw[at:at + n] = data.draw(st.binary(min_size=n, max_size=n))
+            raw = overwrite(raw, data)
         raw = with_crc(raw, crc_at) if how == "crc" else bytes(raw)
         path = fuzz_input.parent / "bundle.fltb"
         path.write_bytes(raw)
         argv = [command, str(path)]
         if command == "run":
             argv.append(str(fuzz_input))
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            code = main(argv)
+        code = quiet_main(argv)
         if command == "run" and code == 3:
             first = ModelBundle.from_bytes(raw).layers[0]
             assert first.spec.input_dims != (10, 10, 3)
         else:
             assert code in (0, 4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_grads(fuzz_input):
+    """Paths of the dense bundle of FUZZ_BUNDLES and of its gradients."""
+    model_path = fuzz_input.parent / "model.fltb"
+    model_path.write_bytes(FUZZ_BUNDLES["dense"])
+    grads_path = fuzz_input.parent / "grads.fltb"
+    grads_bundle_for(model_from_bundle(ModelBundle.load(model_path))
+                     ).save(grads_path)
+    return model_path, grads_path
+
+
+class TestCliOnMutatedInputs:
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(fmt=st.sampled_from(FORMATS), data=st.data(),
+           how=st.sampled_from(("bytes", "truncate", "tensor")))
+    def test_run_exits_0_3_or_4(self, fuzz_input, fmt, data, how):
+        # the input tensor with bytes overwritten, cut short, or replaced by
+        # a well-formed tensor of a drawn shape and dtype
+        raw = fuzz_input.read_bytes()
+        if how == "bytes":
+            raw = overwrite(raw, data)
+        elif how == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            dims = data.draw(st.just((10, 10, 3)) | st.lists(
+                st.integers(1, 11), min_size=1, max_size=4).map(tuple))
+            dtype = data.draw(st.sampled_from(("int8", "float32")))
+            values = np.random.default_rng(len(dims)).integers(
+                -100, 100, dims).astype(dtype)
+            raw = write_tensor(Tensor.from_array(values, dtype))
+        bundle_path = fuzz_input.parent / "b.fltb"
+        bundle_path.write_bytes(FUZZ_BUNDLES[fmt])
+        input_path = fuzz_input.parent / "x.dttn"
+        input_path.write_bytes(raw)
+        assert quiet_main(["run", str(bundle_path), str(input_path)]) in (0, 3, 4)
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(command=st.sampled_from(("prune", "compare")), data=st.data(),
+           how=st.sampled_from(("bytes", "crc", "payload")))
+    def test_prune_and_compare_exit_0_2_3_or_4(self, fuzz_grads, command,
+                                               data, how):
+        # the gradient bundle with one to eight bytes overwritten anywhere,
+        # then its CRC made to match or not; or overwritten in the layer
+        # payloads, CRC matching
+        model_path, grads_path = fuzz_grads
+        raw = grads_path.read_bytes()
+        _, _, crc_at = manifest_span(raw)
+        raw = overwrite(raw, data, crc_at + 4 if how == "payload" else 0)
+        raw = raw if how == "bytes" else with_crc(raw, crc_at)
+        path = grads_path.parent / "mutated-grads.fltb"
+        path.write_bytes(raw)
+        argv = [command, str(model_path), str(path)]
+        if command == "prune":
+            argv += [str(path.parent / "out.fltb"), "--flash", "100000",
+                     "--ram", "100000", "--dlmax", "1e9", "--iters", "20"]
+        else:
+            argv += ["--ratio", "0.5"]
+        assert quiet_main(argv) in (0, 2, 3, 4)
 
 
 class TestCli:
@@ -560,7 +633,8 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize("setting", [["--step", "0"], ["--step", "nan"],
-                                         ["--step", "-0.05"], ["--t0", "nan"]])
+                                         ["--step", "-0.05"], ["--t0", "nan"],
+                                         ["--dlmax", "nan"]])
     def test_meaningless_search_settings_exit_3(self, workdir, capsys,
                                                 setting):
         tmp, _, model_path, grads_path, _ = workdir

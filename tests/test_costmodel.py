@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from filterlet.costmodel import LatencyParams, StrategyVector, \
+from filterlet.costmodel import Budget, LatencyParams, StrategyVector, \
     fit_latency_params, layer_latency, load_latency_params, load_samples_csv, \
     model_size, normalized_mse, runtime_memory, save_latency_params, \
     save_samples_csv, total_time
@@ -51,6 +51,24 @@ class TestStrategyVector:
             StrategyVector((1.2,))
         with pytest.raises(DataError):
             StrategyVector((float("nan"),))
+
+
+class TestBudget:
+    def test_infinite_loss_budget_means_no_limit(self):
+        assert Budget(100, np.int64(200), float("inf")).dl_max == float("inf")
+        Budget(100, 200, np.float32(0.0))
+
+    @pytest.mark.parametrize("dl_max", [float("nan"), np.float64("nan"), "1",
+                                        True, None])
+    def test_loss_budget_must_be_a_real_number(self, dl_max):
+        with pytest.raises(DataError, match="dl_max"):
+            Budget(100, 200, dl_max)
+
+    @pytest.mark.parametrize("flash, ram", [(100.0, 200), (100, 200.5),
+                                            (True, 200), (100, "200")])
+    def test_memory_budgets_must_be_integers(self, flash, ram):
+        with pytest.raises(DataError, match="integers"):
+            Budget(flash, ram, 1.0)
 
 
 class TestModelSize:
@@ -240,6 +258,15 @@ class TestPersistence:
         save_latency_params(path, p)
         back = load_latency_params(path)
         assert back == p
+
+    def test_numpy_scalar_params_are_stored_as_floats(self, tmp_path):
+        p = LatencyParams(np.float64(1.25), 1, np.float32(2.5), 2.0,
+                          lanes=np.int64(4))
+        assert all(type(getattr(p, name)) is float
+                   for name in ("t_mem", "t_idx", "t_com", "t_post"))
+        path = tmp_path / "params.txt"
+        save_latency_params(path, p)
+        assert load_latency_params(path) == p
 
     @pytest.mark.parametrize("text", ["4.9", "4.0", "four", "True", ""])
     def test_non_integer_lanes_in_a_file_rejected(self, tmp_path, text):

@@ -432,7 +432,7 @@ class TestEvaluate:
         good = [0.25, 0.5]
         for name, f in entry_points.items():
             assert f(StrategyVector(tuple(good))) == f(good), name
-        for s in ([0.5, 1.5], [float("nan"), 0.0]):
+        for s in ([0.5, 1.5], [float("nan"), 0.0], ["0.5", 0.5], [True, 0.5]):
             with pytest.raises(DataError, match="alpha outside"):
                 StrategyVector(tuple(s))
             for name, f in entry_points.items():
