@@ -95,11 +95,16 @@ class LatencyParams:
             raise DataError("lanes must be >= 1")
 
 
-def layer_flash_bits(spec: ConvLayerSpec, alpha: float, m: int = 8) -> int:
-    """Flash bits of one layer at pruned fraction ``alpha``: ``m`` bits per
+def kept_flash_bits(spec: ConvLayerSpec, keep: int, m: int = 8) -> int:
+    """Flash bits of one layer that keeps ``keep`` filterlets: ``m`` bits per
     retained weight plus one index entry per retained filterlet."""
-    k = kept_count(spec.n_filters * spec.filterlets_per_filter, alpha)
-    return m * k * spec.channels + 8 * INDEX_DTYPE.itemsize * k
+    return m * keep * spec.channels + 8 * INDEX_DTYPE.itemsize * keep
+
+
+def layer_flash_bits(spec: ConvLayerSpec, alpha: float, m: int = 8) -> int:
+    """Flash bits of one layer at pruned fraction ``alpha``."""
+    return kept_flash_bits(
+        spec, kept_count(spec.n_filters * spec.filterlets_per_filter, alpha), m)
 
 
 def flash_bytes(layer_bits) -> int:

@@ -6,6 +6,7 @@ exactly ``channels`` times smaller than the per-weight CSR table while the
 retained values themselves stay contiguous for vector loads.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ def kept_count(total: int, alpha: float) -> int:
     """
     if not 0.0 <= alpha <= 1.0:
         raise DataError(f"alpha {alpha} outside [0, 1]")
-    return int(np.floor((1.0 - alpha) * total + 0.5))
+    return math.floor((1.0 - alpha) * total + 0.5)
 
 
 @dataclass(frozen=True)

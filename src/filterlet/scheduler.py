@@ -8,8 +8,9 @@ candidates are ever returned as the incumbent.
 Every metric of a strategy combines per-layer terms (latency, flash bits,
 pruned score, output activation bytes).  Latency reads the layer's exact
 fraction; the other three depend only on its kept count, so a problem sorts
-each layer's scores once and builds one mask per (layer, kept count), however
-many searches and evaluations use it.
+each layer's scores once and prices each (layer, kept count) once from that
+order, without a mask, however many searches and evaluations use it.
+``plan_and_pack`` builds the winning masks from the same orders.
 
 The chain walks indexed states.  A layer's fraction is an id into the floats
 that ``+-step`` moves reach from 0 (drift such as ``0.7000000000000001``
@@ -20,25 +21,32 @@ so a step is a draw, a neighbour lookup, an objective lookup and a compare.
 The best states are chosen and the trace is built once the chain has run.
 The draws are decoded from raw words of the seeded stream (``_Draws``) rather
 than asked of a numpy ``Generator`` one call at a time.
+
+A long chain spends most of its steps at strict local minima: every
+neighbour is already numbered and uphill, so each step draws a move and a
+uniform and, nearly always, rejects.  There the chain decides a block of
+steps at once with numpy, from the same word buffer, up to the first step
+that might accept; that step goes through the scalar loop, with
+``math.exp``.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import mul
+from itertools import accumulate, chain, islice, repeat
+from operator import length_hint, mul
 from typing import NamedTuple
 
 import numpy as np
 
 from .bundle import ModelBundle, bundle_from_masks
 from .costmodel import Budget, LatencyParams, StrategyVector, \
-    activation_bytes, flash_bytes, input_bytes, layer_flash_bits, \
+    activation_bytes, flash_bytes, input_bytes, kept_flash_bits, \
     layer_latency, strategy_alphas, total_time
 from .errors import DataError
-from .fwcs import kept_count
-from .importance import ImportanceMap, build_mask, order_mask, prune_order, \
-    pruned_score
+from .fwcs import FilterletMask, kept_count
+from .importance import ImportanceMap, order_mask, prune_order
 from .model import SequentialModel, check_chain
 from .tensor import ConvLayerSpec
 
@@ -93,29 +101,49 @@ class LayerTerms(NamedTuple):
 
 class _LayerTable:
     """Terms of one layer of a problem: one stable argsort of its scores,
-    and the mask-derived terms once per kept count."""
+    and the kept-count terms once per kept count, priced from the order
+    without building a mask."""
 
-    __slots__ = ("problem", "spec", "scores", "order", "by_keep")
+    __slots__ = ("problem", "spec", "flat", "order", "rank", "lasts",
+                 "by_keep")
 
     def __init__(self, problem: ScheduleProblem, i: int):
         self.problem = problem
-        self.spec = problem.specs[i]
-        self.scores = problem.importance.scores[i]
-        self.order = prune_order(self.scores)
+        self.spec = spec = problem.specs[i]
+        scores = problem.importance.scores[i]
+        self.flat = scores.reshape(-1)
+        self.order = order = prune_order(scores)
+        # each filterlet's position in the order, and each filter's last
+        # one: the filter is emptied once more filterlets than that are pruned
+        self.rank = rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.lasts = sorted(
+            rank.reshape(spec.n_filters, -1).max(axis=1).tolist())
         self.by_keep: dict[int, tuple[int, float, int]] = {}
 
+    def kept_terms(self, keep: int) -> tuple[int, float, int]:
+        """Flash bits, pruned score and output bytes with the last ``keep``
+        filterlets of the order kept."""
+        spec, m, cut = self.spec, self.problem.m, self.flat.size - keep
+        # the pruned scores in flat order, as a mask's scores[~kept] holds
+        # them, so the pairwise sum is the same
+        dl = float(self.flat[self.rank < cut].sum())
+        channels = spec.n_filters - bisect_left(self.lasts, cut)
+        return (kept_flash_bits(spec, keep, m), dl,
+                activation_bytes(spec.out_positions, channels, m))
+
     def terms(self, alpha: float) -> LayerTerms:
-        spec, m = self.spec, self.problem.m
-        keep = kept_count(self.scores.size, alpha)
+        keep = kept_count(self.flat.size, alpha)
         kept = self.by_keep.get(keep)
         if kept is None:
-            mask = order_mask(spec, self.order, keep)
-            kept = self.by_keep[keep] = (
-                layer_flash_bits(spec, alpha, m),
-                pruned_score(self.scores, mask),
-                activation_bytes(spec.out_positions, mask.kept_channels(), m))
-        return LayerTerms(layer_latency(spec, alpha, self.problem.latency),
-                          *kept)
+            kept = self.by_keep[keep] = self.kept_terms(keep)
+        return LayerTerms(
+            layer_latency(self.spec, alpha, self.problem.latency), *kept)
+
+    def mask(self, alpha: float) -> FilterletMask:
+        """The layer's :func:`build_mask` mask at pruned fraction ``alpha``."""
+        return order_mask(self.spec, self.order,
+                          kept_count(self.flat.size, alpha))
 
 
 def layer_terms(problem: ScheduleProblem, i: int, alpha: float) -> LayerTerms:
@@ -174,9 +202,17 @@ def _violation_measure(ev: Evaluation, budget: Budget) -> float:
     return v
 
 
-# raw 64-bit words the chain reads from its bit generator at a time
-_CHUNK = 256
+# raw 64-bit words the chain reads from its bit generator at a time; one
+# read holds the words of a whole block
+_CHUNK = 1024
+# most steps one block decides
+_BLOCK = 256
 _LOW32 = 0xFFFFFFFF
+_LOW53 = 2 ** 53 - 1
+# a block rejects an uphill step only when its uniform exceeds numpy's exp
+# of the exponent by this factor; numpy's exp and math.exp differ by a few
+# ulp, far less
+_MARGIN = 1.0 + 2.0 ** -40
 
 
 class _Draws:
@@ -188,15 +224,33 @@ class _Draws:
     Lemire's bounded draw on 32-bit halves: a word drawn for an integer gives
     its low half now and keeps its high half for the next integer draw, as the
     bit generator's 32-bit buffer does.
+
+    The scalar reads walk a list of the buffered words; :meth:`block`
+    decodes runs of ``move`` and ``random`` pairs from the same buffer as
+    arrays.
     """
 
-    __slots__ = ("_word", "_half")
+    __slots__ = ("_raw", "_buf", "_words", "_left", "_next", "_half")
 
     def __init__(self, seed):
-        raw = np.random.default_rng(seed).bit_generator.random_raw
-        self._word = chain.from_iterable(
-            raw(_CHUNK).tolist() for _ in repeat(None)).__next__
+        self._raw = np.random.default_rng(seed).bit_generator.random_raw
+        self._load(np.empty(0, np.uint64))
         self._half = None
+
+    def _load(self, buf: np.ndarray):
+        # the buffer as an array for blocks, and as a list with an iterator
+        # over its unread words for scalar reads
+        self._buf = buf
+        self._words = buf.tolist()
+        self._left = iter(self._words)
+        self._next = self._left.__next__
+
+    def _word(self) -> int:
+        try:
+            return self._next()
+        except StopIteration:
+            self._load(self._raw(_CHUNK))
+            return self._next()
 
     def random(self) -> float:
         return (self._word() >> 11) * 2.0 ** -53
@@ -220,6 +274,66 @@ class _Draws:
                 break
         # random() < 0.5 exactly when the word's top bit is clear
         return 2 * i + (self._word() >> 63)
+
+    def block(self, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``count`` pairs of ``move(n)`` and ``random()`` as two
+        arrays, without reading them; cut before the first move whose
+        integer draw rejects a half, as that one reads one more word.
+
+        Pairs repeat every five words: an integer word whose halves serve
+        two moves, then a coin and a uniform word for each.  A buffered half
+        is the high half of such a group's first word, so decoding starts
+        one move into that group.
+        """
+        # a list iterator's length hint is its exact count of unread words
+        pos = len(self._words) - length_hint(self._left)
+        # at most two words for a buffered half's pair, then five per two
+        need = 5 * ((count + 1) // 2) + 2
+        if pos + need > self._buf.size:
+            self._load(np.concatenate((self._buf[pos:], self._raw(_CHUNK))))
+            pos = 0
+        # as int64, whose ufunc loops the process has mostly mapped already
+        # (uint64's would map more): a word's top bit is its sign, and
+        # products wrap as uint64's do
+        w = self._buf[pos:pos + need].view(np.int64)
+        if n == 1:
+            # no integer draw: a coin and a uniform word per pair
+            coins, uniforms = w[:2 * count:2], w[1:2 * count:2]
+            slots = np.zeros(count, np.int64)
+        else:
+            lead = self._half is not None
+            if lead:
+                w = np.concatenate((np.array(
+                    [self._half << 32, 0, 0], np.uint64).view(np.int64), w))
+            groups = w[:5 * ((lead + count + 1) // 2)].reshape(-1, 5)
+            halves = np.stack((groups[:, 0] & _LOW32,
+                               groups[:, 0] >> 32 & _LOW32), axis=1)
+            m = halves.reshape(-1)[lead:lead + count] * n
+            coins = groups[:, 1::2].reshape(-1)[lead:]
+            uniforms = groups[:, 2::2].reshape(-1)[lead:]
+            fits = (m & _LOW32) >= (2 ** 32 - n) % n
+            if not fits.all():
+                count = int(fits.argmin())
+            slots = (m[:count] >> 32 & _LOW32) * 2
+        slots += coins[:count] < 0
+        return slots, (uniforms[:count] >> 11 & _LOW53) * 2.0 ** -53
+
+    def skip(self, n: int, count: int):
+        """Read the next ``count`` pairs of ``move(n)`` and ``random()``,
+        none of whose integer draws rejects a half."""
+        words = 2 * count
+        if n > 1 and count:
+            # moves into the five-word groups of :meth:`block`
+            lead = self._half is not None
+            moves = lead + count
+            words = 5 * (moves // 2) - 3 * lead
+            self._half = None
+            if moves % 2:
+                pos = len(self._words) - length_hint(self._left)
+                self._half = self._words[pos + words] >> 32
+                words += 3
+        # step past them, as itertools' consume recipe does
+        next(islice(self._left, words, words), None)
 
 
 class TraceRow(NamedTuple):
@@ -303,13 +417,16 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
 
     # state k: its fraction ids, predicted time, feasibility, penalized
     # objective, and in nbrs[two_n * k + slot] its neighbour by move slot
-    # (-1 until resolved)
+    # (-1 until resolved); unresolved[k] counts its -1 slots, and
+    # minimum[k] is set once they are resolved and all lie strictly uphill
     state_ids: dict[tuple[int, ...], int] = {}
     states: list[tuple[int, ...]] = []
     times: list[float] = []
     oks: list[bool] = []
     objs: list[float] = []
     nbrs: list[int] = []
+    unresolved: list[int] = []
+    minimum: list[bool] = []
 
     def number(fids: tuple[int, ...]) -> int:
         k = state_ids.get(fids)
@@ -321,6 +438,8 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
             oks.append(ev.feasible)
             objs.append(ev.time + lam * _violation_measure(ev, problem.budget))
             nbrs.extend(repeat(-1, two_n))
+            unresolved.append(two_n)
+            minimum.append(False)
         return k
 
     def neighbour(k: int, slot: int) -> int:
@@ -340,9 +459,13 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
                 moved.extend((-1, -1))
             moved[j] = g
         nbrs[two_n * k + slot] = nbr = number((*fids[:i], g, *fids[i + 1:]))
+        unresolved[k] -= 1
+        if not unresolved[k]:
+            minimum[k] = objs[k] < min(
+                map(objs.__getitem__, nbrs[two_n * k:two_n * (k + 1)]))
         return nbr
 
-    # temps[it - 1] is the temperature step it is judged at
+    # temps[it] is the temperature step it + 1 is judged at
     temps = list(accumulate(repeat(cooling, iters - 1), mul,
                             initial=float(t0)))
     draws = _Draws(seed)
@@ -351,7 +474,8 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     cands, curs = [cur], [cur]
     for run in range(2):
         cur_obj = objs[cur]
-        for temp in temps:
+        it = 0
+        while it < iters:
             slot = move(n)
             cand = nbrs[two_n * cur + slot]
             if cand < 0:
@@ -359,10 +483,27 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
             obj = objs[cand]
             # uphill, obj > cur_obj: the exponent is negative
             if obj <= cur_obj or uniform() < math.exp(
-                    (cur_obj - obj) / max(temp, 1e-12)):
+                    (cur_obj - obj) / max(temps[it], 1e-12)):
                 cur, cur_obj = cand, obj
             cands.append(cand)
             curs.append(cur)
+            it += 1
+            if minimum[cur] and it < iters:
+                # every step draws an uphill neighbour: decide the run of
+                # sure rejections in one block; the step after it, which
+                # may accept, goes through the loop above
+                around = nbrs[two_n * cur:two_n * (cur + 1)]
+                slots, u = draws.block(n, min(_BLOCK, iters - it))
+                div = np.array(temps[it:it + slots.size])
+                div[div < 1e-12] = 1e-12  # max(temp, 1e-12), as above
+                uphill = np.array([objs[k] for k in around])[slots]
+                sure = u > np.exp((cur_obj - uphill) / div) * _MARGIN
+                d = slots.size if sure.all() else int(sure.argmin())
+                draws.skip(n, d)
+                # the neighbours' own id objects, not d new ints
+                cands.extend(map(around.__getitem__, slots[:d].tolist()))
+                curs.extend(repeat(cur, d))
+                it += d
         # states are numbered in the order the chain first proposed them, so
         # the lowest-numbered minimum is the first one visited
         feasible_states = [k for k, ok in enumerate(oks) if ok]
@@ -412,5 +553,7 @@ def plan_and_pack(problem: ScheduleProblem, model: SequentialModel,
                     cooling=cooling, step=step)
     if not result.feasible:
         return None, result
-    masks = build_mask(problem.importance, result.s)
+    # the search's own sort of each layer, as build_mask would sort it again
+    masks = [table.mask(a)
+             for table, a in zip(problem._tables, result.s.alphas)]
     return bundle_from_masks(model, masks, fmt="fwcs"), result

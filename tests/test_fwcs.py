@@ -45,6 +45,17 @@ class TestKeptCount:
         assert kept_count(3, 0.5) == 2  # (1-0.5)*3 = 1.5 rounds up
         assert kept_count(144, 0.5) == 72
 
+    @pytest.mark.parametrize("alpha", [
+        0.0, 1.0, 0.5, 0.25, 0.75, 0.125,
+        # fractions as +-0.05 moves leave them
+        0.7000000000000001, 0.44999999999999996, 0.5499999999999999,
+        0.8500000000000002, 0.9500000000000003, 0.30000000000000004])
+    def test_equals_numpy_floor(self, alpha):
+        for total in (1, 2, 3, 9, 10, 27, 144, 2 ** 20 + 1):
+            got = kept_count(total, alpha)
+            assert type(got) is int
+            assert got == int(np.floor((1.0 - alpha) * total + 0.5)), total
+
     def test_bad_alpha(self):
         with pytest.raises(DataError):
             kept_count(4, 1.5)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import importlib.util
 import itertools
@@ -17,8 +18,9 @@ from filterlet.fwcs import FilterletMask
 from filterlet.importance import GradientBundle, ImportanceMap, build_mask, \
     delta_loss, score_model
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
-from filterlet.scheduler import _CHUNK, ScheduleProblem, ScheduleResult, \
-    TraceRow, _Draws, anneal, evaluate, plan_and_pack
+from filterlet.scheduler import _BLOCK, _CHUNK, ScheduleProblem, \
+    ScheduleResult, TraceRow, _Draws, _LayerTable, anneal, evaluate, \
+    plan_and_pack
 from filterlet.tensor import ConvLayerSpec, Tensor
 
 LAT = LatencyParams(1.0, 1.0, 2.0, 2.0, lanes=4)
@@ -392,11 +394,42 @@ class TestPlanAndPack:
         assert abs(bundle.payload_bytes() - result.predicted_size) <= 64
 
 
+def rescored(problem, scores):
+    return ScheduleProblem(problem.specs,
+                           ImportanceMap(problem.specs, scores),
+                           problem.budget, problem.latency)
+
+
+def tied_problem(seed=6):
+    # three score values: most filterlets tie with many others
+    rng = np.random.default_rng(seed)
+    two = two_layer_problem()
+    return rescored(two, [rng.integers(0, 3, s.shape).astype(float)
+                          for s in two.importance.scores])
+
+
+def emptying_problem(seed=9):
+    # filters whose every filterlet scores below the rest of the layer are
+    # emptied while the others keep filterlets; some of them tie at zero
+    rng = np.random.default_rng(seed)
+    six = six_layer_problem(ram_share=0.6)
+    scores = []
+    for s in six.importance.scores:
+        s = s.copy()
+        low = rng.choice(s.shape[0], 5, replace=False)
+        s[low] *= 1e-6
+        s[low[:2]] = 0.0
+        scores.append(s)
+    return rescored(six, scores)
+
+
 class TestEvaluate:
     PROBLEMS = {"two": two_layer_problem(),
-                "six": six_layer_problem(ram_share=0.6)}
+                "six": six_layer_problem(ram_share=0.6),
+                "ties": tied_problem(),
+                "emptied": emptying_problem()}
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(name=st.sampled_from(sorted(PROBLEMS)), data=st.data())
     def test_equals_the_whole_model_functions(self, name, data):
         problem = self.PROBLEMS[name]
@@ -523,6 +556,54 @@ class TestDraws:
             assert draws.move(6) == self.numpy_move(rng, 6)
             assert draws.random() == rng.random()
 
+    def next_pairs(self, rng, n, count):
+        return [(self.numpy_move(rng, n), rng.random()) for _ in range(count)]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_blocks_among_scalar_reads_match_numpy(self, seed):
+        plan = np.random.default_rng([seed, 8])
+        draws, rng = _Draws(seed), np.random.default_rng(seed)
+        cut = 0
+        # about 60 blocks of up to _BLOCK pairs: many refills' worth
+        for _ in range(120):
+            n = self.NS[plan.integers(len(self.NS))]
+            if plan.random() < 0.5:
+                # a scalar move leaves a half buffered or not
+                assert draws.move(n) == self.numpy_move(rng, n)
+                continue
+            count = int(plan.integers(1, _BLOCK + 1))
+            slots, u = draws.block(n, count)
+            # every decoded pair, read or not, is numpy's next pair; only a
+            # move that rejects a half cuts the block short
+            assert list(zip(slots.tolist(), u.tolist())) == self.next_pairs(
+                copy.deepcopy(rng), n, slots.size)
+            if slots.size < count:
+                assert n == 2 ** 31 + 5
+                cut += 1
+            read = int(plan.integers(slots.size + 1))
+            draws.skip(n, read)
+            self.next_pairs(rng, n, read)
+        assert draws.random() == rng.random()
+        assert cut
+
+    def test_block_from_a_buffered_half_crosses_a_refill(self):
+        # the move takes the low half of the fifth word from the end of the
+        # first chunk, and the block starts from its high half and decodes
+        # the chunk's last three words and the next chunk's
+        draws, rng = _Draws(11), np.random.default_rng(11)
+        for _ in range(_CHUNK - 5):
+            assert draws.random() == rng.random()
+        assert draws.move(6) == self.numpy_move(rng, 6)
+        first = draws._buf
+        slots, u = draws.block(6, _BLOCK)
+        assert draws._buf is not first
+        assert list(zip(slots.tolist(), u.tolist())) == self.next_pairs(
+            rng, 6, _BLOCK)
+        draws.skip(6, _BLOCK)
+        for _ in range(3):
+            assert draws.move(6) == self.numpy_move(rng, 6)
+            assert draws.random() == rng.random()
+
 
 class TestAgainstReferenceChain:
     STEPS = (0.05, 0.07, 0.1, 0.3, 1.0)
@@ -548,12 +629,48 @@ class TestAgainstReferenceChain:
             if budget == "infeasible":
                 assert not got.feasible
 
-    def test_one_sort_per_layer_and_one_mask_per_kept_count(self, monkeypatch):
+    # long chains that freeze, at no temperature or one tiny against the
+    # default t0 (a tenth of the dense model's time), so most of their steps
+    # are decided in blocks; the warmer ones accept a few uphill moves first
+    # (iters, t0, cooling, layers, budget, seed)
+    FROZEN = [(3000, 0.0, 0.9, 1, "flash", 0),
+              (3000, 0.0, 0.9, 1, "infeasible", 1),
+              (4000, 1e-9, 0.995, 2, "ram", 0),
+              (5000, 30.0, 0.995, 3, "flash", 0),
+              (6000, 0.0, 0.995, 4, "ram", 2),
+              (4500, 100.0, 0.9, 4, "ram", 2),
+              (3500, 30.0, 0.995, 5, "flash", 1),
+              (6000, 30.0, 0.995, 6, "flash", 1),
+              (5000, 1e-9, 0.9, 6, "ram", 7),
+              (5000, 0.0, 0.9, 5, "infeasible", 7)]
+
+    @staticmethod
+    def frozen_chain(iters, t0, cooling, layers, budget, seed):
+        problem = small_chain_problem(np.random.default_rng([seed, layers, 3]),
+                                      layers, budget)
+        return problem, {"seed": seed, "iters": iters, "t0": t0,
+                         "cooling": cooling}
+
+    @pytest.mark.parametrize("case", FROZEN)
+    def test_long_frozen_chains(self, case):
+        problem, kwargs = self.frozen_chain(*case)
+        assert anneal(problem, **kwargs) == reference_anneal(problem, **kwargs)
+
+    def test_frozen_blocks_reach_every_edge(self, monkeypatch):
+        spy = BlockSpy(monkeypatch)
+        for case in self.FROZEN:
+            problem, kwargs = self.frozen_chain(*case)
+            spy.watch(anneal(problem, **kwargs))
+        assert spy.decided > 0.9 * spy.steps
+        assert spy.edges == {"refill", "half", "no half", "accept", "cap"}
+
+    def test_one_sort_per_layer_and_no_mask_in_the_search(self, monkeypatch):
         problem = six_layer_problem(ram_share=0.6, dl_share=0.6,
                                     flash_share=1.0)
         layer_of = {id(spec): i for i, spec in enumerate(problem.specs)}
-        sorts, masks = [], []
+        sorts, masks, priced = [], [], []
         argsort, post_init = np.argsort, FilterletMask.__post_init__
+        kept_terms = _LayerTable.kept_terms
 
         def counting_argsort(*args, **kwargs):
             sorts.append(1)
@@ -561,13 +678,76 @@ class TestAgainstReferenceChain:
 
         def counting_post_init(mask):
             post_init(mask)
-            masks.append((layer_of[id(mask.spec)], int(mask.kept.sum())))
+            masks.append(mask)
+
+        def counting_kept_terms(table, keep):
+            priced.append((layer_of[id(table.spec)], keep))
+            return kept_terms(table, keep)
 
         monkeypatch.setattr(np, "argsort", counting_argsort)
         monkeypatch.setattr(FilterletMask, "__post_init__", counting_post_init)
+        monkeypatch.setattr(_LayerTable, "kept_terms", counting_kept_terms)
         anneal(problem, seed=5, iters=2000)
         assert len(sorts) <= len(problem.specs)
-        assert masks and len(masks) == len(set(masks))
+        assert not masks
+        assert priced and len(priced) == len(set(priced))
+
+
+class BlockSpy:
+    """Counts the steps of the anneals it watches, and the steps its blocks
+    decide, and notes which edges the blocks reached: a word-buffer refill,
+    a start with and without a buffered half, a stop just before a step that
+    accepts, and a block as long as it may be."""
+
+    def __init__(self, monkeypatch):
+        self.steps = self.decided = self.first = 0
+        self.edges, self.blocks = set(), []
+        block, skip, move = _Draws.block, _Draws.skip, _Draws.move
+
+        def spy_move(draws, n):
+            self.steps += 1
+            return move(draws, n)
+
+        def spy_block(draws, n, count):
+            buf = draws._buf
+            self.edges.add("half" if draws._half is not None else "no half")
+            out = block(draws, n, count)
+            if draws._buf is not buf:
+                self.edges.add("refill")
+            self.blocks.append([self.steps - self.first, count])
+            return out
+
+        def spy_skip(draws, n, count):
+            start, asked = self.blocks[-1]
+            self.blocks[-1] = (start, count, count < asked)
+            if count == _BLOCK:
+                self.edges.add("cap")
+            self.steps += count
+            self.decided += count
+            skip(draws, n, count)
+
+        monkeypatch.setattr(_Draws, "move", spy_move)
+        monkeypatch.setattr(_Draws, "block", spy_block)
+        monkeypatch.setattr(_Draws, "skip", spy_skip)
+
+    def watch(self, result):
+        """Note the blocks of the anneal that returned ``result`` that the
+        step after them accepted: it changes the trace's objective."""
+        rows = result.trace
+        for start, count, cut in self.blocks:
+            end = start + count
+            if cut and rows[end + 1].objective != rows[end].objective:
+                self.edges.add("accept")
+        self.blocks.clear()
+        self.first = self.steps
+
+
+class TestBlockCounts:
+    def test_most_steps_are_decided_in_blocks(self, monkeypatch):
+        spy = BlockSpy(monkeypatch)
+        anneal(six_layer_problem(), seed=0)
+        assert spy.steps == 5000
+        assert spy.decided >= 0.8 * 5000
 
 
 class TestPinnedAnneal:
