@@ -18,7 +18,10 @@ included), and each move of an id is resolved once.  Each distinct strategy
 is numbered once, with its predicted time, feasibility and penalized
 objective in flat columns and a lazily filled table of its ``2n`` neighbours,
 so a step is a draw, a neighbour lookup, an objective lookup and a compare.
-The best states are chosen and the trace is built once the chain has run.
+A new strategy is priced from raw totals of its layer terms, keeping only
+its time, feasibility and objective.  The best states are chosen once the
+chain has run, and the trace rows are built from the chain's columns when
+they are first read.
 The draws are decoded from raw words of the seeded stream (``_Draws``) rather
 than asked of a numpy ``Generator`` one call at a time.
 
@@ -32,10 +35,11 @@ that might accept; that step goes through the scalar loop, with
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
-from operator import length_hint, mul
+from itertools import chain, islice, repeat
+from operator import length_hint
 from typing import NamedTuple
 
 import numpy as np
@@ -151,10 +155,31 @@ def layer_terms(problem: ScheduleProblem, i: int, alpha: float) -> LayerTerms:
     return problem._tables[i].terms(alpha)
 
 
-def _combine(terms, in_bytes: int, problem: ScheduleProblem) -> Evaluation:
-    # time is summed by sum() from 0, as total_time sums it, and dl from 0.0
-    # in layer order, as delta_loss sums it, so both are bit-identical to
-    # theirs; the flash bits and the adjacent-pair peak are exact integers
+class _TermsById(dict):
+    """One layer's terms by fraction id, priced on first lookup."""
+
+    __slots__ = ("table", "fracs")
+
+    def __init__(self, table: _LayerTable, fracs: list[float]):
+        super().__init__()
+        self.table, self.fracs = table, fracs
+
+    def __missing__(self, f: int) -> LayerTerms:
+        t = self[f] = self.table.terms(self.fracs[f])
+        return t
+
+
+def _totals(terms, in_bytes: int,
+            budget: Budget) -> tuple[float, int, int, float, float]:
+    """Time, flash bytes, RAM peak, pruned score and summed relative excess
+    over ``budget`` of a strategy's layer terms.
+
+    Time is summed by sum() from 0, as total_time sums it, and the score
+    from 0.0 in layer order, as delta_loss sums it, so both are bit-identical
+    to theirs.  A broken limit adds a positive ratio (the difference from a
+    smaller float or int is never 0, nor is it over a divisor of at least
+    1e-12), so the excess is 0.0 exactly when every limit holds.
+    """
     times = []
     dl = 0.0
     bits = ram = 0
@@ -168,15 +193,14 @@ def _combine(terms, in_bytes: int, problem: ScheduleProblem) -> Evaluation:
         prev = out
     time = sum(times)
     size = flash_bytes((bits,))
-    budget = problem.budget
-    violations = {}
+    excess = 0.0
     if dl > budget.dl_max:
-        violations["dl"] = (dl, budget.dl_max)
+        excess += (dl - budget.dl_max) / max(budget.dl_max, 1e-12)
     if size > budget.mem_flash:
-        violations["flash"] = (float(size), float(budget.mem_flash))
+        excess += (size - budget.mem_flash) / budget.mem_flash
     if ram > budget.mem_ram:
-        violations["ram"] = (float(ram), float(budget.mem_ram))
-    return Evaluation(time, size, ram, dl, not violations, violations)
+        excess += (ram - budget.mem_ram) / budget.mem_ram
+    return time, size, ram, dl, excess
 
 
 def evaluate(s, problem: ScheduleProblem) -> Evaluation:
@@ -186,20 +210,18 @@ def evaluate(s, problem: ScheduleProblem) -> Evaluation:
     and ``runtime_memory`` with the masks' kept channels.
     """
     alphas = strategy_alphas(s, len(problem.specs))
-    return _combine([layer_terms(problem, i, a) for i, a in enumerate(alphas)],
-                    input_bytes(problem.specs[0], problem.m), problem)
-
-
-def _violation_measure(ev: Evaluation, budget: Budget) -> float:
-    v = 0.0
-    if "dl" in ev.violations:
-        lim = max(budget.dl_max, 1e-12)
-        v += (ev.dl - budget.dl_max) / lim
-    if "flash" in ev.violations:
-        v += (ev.size - budget.mem_flash) / budget.mem_flash
-    if "ram" in ev.violations:
-        v += (ev.ram - budget.mem_ram) / budget.mem_ram
-    return v
+    budget = problem.budget
+    time, size, ram, dl, _ = _totals(
+        [layer_terms(problem, i, a) for i, a in enumerate(alphas)],
+        input_bytes(problem.specs[0], problem.m), budget)
+    violations = {}
+    if dl > budget.dl_max:
+        violations["dl"] = (dl, budget.dl_max)
+    if size > budget.mem_flash:
+        violations["flash"] = (float(size), float(budget.mem_flash))
+    if ram > budget.mem_ram:
+        violations["ram"] = (float(ram), float(budget.mem_ram))
+    return Evaluation(time, size, ram, dl, not violations, violations)
 
 
 # raw 64-bit words the chain reads from its bit generator at a time; one
@@ -343,6 +365,53 @@ class TraceRow(NamedTuple):
     feasible: bool
 
 
+class _Trace(Sequence):
+    """A chain's trace rows, built from its columns on first read: row ``i``
+    is step ``i``, its temperature, the objective of the state the chain
+    holds after it and the feasibility of the state it proposed.  Equal to
+    the plain tuple of its rows."""
+
+    __slots__ = ("_columns", "_rows")
+
+    def __init__(self, t0: float, temps: list[float], objs: list[float],
+                 oks: list[bool], curs: list[int], cands: list[int]):
+        self._columns = (t0, temps, objs, oks, curs, cands)
+        self._rows = None
+
+    @property
+    def rows(self) -> tuple[TraceRow, ...]:
+        if self._rows is None:
+            t0, temps, objs, oks, curs, cands = self._columns
+            # TraceRow._make without a Python call per row; a restarted
+            # chain runs the temperatures twice
+            self._rows = tuple(map(tuple.__new__, repeat(TraceRow),
+                                   zip(range(len(cands)),
+                                       chain((float(t0),), temps, temps),
+                                       map(objs.__getitem__, curs),
+                                       map(oks.__getitem__, cands))))
+            self._columns = None
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self._rows if self._rows is not None
+                   else self._columns[-1])
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, _Trace):
+            other = other.rows
+        return self.rows == other if isinstance(other, tuple) \
+            else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+
 @dataclass(frozen=True)
 class ScheduleResult:
     """Best strategy found plus its re-evaluated metrics."""
@@ -355,7 +424,7 @@ class ScheduleResult:
     feasible: bool
     violations: dict[str, tuple[float, float]]
     iterations: int
-    trace: tuple[TraceRow, ...] = field(repr=False)
+    trace: Sequence[TraceRow] = field(repr=False)
 
     def trace_csv(self) -> str:
         lines = ["iter,temp,objective,feasible"]
@@ -401,19 +470,9 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     # reads the exact fraction
     fracs, frac_ids, moved = [0.0], {0.0: 0}, [-1, -1]
 
-    in_bytes = input_bytes(problem.specs[0], problem.m)
-    tables = problem._tables
+    in_bytes, budget = input_bytes(problem.specs[0], problem.m), problem.budget
     # per layer, its terms by fraction id
-    terms = [{} for _ in range(n)]
-
-    def terms_of(fids: tuple[int, ...]) -> list[LayerTerms]:
-        out = []
-        for memo, table, f in zip(terms, tables, fids):
-            t = memo.get(f)
-            if t is None:
-                t = memo[f] = table.terms(fracs[f])
-            out.append(t)
-        return out
+    terms = [_TermsById(table, fracs) for table in problem._tables]
 
     # state k: its fraction ids, predicted time, feasibility, penalized
     # objective, and in nbrs[two_n * k + slot] its neighbour by move slot
@@ -431,12 +490,13 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     def number(fids: tuple[int, ...]) -> int:
         k = state_ids.get(fids)
         if k is None:
-            ev = _combine(terms_of(fids), in_bytes, problem)
+            time, _, _, _, excess = _totals(
+                map(dict.__getitem__, terms, fids), in_bytes, budget)
             k = state_ids[fids] = len(states)
             states.append(fids)
-            times.append(ev.time)
-            oks.append(ev.feasible)
-            objs.append(ev.time + lam * _violation_measure(ev, problem.budget))
+            times.append(time)
+            oks.append(excess == 0.0)
+            objs.append(time + lam * excess)
             nbrs.extend(repeat(-1, two_n))
             unresolved.append(two_n)
             minimum.append(False)
@@ -461,13 +521,21 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
         nbrs[two_n * k + slot] = nbr = number((*fids[:i], g, *fids[i + 1:]))
         unresolved[k] -= 1
         if not unresolved[k]:
+            # a move clamped at 0 or 1 proposes k itself; a block stops
+            # before such a step, as exp(0) * _MARGIN exceeds every uniform
             minimum[k] = objs[k] < min(
-                map(objs.__getitem__, nbrs[two_n * k:two_n * (k + 1)]))
+                [objs[j] for j in nbrs[two_n * k:two_n * (k + 1)] if j != k],
+                default=math.inf)
         return nbr
 
-    # temps[it] is the temperature step it + 1 is judged at
-    temps = list(accumulate(repeat(cooling, iters - 1), mul,
-                            initial=float(t0)))
+    # temps[it] is the temperature step it + 1 is judged at: t0 times
+    # cooling, it times, multiplied in order as a Python loop would
+    cooled = np.full(iters, cooling, dtype=float)
+    cooled[0] = t0
+    np.multiply.accumulate(cooled, out=cooled)
+    temps = cooled.tolist()
+    # the blocks' divisors, max(temp, 1e-12) as each step divides
+    divs = np.maximum(cooled, 1e-12, out=cooled)
     draws = _Draws(seed)
     move, uniform = draws.move, draws.random
     cur = number((0,) * n)
@@ -494,10 +562,9 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
                 # may accept, goes through the loop above
                 around = nbrs[two_n * cur:two_n * (cur + 1)]
                 slots, u = draws.block(n, min(_BLOCK, iters - it))
-                div = np.array(temps[it:it + slots.size])
-                div[div < 1e-12] = 1e-12  # max(temp, 1e-12), as above
                 uphill = np.array([objs[k] for k in around])[slots]
-                sure = u > np.exp((cur_obj - uphill) / div) * _MARGIN
+                sure = u > np.exp(
+                    (cur_obj - uphill) / divs[it:it + slots.size]) * _MARGIN
                 d = slots.size if sure.all() else int(sure.argmin())
                 draws.skip(n, d)
                 # the neighbours' own id objects, not d new ints
@@ -527,12 +594,7 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
         feasible=final.feasible,
         violations=dict(final.violations),
         iterations=len(cands) - 1,
-        # TraceRow._make without a Python call per row
-        trace=tuple(map(tuple.__new__, repeat(TraceRow),
-                        zip(range(len(cands)),
-                            chain((float(t0),), temps, temps),
-                            map(objs.__getitem__, curs),
-                            map(oks.__getitem__, cands)))),
+        trace=_Trace(t0, temps, objs, oks, curs, cands),
     )
 
 

@@ -3,6 +3,8 @@ import hashlib
 import importlib.util
 import itertools
 import math
+from collections.abc import Sequence
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +14,15 @@ from hypothesis import strategies as st
 
 from filterlet.bundle import bundle_from_model, run_bundle
 from filterlet.costmodel import Budget, LatencyParams, StrategyVector, \
-    model_size, runtime_memory, total_time
+    input_bytes, model_size, runtime_memory, total_time
 from filterlet.errors import DataError, TopologyError
 from filterlet.fwcs import FilterletMask
 from filterlet.importance import GradientBundle, ImportanceMap, build_mask, \
     delta_loss, score_model
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
 from filterlet.scheduler import _BLOCK, _CHUNK, ScheduleProblem, \
-    ScheduleResult, TraceRow, _Draws, _LayerTable, anneal, evaluate, \
-    plan_and_pack
+    ScheduleResult, TraceRow, _Draws, _LayerTable, _totals, _Trace, anneal, \
+    evaluate, layer_terms, plan_and_pack
 from filterlet.tensor import ConvLayerSpec, Tensor
 
 LAT = LatencyParams(1.0, 1.0, 2.0, 2.0, lanes=4)
@@ -520,6 +522,46 @@ class TestEvaluate:
             imp.scores[0][0, 0] = 1.0
 
 
+class TestTotals:
+    """The annealer keeps only ``_totals``' excess of a new state, and calls
+    the state feasible when it is 0.0: that must be exactly when
+    ``evaluate`` finds no violation, on limits at, just above and just
+    below the strategy's own totals."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              database=None)
+    @given(data=st.data())
+    def test_excess_is_zero_exactly_when_feasible(self, data):
+        two = two_layer_problem()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        kind = data.draw(st.sampled_from(["random", "subnormal", "zero"]))
+        scores = [{"random": rng.random(s.shape),
+                   # loss changes of a few multiples of 2**-1074
+                   "subnormal": rng.integers(0, 4, s.shape) * 5e-324,
+                   "zero": np.zeros(s.shape)}[kind]
+                  for s in two.importance.scores]
+        imp = ImportanceMap(two.specs, scores)
+        alpha = st.one_of(st.floats(0.0, 1.0),
+                          st.integers(0, 20).map(lambda k: k * 0.05))
+        s = data.draw(st.lists(alpha, min_size=2, max_size=2))
+        free = evaluate(s, ScheduleProblem(
+            two.specs, imp, Budget(10 ** 9, 10 ** 9, math.inf), LAT))
+        dl_max = data.draw(st.sampled_from([
+            free.dl, math.nextafter(free.dl, math.inf),
+            math.nextafter(free.dl, 0.0), 0.0, math.inf]) | st.floats(
+                0.0, 2 * free.dl + 1.0))
+        mem_flash, mem_ram = (max(1, v + data.draw(st.sampled_from([-1, 0, 1])))
+                              for v in (free.size, free.ram))
+        problem = ScheduleProblem(two.specs, imp,
+                                  Budget(mem_flash, mem_ram, dl_max), LAT)
+        ev = evaluate(s, problem)
+        totals = _totals([layer_terms(problem, i, a) for i, a in enumerate(s)],
+                         input_bytes(two.specs[0]), problem.budget)
+        assert totals[:4] == (ev.time, ev.size, ev.ram, ev.dl)
+        assert totals[4] >= 0.0
+        assert (totals[4] == 0.0) == ev.feasible
+
+
 class TestDraws:
     """The chain's draw reader must equal ``np.random.default_rng(seed)``
     call for call; this fails if numpy changes the Generator's stream."""
@@ -633,6 +675,7 @@ class TestAgainstReferenceChain:
     # default t0 (a tenth of the dense model's time), so most of their steps
     # are decided in blocks; the warmer ones accept a few uphill moves first
     # (iters, t0, cooling, layers, budget, seed)
+    CLAMPED = (5000, 1e-9, 0.9, 6, "ram", 2)
     FROZEN = [(3000, 0.0, 0.9, 1, "flash", 0),
               (3000, 0.0, 0.9, 1, "infeasible", 1),
               (4000, 1e-9, 0.995, 2, "ram", 0),
@@ -642,7 +685,9 @@ class TestAgainstReferenceChain:
               (3500, 30.0, 0.995, 5, "flash", 1),
               (6000, 30.0, 0.995, 6, "flash", 1),
               (5000, 1e-9, 0.9, 6, "ram", 7),
-              (5000, 0.0, 0.9, 5, "infeasible", 7)]
+              (5000, 0.0, 0.9, 5, "infeasible", 7),
+              # freezes at a state with layers clamped at fraction 0 or 1
+              CLAMPED]
 
     @staticmethod
     def frozen_chain(iters, t0, cooling, layers, budget, seed):
@@ -748,6 +793,83 @@ class TestBlockCounts:
         anneal(six_layer_problem(), seed=0)
         assert spy.steps == 5000
         assert spy.decided >= 0.8 * 5000
+
+    def test_clamped_minima_are_decided_in_blocks(self, monkeypatch):
+        # a clamped move proposes the state itself, which must not keep a
+        # state from counting as a minimum
+        problem, kwargs = TestAgainstReferenceChain.frozen_chain(
+            *TestAgainstReferenceChain.CLAMPED)
+        spy = BlockSpy(monkeypatch)
+        anneal(problem, **kwargs)
+        assert spy.steps == 5000
+        assert spy.decided >= 0.8 * 5000
+
+
+class TestTrace:
+    """``ScheduleResult.trace`` builds its rows on first read and reads as
+    the plain tuple of them."""
+
+    @staticmethod
+    def pair(seed=4):
+        problem = two_layer_problem()
+        kwargs = {"seed": seed, "iters": 300}
+        return anneal(problem, **kwargs), reference_anneal(problem, **kwargs)
+
+    def test_reads_as_a_sequence(self):
+        got, want = self.pair()
+        trace, rows = got.trace, want.trace
+        assert isinstance(trace, Sequence)
+        assert len(trace) == 301  # before the rows are built
+        assert trace[-1] == rows[-1] and trace[-301] == rows[0]
+        assert len(trace) == len(rows)
+        assert trace[1:] == rows[1:] and trace[::-7] == rows[::-7]
+        assert trace[5:2] == ()
+        with pytest.raises(IndexError):
+            trace[301]
+        assert list(trace) == list(rows)
+        assert all(type(r) is TraceRow for r in trace)
+        assert trace.index(rows[7]) <= 7 and rows[3] in trace
+
+    def test_equals_the_tuple_of_its_rows_both_ways(self):
+        got, want = self.pair()
+        assert got.trace == want.trace and want.trace == got.trace
+        assert not got.trace != want.trace and not want.trace != got.trace
+        assert got.trace == self.pair()[0].trace
+        assert hash(got.trace) == hash(want.trace)
+        other = self.pair(seed=5)[1].trace
+        assert got.trace != other and other != got.trace
+        assert got.trace != list(want.trace)
+
+    def test_csv_is_unchanged(self):
+        got, want = self.pair()
+        assert got.trace_csv() == want.trace_csv()
+        assert replace(got, trace=tuple(got.trace)) == got
+
+    def test_plan_and_pack_builds_no_row_until_read(self, monkeypatch):
+        builds = []
+        rows = _Trace.rows.fget
+
+        def counting_rows(trace):
+            if trace._rows is None:
+                builds.append(1)
+            return rows(trace)
+
+        monkeypatch.setattr(_Trace, "rows", property(counting_rows))
+        model = int8_model(seed=3, n_layers=2)
+        rng = np.random.default_rng(3)
+        imp = ImportanceMap(model.specs, [rng.random((s.n_filters,
+                                                      s.filterlets_per_filter))
+                                          for s in model.specs])
+        problem = ScheduleProblem(model.specs, imp,
+                                  Budget(10 ** 9, 10 ** 9, 10 ** 9), LAT)
+        bundle, result = plan_and_pack(problem, model, seed=0, iters=300)
+        assert bundle is not None and result.iterations == 300
+        assert not builds
+        assert len(result.trace[1:]) == 300
+        assert builds == [1]
+        result.trace_csv()
+        assert result.trace == tuple(result.trace)
+        assert builds == [1]
 
 
 class TestPinnedAnneal:
