@@ -214,16 +214,21 @@ def bundle_from_masks(model: SequentialModel, masks: list[FilterletMask],
     return ModelBundle(model.name, "model", layers)
 
 
+def _dense(bl: BundleLayer, weights) -> Tensor:
+    """``bl``'s decoded ``weights`` as a dense Tensor, pruned weights zero."""
+    if bl.fmt == "fwcs":
+        return decode_fwcs(weights, bl.spec)
+    if bl.fmt == "csr":
+        return decode_csr(weights, bl.spec)
+    return weights
+
+
 def model_from_bundle(bundle: ModelBundle) -> SequentialModel:
     """Materialize dense weights for every layer (pruned layers decode to zeros)."""
     layers = []
     for bl in bundle.layers:
         weights, bias = bl.decode_weights()
-        if bl.fmt == "fwcs":
-            weights = decode_fwcs(weights, bl.spec)
-        elif bl.fmt == "csr":
-            weights = decode_csr(weights, bl.spec)
-        layers.append(LayerDef(bl.name, bl.spec, weights, bias, bl.quant))
+        layers.append(LayerDef(bl.name, bl.spec, _dense(bl, weights), bias, bl.quant))
     return SequentialModel(bundle.name, layers)
 
 
@@ -247,10 +252,14 @@ class RunResult:
 
 
 def _requantize(acc: np.ndarray, quant: LayerQuant) -> tuple[np.ndarray, bool]:
-    saturated = bool(np.any(acc < _INT32_MIN) or np.any(acc > _INT32_MAX))
-    acc = np.clip(acc, _INT32_MIN, _INT32_MAX)
+    saturated = bool(acc.min() < _INT32_MIN or acc.max() > _INT32_MAX)
+    if saturated:
+        acc = np.clip(acc, _INT32_MIN, _INT32_MAX)
     mult = quant.input_scale * quant.weight_scale / quant.output_scale
-    codes = np.clip(np.rint(acc * mult) + quant.output_zero_point, -128, 127)
+    codes = acc * mult
+    np.rint(codes, out=codes)
+    codes += quant.output_zero_point
+    np.clip(codes, -128, 127, out=codes)
     return codes.astype(np.int8), saturated
 
 
@@ -270,6 +279,10 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
                 f"layer {bl.name}: input dims {x.dims} != {bl.spec.input_dims}"
             )
         weights, bias = bl.decode_weights()
+        zero = bl.quant.input_zero_point if bl.dtype == "int8" else 0
+        if zero:  # sum w*(x - z) = sum w*x - z*sum w, exact in int64
+            w = _dense(bl, weights).to_array().reshape(bl.spec.n_filters, -1)
+            bias = (0 if bias is None else bias) - zero * w.sum(1, dtype=np.int64)
         if bl.fmt == "dense":
             acc = conv_dense(x, weights, bl.spec, bias)
         elif bl.fmt == "fwcs":

@@ -1,12 +1,13 @@
 """Convolution operators over dense and pruned weight formats.
 
 Every operator returns the raw accumulator map of shape (out_h, out_w,
-n_filters), computed by one float64 GEMM: the patch matrix times a (K, N)
-weight operand, K = kernel_h*kernel_w*channels.  float32 results are cast
-back to float32 once at the end; int8 results are cast to int64 and are
-exact: every int8 product is at most 2^14 in magnitude, so every partial sum
-of fewer than 2^39 of them is an integer below 2^53, which float64 holds
-exactly in any summation order.  No layer's K comes near 2^39.
+n_filters), computed by one BLAS GEMM: the patch matrix times a (K, N)
+weight operand, K = kernel_h*kernel_w*channels.  float32 layers run in
+float64 and are cast back to float32 once at the end.  int8 layers run in
+float32 while K <= 1024, else in float64, and are cast to int64 exactly:
+every int8 product is at most 2^14 in magnitude, so every partial sum is an
+integer of at most K*2^14 <= 2^24 (or below 2^53 for K < 2^39, which no
+layer comes near), which the operand type holds in any summation order.
 
 The sparse operators scatter their retained runs into a zeroed operand, so
 FWCS and CSR share one operator body, and each equals ``conv_dense`` on its
@@ -23,11 +24,17 @@ from .fwcs import CsrLayer, FwcsLayer
 from .tensor import ConvLayerSpec, Tensor, patch_matrix
 
 
+def _operand_dtype(dtype: str, spec: ConvLayerSpec) -> type:
+    """float32 where int8 sums stay within 2^24 (K <= 1024), else float64."""
+    k = spec.filterlets_per_filter * spec.channels
+    return np.float32 if dtype == "int8" and k <= 1024 else np.float64
+
+
 def _gemm(input: Tensor, w: np.ndarray, spec: ConvLayerSpec,
           bias: np.ndarray | None) -> np.ndarray:
-    """Patch matrix times the C-contiguous float64 operand ``w`` (K, N),
-    plus bias, as the accumulator map of ``input``'s dtype."""
-    acc = patch_matrix(input.to_array().astype(np.float64), spec) @ w
+    """Patch matrix times the C-contiguous ``_operand_dtype`` operand ``w``
+    (K, N), plus bias, as the accumulator map of ``input``'s dtype."""
+    acc = patch_matrix(input.to_array().astype(w.dtype), spec) @ w
     if input.dtype == "int8":
         acc = acc.astype(np.int64)
     if bias is not None:
@@ -52,7 +59,8 @@ def conv_dense(input: Tensor, filters: Tensor, spec: ConvLayerSpec,
     if input.dtype != filters.dtype:
         raise DataError("input/filter dtype mismatch")
     w = filters.to_array().reshape(spec.n_filters, -1).T
-    return _gemm(input, np.ascontiguousarray(w, dtype=np.float64), spec, bias)
+    w = np.ascontiguousarray(w, dtype=_operand_dtype(input.dtype, spec))
+    return _gemm(input, w, spec, bias)
 
 
 def _conv_runs(input: Tensor, layer: FwcsLayer | CsrLayer,
@@ -66,7 +74,8 @@ def _conv_runs(input: Tensor, layer: FwcsLayer | CsrLayer,
     width = layer.width
     rows = (layer.c_ptr[:, None] + np.arange(width)).reshape(-1)
     cols = np.repeat(np.arange(spec.n_filters), np.diff(layer.f_idx) * width)
-    w = np.zeros((spec.filterlets_per_filter * spec.channels, spec.n_filters))
+    w = np.zeros((spec.filterlets_per_filter * spec.channels, spec.n_filters),
+                 _operand_dtype(input.dtype, spec))
     w[rows, cols] = layer.arr
     return _gemm(input, w, spec, bias)
 

@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import BoundsError, CorruptionError, DataError
 
@@ -216,12 +216,14 @@ def patch_matrix(input, spec: ConvLayerSpec) -> np.ndarray:
     arr = input.to_array() if isinstance(input, Tensor) else np.asarray(input)
     if arr.shape != spec.input_dims:
         raise DataError(f"input dims {arr.shape} do not match spec {spec.input_dims}")
-    # window axes: row, column, channel, kernel row, kernel column
-    win = sliding_window_view(arr, (spec.kernel_h, spec.kernel_w), axis=(0, 1))
-    out = np.empty((spec.out_h, spec.out_w, spec.kernel_h, spec.kernel_w,
-                    spec.channels), dtype=arr.dtype)
-    out[...] = win[::spec.stride, ::spec.stride].transpose(0, 1, 3, 4, 2)
-    return out.reshape(spec.out_positions, -1)
+    # window axes: out row, out column, kernel row, kernel column, channel;
+    # copy(), not reshape, since a contiguous window would reshape to a view
+    arr = np.ascontiguousarray(arr)
+    (sh, sw, sc), s = arr.strides, spec.stride
+    win = as_strided(arr, (spec.out_h, spec.out_w, spec.kernel_h, spec.kernel_w,
+                           spec.channels), (sh * s, sw * s, sh, sw, sc),
+                     writeable=False)
+    return win.copy().reshape(spec.out_positions, -1)
 
 
 class Reader:

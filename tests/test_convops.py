@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from filterlet.bundle import bundle_from_masks, bundle_from_model, run_bundle
-from filterlet.convops import conv_csr, conv_dense, conv_fwcs, \
-    conv_fwcs_reordered
+from filterlet.bundle import ModelBundle, bundle_from_masks, \
+    bundle_from_model, run_bundle
+from filterlet.convops import _operand_dtype, conv_csr, conv_dense, \
+    conv_fwcs, conv_fwcs_reordered
 from filterlet.cyclesim import MachineConfig
 from filterlet.errors import ConfigError, DataError
 from filterlet.fwcs import FilterletMask, decode_fwcs, encode_csr, encode_fwcs
+from filterlet.importance import apply_mask_zeroing
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
-from filterlet.tensor import ConvLayerSpec, Tensor
+from filterlet.tensor import ConvLayerSpec, Tensor, patch_matrix
 
 
 def nested_loop_conv(x, w, spec, bias=None):
@@ -195,10 +199,15 @@ class TestConvCsr:
 def einsum_conv(x, w, spec):
     """Independent int64 oracle: one einsum per kernel position over the
     strided input slab that position reads."""
-    xa = x.to_array().astype(np.int64)
-    wa = w.to_array().astype(np.int64)
+    return slab_conv(x.to_array().astype(np.int64),
+                     w.to_array().astype(np.int64), spec)
+
+
+def slab_conv(xa, wa, spec):
+    """``einsum_conv`` over plain arrays, in their common dtype."""
     s = spec.stride
-    out = np.zeros((spec.out_h, spec.out_w, spec.n_filters), np.int64)
+    out = np.zeros((spec.out_h, spec.out_w, spec.n_filters),
+                   np.result_type(xa, wa))
     for h in range(spec.kernel_h):
         for ww in range(spec.kernel_w):
             slab = xa[h:h + s * spec.out_h:s, ww:ww + s * spec.out_w:s]
@@ -266,6 +275,134 @@ class TestInt8Exactness:
             got = run_bundle(bundle, x)
             assert got.saturated is saturated
             assert np.array_equal(got.output.to_array(), want)
+
+
+def every_operator(x, w, spec, mask, bias=None):
+    """conv_dense on the masked weights, then conv_fwcs and conv_csr."""
+    layer = encode_fwcs(w, mask)
+    return (conv_dense(x, decode_fwcs(layer, spec), spec, bias),
+            conv_fwcs(x, layer, spec, bias),
+            conv_csr(x, encode_csr(w, mask.to_weight_mask()), spec, bias))
+
+
+class TestFloat32Bound:
+    """int8 layers with K <= 1024 run on a float32 GEMM, every other layer
+    on a float64 one (ROADMAP item 13)."""
+
+    def test_operand_dtype_switches_above_k_1024(self):
+        at = ConvLayerSpec(n_filters=2, kernel_h=2, kernel_w=2, channels=256,
+                           input_h=4, input_w=4)
+        above = ConvLayerSpec(n_filters=2, kernel_h=1, kernel_w=1,
+                              channels=1025, input_h=4, input_w=4)
+        assert _operand_dtype("int8", at) is np.float32
+        assert _operand_dtype("int8", above) is np.float64
+        assert _operand_dtype("float32", at) is np.float64
+
+    def test_k_1024_all_min_codes_sum_to_2_pow_24(self):
+        spec = ConvLayerSpec(n_filters=3, kernel_h=2, kernel_w=2, channels=256,
+                             input_h=5, input_w=4, stride=1)
+        x = Tensor.from_array(np.full(spec.input_dims, -128, np.int8))
+        w = Tensor.from_array(np.full(spec.weight_dims, -128, np.int8))
+        bias = np.array([-1, 0, 1], np.int64)
+        for got in every_operator(x, w, spec, FilterletMask.all_kept(spec), bias):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.broadcast_to(2 ** 24 + bias, got.shape))
+
+    def test_k_above_1024_stays_exact(self):
+        # codes in [-128, -120] at K = 1152 put every sum above 2^24, where
+        # float32 drops odd values; codes in [-128, -100] would not get there
+        spec = ConvLayerSpec(n_filters=4, kernel_h=3, kernel_w=3, channels=128,
+                             input_h=6, input_w=7, stride=1)
+        rng = np.random.default_rng(17)
+        x, w = (Tensor.from_array(rng.integers(-128, -119, dims).astype(np.int8))
+                for dims in (spec.input_dims, spec.weight_dims))
+        want = einsum_conv(x, w, spec)
+        assert want.min() > 2 ** 24
+        in_float32 = patch_matrix(x, spec).astype(np.float32) @ \
+            w.to_array().reshape(spec.n_filters, -1).T.astype(np.float32)
+        assert np.any(in_float32.reshape(want.shape) != want)
+        for mask in (FilterletMask.all_kept(spec), rand_mask(spec, rng, 0.6)):
+            dense_w = apply_mask_zeroing(w, mask)
+            for got in every_operator(x, w, spec, mask):
+                assert np.array_equal(got, einsum_conv(x, dense_w, spec))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_float32_layers_keep_the_float64_gemm(self, stride):
+        spec = ConvLayerSpec(n_filters=6, kernel_h=3, kernel_w=3, channels=32,
+                             input_h=10, input_w=9, stride=stride)
+        rng = np.random.default_rng(stride)
+        x = Tensor.from_array(rng.normal(size=spec.input_dims).astype(np.float32))
+        w = Tensor.from_array(rng.normal(size=spec.weight_dims).astype(np.float32))
+        mask = rand_mask(spec, rng, 0.7)
+        bias = rng.normal(size=spec.n_filters).astype(np.float32)
+        patches = patch_matrix(x, spec)
+        operand = apply_mask_zeroing(w, mask).to_array().reshape(
+            spec.n_filters, -1).T
+
+        def gemm(dtype):
+            acc = patches.astype(dtype) @ np.ascontiguousarray(operand, dtype)
+            return (acc + bias).astype(np.float32).reshape(
+                spec.out_h, spec.out_w, spec.n_filters)
+
+        want = gemm(np.float64)
+        assert not np.array_equal(gemm(np.float32), want)
+        for got in every_operator(x, w, spec, mask, bias):
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want)
+
+
+def float_reference(x_codes, layer):
+    """Dequantize, convolve and requantize one int8 layer in float64."""
+    q = layer.quant
+    xf = (x_codes.astype(np.float64) - q.input_zero_point) * q.input_scale
+    wf = layer.weights.to_array().astype(np.float64) * q.weight_scale
+    y = slab_conv(xf, wf, layer.spec) + layer.bias * q.input_scale * q.weight_scale
+    return np.clip(np.rint(y / q.output_scale) + q.output_zero_point, -128, 127)
+
+
+class TestInputZeroPoint:
+    """run_bundle accumulates sum w*(x - z) for an input zero point z."""
+
+    ZEROS = (10, -37, 25, 3)  # input zero point of each layer, then the output's
+
+    def chain(self):
+        rng = np.random.default_rng(21)
+        geometry = [(6, 3, 3, 3, 10, 10), (5, 3, 3, 6, 8, 8), (4, 2, 2, 5, 6, 6)]
+        layers = []
+        for i, (n, kh, kw, c, ih, iw) in enumerate(geometry):
+            spec = ConvLayerSpec(n_filters=n, kernel_h=kh, kernel_w=kw,
+                                 channels=c, input_h=ih, input_w=iw)
+            w = rng.integers(-128, 128, spec.weight_dims).astype(np.int8)
+            bias = rng.integers(-3000, 3000, n).astype(np.int64)
+            quant = LayerQuant(input_scale=0.05, weight_scale=0.02,
+                               output_scale=0.7 * np.sqrt(c * kh * kw / 27),
+                               input_zero_point=self.ZEROS[i],
+                               output_zero_point=self.ZEROS[i + 1])
+            layers.append(LayerDef(f"conv{i}", spec, Tensor.from_array(w),
+                                   bias, quant))
+        model = SequentialModel("zero-points", layers)
+        masks = [rand_mask(layer.spec, rng, 0.7) for layer in layers]
+        x = rng.integers(-128, 128, layers[0].spec.input_dims).astype(np.int8)
+        return model, masks, x
+
+    @pytest.mark.parametrize("fmt", ["dense", "fwcs", "csr"])
+    def test_chain_matches_float_reference_layer_by_layer(self, fmt):
+        model, masks, x = self.chain()
+        pruned = [replace(layer, weights=apply_mask_zeroing(layer.weights, m))
+                  for layer, m in zip(model.layers, masks)]
+        bundle = bundle_from_model(SequentialModel(model.name, pruned)) \
+            if fmt == "dense" else bundle_from_masks(model, masks, fmt)
+        codes = x
+        for i, layer in enumerate(pruned):
+            prefix = ModelBundle(bundle.name, "model", bundle.layers[:i + 1])
+            got = run_bundle(prefix, Tensor.from_array(x)).output.to_array()
+            want = float_reference(codes, layer)
+            assert np.abs(got - want).max() <= 1
+            assert np.mean(np.abs(want) >= 127) < 0.2  # not mostly clipped
+            # the accumulator without the zero point, sum w*x, is off by more
+            ignored = replace(layer, quant=replace(layer.quant, input_zero_point=0))
+            assert np.abs(float_reference(codes, ignored) - want).max() > 1
+            codes = got
 
 
 class TestLaneConfig:

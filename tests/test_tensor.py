@@ -261,3 +261,26 @@ class TestExtractPatch:
                 for ow in range(spec.out_w):
                     assert np.array_equal(mat[row], extract_patch(x, spec, oh, ow))
                     row += 1
+
+    @pytest.mark.parametrize("view, kh, kw, stride", [
+        (lambda big: big[::2, 1:], 2, 3, 1),
+        (lambda big: big[::2, 1:], 3, 2, 2),
+        (lambda big: big[::-1], 2, 2, 1),
+        (lambda big: big[:, ::-2, ::-1], 3, 2, 2),
+        (lambda big: big[1:, :, ::2], 1, 1, 1),
+    ], ids=["rows-by-2", "rows-by-2-stride-2", "rows-reversed",
+            "columns-and-channels-reversed", "every-other-channel-1x1"])
+    def test_patch_matrix_on_strided_views(self, view, kh, kw, stride):
+        big = np.random.default_rng(5).normal(size=(12, 9, 4))
+        src = view(big)
+        assert not src.flags.c_contiguous
+        spec = spec_for(kh, kw, src.shape[2], ih=src.shape[0], iw=src.shape[1],
+                        stride=stride)
+        mat = patch_matrix(src, spec)
+        assert mat.flags.writeable
+        assert not np.shares_memory(mat, big)
+        x = Tensor.from_array(np.ascontiguousarray(src, np.float32))
+        assert mat.shape == (spec.out_positions, kh * kw * spec.channels)
+        for row, (oh, ow) in enumerate(np.ndindex(spec.out_h, spec.out_w)):
+            assert np.array_equal(mat[row].astype(np.float32),
+                                  extract_patch(x, spec, oh, ow))
