@@ -19,8 +19,7 @@ from .cyclesim import DEMO_STREAMS, MAC_VEC, ComputeSchedule, MachineConfig, \
 from .errors import CorruptionError, DataError, FilterletError
 from .fwcs import INDEX_DTYPE, FilterletMask, encode_csr, encode_fwcs, \
     kept_count, storage_footprint
-from .importance import apply_mask_zeroing, build_mask, score_model
-from .model import LayerDef, SequentialModel
+from .importance import build_mask, score_model
 from .scheduler import ScheduleProblem, plan_and_pack
 from .tensor import Reader, Tensor, read_tensor, write_tensor
 
@@ -111,12 +110,7 @@ def cmd_prune(args) -> int:
     report["actual_file_bytes"] = len(blob)
     if args.export_masked:
         # dense copy with pruned filterlets zeroed, for external fine-tuning
-        masks = build_mask(importance, list(result.s))
-        zeroed = SequentialModel(model.name, [
-            LayerDef(l.name, l.spec, apply_mask_zeroing(l.weights, m),
-                     l.bias, l.quant)
-            for l, m in zip(model.layers, masks)])
-        bundle_from_model(zeroed).save(args.export_masked)
+        bundle_from_model(model_from_bundle(bundle)).save(args.export_masked)
         report["masked_export"] = args.export_masked
     _emit(report, args.report)
     return EXIT_OK

@@ -9,9 +9,9 @@ or simulated layer timings by least squares.
 import csv
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import DataError, FitError
 from .fwcs import INDEX_DTYPE, kept_count
@@ -229,15 +229,27 @@ def fit_latency_params(samples, lanes: int) -> tuple[LatencyParams, float]:
         name = _PARAM_NAMES[int(np.argmin(col_norm))]
         raise FitError(f"design matrix has an all-zero column for {name}")
     xs = x / col_norm
-    if np.linalg.matrix_rank(xs) < 4:
+    u, sv, vt = np.linalg.svd(xs, full_matrices=False)
+    # rank below 4 at np.linalg.matrix_rank's tolerance
+    if sv[-1] <= sv[0] * max(xs.shape) * np.finfo(np.float64).eps:
         # name the direction the samples cannot distinguish
-        _, _, vt = np.linalg.svd(xs)
         name = _PARAM_NAMES[int(np.argmax(np.abs(vt[-1])))]
         raise FitError(
             f"rank-deficient samples: vary the geometry so {name} is identifiable"
         )
-    coef_scaled, _ = nnls(xs, y)
-    coef = coef_scaled / col_norm
+    coef = vt.T @ (u.T @ y / sv)
+    if np.any(coef < 0):
+        # the non-negative optimum is the least-squares fit on its own support
+        # (Lawson & Hanson 1974, ch. 23): the closest non-negative fit on a
+        # smaller subset of the columns, or zero
+        fits = [np.zeros(4)]
+        for k in (1, 2, 3):
+            for cols in map(list, combinations(range(4), k)):
+                fits.append(np.zeros(4))
+                fits[-1][cols] = np.linalg.lstsq(xs[:, cols], y, rcond=None)[0]
+        coef = min((c for c in fits if np.all(c >= 0)),
+                   key=lambda c: np.sum((xs @ c - y) ** 2))
+    coef = coef / col_norm
     params = LatencyParams(*[float(c) for c in coef], lanes=lanes)
     mse = normalized_mse(y, x @ coef)
     return params, mse

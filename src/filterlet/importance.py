@@ -88,34 +88,9 @@ def score_model(model: SequentialModel, grads: GradientBundle) -> ImportanceMap:
     return ImportanceMap(model.specs, scores)
 
 
-def model_loss(model: SequentialModel, loss_fn, sample) -> float:
-    """Evaluate loss_fn on the model's full-precision outputs over ``sample``.
-
-    loss_fn maps a list of (out_h, out_w, n_filters) float64 arrays, one per
-    sample input, to a scalar.
-    """
-    arrays = [layer.weights.to_array().astype(np.float64)
-              for layer in model.layers]
-    biases = [layer.bias for layer in model.layers]
-    outs = [forward_float64(model.specs, arrays, biases,
-                            x.to_array() if isinstance(x, Tensor) else x)
-            for x in sample]
-    val = float(loss_fn(outs))
-    if not np.isfinite(val):
-        raise DataError("loss is non-finite")
-    return val
-
-
-def finite_diff_gradient(model: SequentialModel, loss_fn, sample,
-                         epsilon: float = 1e-3) -> GradientBundle:
-    """Central-difference gradient oracle: (L(w+e) - L(w-e)) / 2e per weight.
-
-    Runs in float64 regardless of the model's storage dtype.  Only sensible
-    for desk-scale models; every weight costs two forward passes over the
-    whole sample.
-    """
-    if epsilon <= 0:
-        raise DataError("epsilon must be positive")
+def _float64_loss(model: SequentialModel, loss_fn, sample):
+    """The model's weights as float64 arrays, and a function that evaluates
+    loss_fn on the outputs of those arrays, as they stand, over ``sample``."""
     arrays = [layer.weights.to_array().astype(np.float64)
               for layer in model.layers]
     biases = [layer.bias for layer in model.layers]
@@ -128,6 +103,30 @@ def finite_diff_gradient(model: SequentialModel, loss_fn, sample,
         if not np.isfinite(val):
             raise DataError("loss is non-finite")
         return val
+
+    return arrays, loss_at
+
+
+def model_loss(model: SequentialModel, loss_fn, sample) -> float:
+    """Evaluate loss_fn on the model's full-precision outputs over ``sample``.
+
+    loss_fn maps a list of (out_h, out_w, n_filters) float64 arrays, one per
+    sample input, to a scalar.
+    """
+    return _float64_loss(model, loss_fn, sample)[1]()
+
+
+def finite_diff_gradient(model: SequentialModel, loss_fn, sample,
+                         epsilon: float = 1e-3) -> GradientBundle:
+    """Central-difference gradient oracle: (L(w+e) - L(w-e)) / 2e per weight.
+
+    Runs in float64 regardless of the model's storage dtype.  Only sensible
+    for desk-scale models; every weight costs two forward passes over the
+    whole sample.
+    """
+    if epsilon <= 0:
+        raise DataError("epsilon must be positive")
+    arrays, loss_at = _float64_loss(model, loss_fn, sample)
 
     grads = []
     for arr in arrays:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from filterlet.costmodel import Budget, LatencyParams, StrategyVector, \
-    fit_latency_params, layer_latency, load_latency_params, load_samples_csv, \
+    _design_row, fit_latency_params, layer_latency, load_latency_params, load_samples_csv, \
     model_size, normalized_mse, runtime_memory, save_latency_params, \
     save_samples_csv, total_time
 from filterlet.cyclesim import ComputeSchedule, MachineConfig, layer_stream
@@ -227,6 +227,28 @@ class TestFit:
             held.append((spec, alpha, simulated_cycles(spec, alpha, cfg, rng)))
         pred = [layer_latency(s, a, params) for s, a, _ in held]
         assert normalized_mse([c for _, _, c in held], pred) <= 0.05
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_binding_constraint_meets_the_nnls_optimality_conditions(self, seed):
+        # noiseless cycles of a negative t_idx: the unconstrained fit is
+        # (1.0, -0.3, 2.0, 2.0), so the non-negativity constraint binds
+        rng = np.random.default_rng(seed)
+        samples = []
+        for _ in range(10):
+            spec = rand_spec(rng)
+            alpha = float(rng.uniform(0, 0.9))
+            row = _design_row(spec, alpha, 8)
+            samples.append((spec, alpha, float(np.dot(row, (1.0, -0.3, 2.0, 2.0)))))
+        fit, _ = fit_latency_params(samples, lanes=8)
+        coef = np.array([fit.t_mem, fit.t_idx, fit.t_com, fit.t_post])
+        x = np.array([_design_row(s, a, 8) for s, a, _ in samples])
+        y = np.array([c for _, _, c in samples])
+        # gradient of half the squared residual, scale-free
+        grad = x.T @ (x @ coef - y) / (np.linalg.norm(x, axis=0)
+                                       * np.linalg.norm(y))
+        assert np.all(coef >= 0) and fit.t_idx == 0
+        assert np.all(np.abs(grad[coef > 0]) <= 1e-9)
+        assert np.all(grad[coef == 0] >= 0)
 
     def test_duplicated_sample_is_rank_deficient(self):
         rng = np.random.default_rng(3)
