@@ -69,6 +69,9 @@ class BundleLayer:
         float32 as stored, or int64 for an int8 layer)."""
         if self.fmt == "dense":
             weights, off = read_tensor(self.payload, 0)
+            if weights.dtype != self.dtype:
+                raise CorruptionError(f"layer {self.name}: stored dtype "
+                                      f"{weights.dtype} != manifest {self.dtype}")
             if weights.dims != self.spec.weight_dims:
                 raise CorruptionError(f"layer {self.name}: decoded shape mismatch")
         else:
@@ -78,6 +81,9 @@ class BundleLayer:
         bias = None
         if self.has_bias:
             bias_t, off = read_tensor(self.payload, off)
+            if bias_t.dtype != "float32":
+                raise CorruptionError(f"layer {self.name}: bias stored as "
+                                      f"{bias_t.dtype}, not float32")
             if bias_t.dims != (self.spec.n_filters,):
                 raise CorruptionError(f"layer {self.name}: bias shape mismatch")
             bias = bias_t.data
@@ -127,6 +133,10 @@ class ModelBundle:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "ModelBundle":
+        if isinstance(buf, (bytearray, memoryview)):
+            # one copy, so the layers' payloads, and the arrays that view
+            # them, never see later writes to the caller's buffer
+            buf = bytes(buf)
         r = Reader(buf, 0, "bundle")
         r.magic(BUNDLE_MAGIC)
         version, mlen = r.unpack("<HI")
@@ -144,9 +154,11 @@ class ModelBundle:
         (crc,) = r.unpack("<I")
         if len(manifest["layers"]) != n_blobs:
             raise CorruptionError("manifest layer count != payload count")
+        start = r.offset
         blobs = [r.take(n) for n in lengths]
         r.end()
-        if zlib.crc32(b"".join(blobs)) & 0xFFFFFFFF != crc:
+        # the blobs run to the end of the buffer
+        if zlib.crc32(memoryview(buf)[start:]) & 0xFFFFFFFF != crc:
             raise CorruptionError("payload checksum mismatch")
         layers = []
         try:
@@ -290,10 +302,11 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
         else:
             acc = conv_csr(x, weights, bl.spec, bias)
         counts.append(layer_stream(weights, bl.spec, schedule, cfg).counts())
+        # the operators return fresh arrays, which the next input adopts
         if bl.dtype == "int8":
             codes, sat = _requantize(acc, bl.quant)
             saturated = saturated or sat
-            x = Tensor.from_array(codes, "int8")
+            x = Tensor.adopt(codes, "int8")
         else:
-            x = Tensor.from_array(acc.astype(np.float32), "float32")
+            x = Tensor.adopt(acc, "float32")
     return RunResult(x, counts, saturated)

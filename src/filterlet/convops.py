@@ -41,7 +41,7 @@ def _gemm(input: Tensor, w: np.ndarray, spec: ConvLayerSpec,
         bias = np.asarray(bias)
         if bias.shape != (spec.n_filters,):
             raise DataError(f"bias shape {bias.shape} != ({spec.n_filters},)")
-        acc = acc + bias.astype(acc.dtype)
+        acc += bias.astype(acc.dtype, copy=False)
     out = acc.reshape(spec.out_h, spec.out_w, spec.n_filters)
     if input.dtype == "float32":
         return out.astype(np.float32)
@@ -67,16 +67,17 @@ def _conv_runs(input: Tensor, layer: FwcsLayer | CsrLayer,
                spec: ConvLayerSpec, bias: np.ndarray | None) -> np.ndarray:
     """Sparse operator over the run layout both packed formats share: run r
     of filter n puts its ``width`` weights at rows ``c_ptr[r]`` onward of
-    column n of a zeroed operand, and the rest is ``conv_dense``'s GEMM."""
+    column n of a zeroed operand, and the rest is ``conv_dense``'s GEMM.
+    The runs are scattered as whole rows of a filter-major (n_filters * R,
+    width) array, which is then transposed into the (K, N) operand."""
     if input.dtype != layer.dtype:
         raise DataError("input/layer dtype mismatch")
-    layer.validate(spec)
+    slots = layer.slots(spec)
     width = layer.width
-    rows = (layer.c_ptr[:, None] + np.arange(width)).reshape(-1)
-    cols = np.repeat(np.arange(spec.n_filters), np.diff(layer.f_idx) * width)
-    w = np.zeros((spec.filterlets_per_filter * spec.channels, spec.n_filters),
+    w = np.zeros((spec.weight_count // width, width),
                  _operand_dtype(input.dtype, spec))
-    w[rows, cols] = layer.arr
+    w[slots] = layer.arr.reshape(-1, width)
+    w = np.ascontiguousarray(w.reshape(spec.n_filters, -1).T)
     return _gemm(input, w, spec, bias)
 
 

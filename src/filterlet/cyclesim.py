@@ -476,6 +476,10 @@ class LayerStream:
         return stream
 
     def counts(self) -> dict[str, int]:
+        return dict(self._counts)
+
+    @cached_property
+    def _counts(self) -> dict[str, int]:
         counts = {"macs": 0, "vector_loads": 0, "scalar_loads": 0}
         for b in self.blocks:
             counts["scalar_loads"] += b.repeats * b.head
@@ -563,7 +567,7 @@ def _fwcs_blocks(n_retained: int, size: int, spec: ConvLayerSpec,
     if schedule is ComputeSchedule.DEFAULT:
         blocks = [_Block(spec.out_positions, patch, n_retained,
                          _rotating_units(chunks, cfg))]
-    elif schedule is ComputeSchedule.REORDERED:
+    else:
         tile = max(1, cfg.register_count - 2)
         full, last = divmod(spec.out_positions, tile)
         blocks = []
@@ -581,9 +585,23 @@ def _fwcs_blocks(n_retained: int, size: int, spec: ConvLayerSpec,
             blocks.append(_Block(repeats, patch * width, n_retained, prog,
                                  alt % 2))
             alt += repeats * n_retained * prog.step
-    else:
-        raise ConfigError(f"unknown schedule {schedule}")
     return blocks
+
+
+@lru_cache(maxsize=256)
+def _stream(kind: str, kept: int, size: int, spec: ConvLayerSpec,
+            schedule: ComputeSchedule | None,
+            cfg: MachineConfig) -> LayerStream:
+    """The stream of a ``kind`` layer ("fwcs" or "csr") keeping ``kept``
+    runs of ``size`` weights; nothing else about the layer changes it, so
+    equal keys share one stream, whose counts are computed once."""
+    if kind == "csr":
+        patch = spec.filterlets_per_filter * spec.channels
+        blocks = [_Block(spec.out_positions, patch, kept, _csr_units(cfg))]
+    else:
+        blocks = _fwcs_blocks(kept, size, spec, schedule, cfg)
+    return LayerStream(tuple(b for b in blocks if b.units),
+                       spec.n_filters * spec.out_positions, cfg)
 
 
 def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
@@ -602,17 +620,14 @@ def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
     emits nothing.
     """
     if isinstance(weights, CsrLayer):
-        patch = spec.filterlets_per_filter * spec.channels
-        blocks = [_Block(spec.out_positions, patch, weights.n_retained,
-                         _csr_units(cfg))]
-    elif isinstance(weights, FwcsLayer):
-        blocks = _fwcs_blocks(weights.n_retained, weights.size, spec, schedule,
-                              cfg)
-    else:
-        blocks = _fwcs_blocks(spec.n_filters * spec.filterlets_per_filter,
-                              spec.channels, spec, schedule, cfg)
-    return LayerStream(tuple(b for b in blocks if b.units),
-                       spec.n_filters * spec.out_positions, cfg)
+        return _stream("csr", weights.n_retained, 1, spec, None, cfg)
+    if not isinstance(schedule, ComputeSchedule):
+        raise ConfigError(f"unknown schedule {schedule}")
+    if isinstance(weights, FwcsLayer):
+        return _stream("fwcs", weights.n_retained, weights.size, spec,
+                       schedule, cfg)
+    return _stream("fwcs", spec.n_filters * spec.filterlets_per_filter,
+                   spec.channels, spec, schedule, cfg)
 
 
 # Former per-format entry points, kept as aliases of ``layer_stream`` only

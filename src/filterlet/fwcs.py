@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptionError, DataError, FormatError
-from .tensor import DTYPES, ConvLayerSpec, Reader, Tensor
+from .tensor import DTYPES, ConvLayerSpec, Reader, Tensor, frozen
 
 FWCS_MAGIC = b"FWCS"
 CSR_MAGIC = b"CSRW"
@@ -87,19 +87,20 @@ class _RunLayer:
     """
 
     def __post_init__(self):
-        arr = np.array(self.arr)
-        c_ptr = np.asarray(self.c_ptr, dtype=np.int64).copy()
-        f_idx = np.asarray(self.f_idx, dtype=np.int64).copy()
+        arr = frozen(np.asarray(self.arr))
+        c_ptr = np.array(self.c_ptr, dtype=np.int64)
+        f_idx = np.array(self.f_idx, dtype=np.int64)
         if arr.size != self.width * (f_idx[-1] if f_idx.size else 0):
             raise DataError("arr length != width * f_idx[-1]")
         if arr.size != self.width * c_ptr.size:
             raise DataError("arr length != width * c_ptr length")
-        for a in (arr, c_ptr, f_idx):
-            a.flags.writeable = False
+        c_ptr.flags.writeable = False
+        f_idx.flags.writeable = False
         object.__setattr__(self, "arr", arr)
         object.__setattr__(self, "c_ptr", c_ptr)
         object.__setattr__(self, "f_idx", f_idx)
         object.__setattr__(self, "_accepted", None)
+        object.__setattr__(self, "_slots", None)
 
     @property
     def n_filters(self) -> int:
@@ -114,28 +115,40 @@ class _RunLayer:
 
         ``f_idx`` opens every filter and never decreases; each ``c_ptr``
         entry starts a run inside its filter, strictly after the previous
-        entry of the same filter.  The arrays are private read-only copies,
-        so a spec once accepted is not checked again."""
+        entry of the same filter.  No one can change the arrays (``arr``
+        views immutable bytes or is a private copy; ``c_ptr`` and ``f_idx``
+        are private copies), so a spec once accepted is not checked again."""
+        self.slots(spec)
+
+    def slots(self, spec: ConvLayerSpec) -> np.ndarray:
+        """``validate(spec)``, then the slot of each retained run: run r of
+        filter n is row ``n * R + r`` of a filter-major (n_filters * R,
+        width) array, R = filterlets_per_filter * channels // width."""
         if spec == self._accepted:
-            return
+            return self._slots
         f_idx, c_ptr, width = self.f_idx, self.c_ptr, self.width
         if len(f_idx) != spec.n_filters + 1 or f_idx[0] != 0:
             raise CorruptionError("f_idx length or leading entry wrong")
-        if np.any(np.diff(f_idx) < 0):
+        per_filter = f_idx[1:] - f_idx[:-1]
+        if per_filter.min() < 0:
             raise CorruptionError("f_idx not non-decreasing")
         if len(c_ptr) != f_idx[-1]:
             raise CorruptionError("c_ptr length != retained count")
-        if np.any(c_ptr % width != 0):
+        run, rem = np.divmod(c_ptr, width)
+        if rem.any():
             raise CorruptionError("c_ptr entry not a multiple of its width")
-        if np.any(c_ptr < 0) or np.any(c_ptr + width > spec.filterlets_per_filter
-                                       * spec.channels):
+        runs = spec.filterlets_per_filter * spec.channels // width
+        if run.size and (run.min() < 0 or run.max() >= runs):
             raise CorruptionError("c_ptr entry outside its filter")
-        # every entry that does not open a filter must exceed its predecessor
-        opens = np.zeros(len(c_ptr) + 1, bool)
-        opens[f_idx] = True
-        if np.any((np.diff(c_ptr) <= 0) & ~opens[1:-1]):
+        # every run lies inside its filter, so the slots increase strictly
+        # exactly when each filter's entries do
+        slots = run + np.arange(0, spec.n_filters * runs, runs).repeat(per_filter)
+        if (slots[1:] <= slots[:-1]).any():
             raise CorruptionError("c_ptr not strictly increasing within a filter")
+        slots.flags.writeable = False
+        object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_accepted", spec)
+        return slots
 
 
 @dataclass(frozen=True)
@@ -153,10 +166,10 @@ class FwcsLayer(_RunLayer):
     def width(self) -> int:
         return self.size
 
-    def validate(self, spec: ConvLayerSpec) -> None:
+    def slots(self, spec: ConvLayerSpec) -> np.ndarray:
         if self.size != spec.filterlet_length:
             raise CorruptionError(f"size {self.size} != channels {spec.channels}")
-        super().validate(spec)
+        return super().slots(spec)
 
 
 @dataclass(frozen=True)
@@ -185,12 +198,10 @@ def _encode_runs(cls, weights: Tensor, kept: np.ndarray, *head) -> _RunLayer:
 
 def _decode_runs(layer: _RunLayer, spec: ConvLayerSpec) -> Tensor:
     """Dense weights with every unretained run zeroed."""
-    layer.validate(spec)
+    slots = layer.slots(spec)
     width = layer.width
-    out = np.zeros((spec.n_filters, spec.filterlets_per_filter * spec.channels
-                    // width, width), dtype=layer.arr.dtype)
-    rows = np.repeat(np.arange(spec.n_filters), np.diff(layer.f_idx))
-    out[rows, layer.c_ptr // width] = layer.arr.reshape(-1, width)
+    out = np.zeros((spec.weight_count // width, width), dtype=layer.arr.dtype)
+    out[slots] = layer.arr.reshape(-1, width)
     return Tensor(spec.weight_dims, layer.dtype, out.reshape(-1))
 
 

@@ -41,8 +41,8 @@ class Tensor:
     def __post_init__(self):
         if self.dtype not in DTYPES:
             raise DataError(f"unsupported dtype {self.dtype!r}")
-        dims = tuple(int(d) for d in self.dims)
-        if any(d <= 0 for d in dims):
+        dims = tuple(map(int, self.dims))
+        if dims and min(dims) <= 0:
             raise DataError(f"non-positive extent in {dims}")
         flat = np.ascontiguousarray(self.data, dtype=DTYPES[self.dtype]).reshape(-1)
         # math.prod is exact where numpy's int64 product would wrap
@@ -50,10 +50,25 @@ class Tensor:
             raise DataError(
                 f"data length {flat.size} != prod{dims} = {math.prod(dims)}"
             )
-        flat = flat.copy()
-        flat.flags.writeable = False
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", flat)
+        object.__setattr__(self, "data", frozen(flat))
+
+    @classmethod
+    def adopt(cls, arr: np.ndarray, dtype: str) -> "Tensor":
+        """Tensor shaped as ``arr`` over ``arr`` itself, with no copy: for a
+        C-contiguous array of ``DTYPES[dtype]`` that the caller has just
+        made and hands over.  ``arr`` is made read-only; the caller must
+        not make it writable again."""
+        if dtype not in DTYPES or arr.dtype != DTYPES[dtype] or \
+                not arr.flags.c_contiguous or 0 in arr.shape:
+            raise DataError(f"cannot adopt a {arr.dtype} array of shape "
+                            f"{arr.shape} as {dtype!r}")
+        arr.flags.writeable = False
+        t = object.__new__(cls)
+        object.__setattr__(t, "dims", arr.shape)
+        object.__setattr__(t, "dtype", dtype)
+        object.__setattr__(t, "data", arr.reshape(-1))
+        return t
 
     @classmethod
     def from_array(cls, arr, dtype: str | None = None) -> "Tensor":
@@ -71,15 +86,34 @@ class Tensor:
         return self.data.reshape(self.dims)
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only array that no one can change: ``arr`` itself
+    when its base chain ends in a ``bytes`` object, whose contents are
+    immutable, else a private copy.  A view of a ``bytearray`` or a
+    ``memoryview`` is copied, since its owner may still write to it."""
+    if not arr.flags.writeable:  # no view of bytes can be made writable
+        base = arr.base
+        while isinstance(base, np.ndarray):
+            base = base.base
+        if isinstance(base, bytes):
+            return arr
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 def is_integer(v) -> bool:
     """True for Python and numpy integers; False for bools, floats and the rest."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    # the exact-type test spares the common case the slow ABC check
+    return type(v) is int or (isinstance(v, numbers.Integral)
+                              and not isinstance(v, bool))
 
 
 def is_real(v) -> bool:
     """True for Python and numpy reals, nan and inf included; False for bools
     and the rest."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    return type(v) in (float, int) or (isinstance(v, numbers.Real)
+                                       and not isinstance(v, bool))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import filterlet.bundle
 import filterlet.fwcs
-from filterlet.bundle import FORMATS, BundleLayer, ModelBundle, \
+from filterlet.bundle import FORMATS, ROLES, BundleLayer, ModelBundle, \
     bundle_from_masks, bundle_from_model, gradients_from_bundle, \
     model_from_bundle, run_bundle
 from filterlet.cli import _build_parser, main
@@ -428,6 +428,126 @@ def fuzz_input(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "input.dttn"
     path.write_bytes(write_tensor(Tensor.from_array(x.astype(np.int8))))
     return path
+
+
+def float_chain(seed=0):
+    """``int8_chain(seed)`` with float32 weights and biases, no quant."""
+    return SequentialModel("float", [
+        LayerDef(l.name, l.spec,
+                 Tensor.from_array(l.weights.to_array().astype(np.float32)),
+                 l.bias.astype(np.float32))
+        for l in int8_chain(seed).layers])
+
+
+def stored_arrays(weights):
+    """The arrays a decoded layer holds its weights in."""
+    if isinstance(weights, Tensor):
+        return [weights.data]
+    return [weights.arr, weights.c_ptr, weights.f_idx]
+
+
+class TestDenseDtype:
+    """A dense layer's weights are stored as its manifest's dtype and its
+    bias as float32; anything else is corruption."""
+
+    QUANT = {"input_scale": 0.05, "weight_scale": 0.02, "output_scale": 0.4,
+             "input_zero_point": 0, "output_zero_point": 0}
+
+    def test_int8_manifest_over_float32_weights_exits_4(self, workdir):
+        tmp, _, _, _, input_path = workdir
+        raw = bundle_from_model(float_chain(seed=8)).to_bytes()
+        manifest = ModelBundle.from_bytes(raw).manifest()
+        for entry in manifest["layers"]:
+            entry["dtype"], entry["quant"] = "int8", dict(self.QUANT)
+        bad = with_manifest(raw, manifest)
+        with pytest.raises(CorruptionError, match="stored dtype float32"):
+            model_from_bundle(ModelBundle.from_bytes(bad))
+        path = tmp / "relabelled.fltb"
+        path.write_bytes(bad)
+        assert quiet_main(["run", str(path), str(input_path)]) == 4
+
+    def test_float32_manifest_over_int8_gradients_is_corruption(self):
+        raw = bundle_from_model(int8_chain(seed=8), role="grads").to_bytes()
+        manifest = ModelBundle.from_bytes(raw).manifest()
+        for entry in manifest["layers"]:
+            entry["dtype"] = "float32"
+        bundle = ModelBundle.from_bytes(with_manifest(raw, manifest))
+        with pytest.raises(CorruptionError, match="stored dtype int8"):
+            gradients_from_bundle(bundle)
+
+    def test_bias_not_stored_as_float32_is_corruption(self, tmp_path):
+        spec = ConvLayerSpec(n_filters=2, kernel_h=1, kernel_w=1, channels=1,
+                             input_h=2, input_w=2)
+        w = Tensor.from_array(np.ones(spec.weight_dims, np.float32))
+        bias = write_tensor(Tensor.from_array(np.ones(2, np.int8)))
+        for role in ROLES:
+            bundle = ModelBundle("b", role, [BundleLayer(
+                "conv0", "dense", spec, "float32", True, None,
+                write_tensor(w) + bias)])
+            with pytest.raises(CorruptionError, match="bias stored as int8"):
+                bundle.layers[0].decode_weights()
+        bp = tmp_path / "bias.fltb"
+        bundle.save(bp)
+        with pytest.raises(CorruptionError):
+            gradients_from_bundle(ModelBundle.load(bp))
+        ModelBundle("b", "model", bundle.layers).save(bp)
+        xp = tmp_path / "x.dttn"
+        xp.write_bytes(write_tensor(Tensor.from_array(
+            np.zeros(spec.input_dims, np.float32))))
+        assert quiet_main(["run", str(bp), str(xp)]) == 4
+
+
+class TestAliasing:
+    X = Tensor.from_array(np.random.default_rng(23).integers(
+        -100, 100, (10, 10, 3)).astype(np.int8))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("wrap", ["bytearray", "memoryview"])
+    def test_writes_to_the_callers_buffer_change_nothing(self, fmt, wrap):
+        buf = bytearray(FUZZ_BUNDLES[fmt])
+        bundle = ModelBundle.from_bytes(
+            buf if wrap == "bytearray" else memoryview(buf))
+        decoded = [layer.decode_weights() for layer in bundle.layers]
+        want = [([a.copy() for a in stored_arrays(w)], b.copy())
+                for w, b in decoded]
+        out = run_bundle(bundle, self.X).output.data.copy()
+        buf[:] = bytes(len(buf))
+        for (w, b), (arrays, bias) in zip(decoded, want):
+            assert all(np.array_equal(a, e)
+                       for a, e in zip(stored_arrays(w), arrays))
+            assert np.array_equal(b, bias)
+        for layer, (arrays, bias) in zip(bundle.layers, want):
+            w, b = layer.decode_weights()
+            assert all(np.array_equal(a, e)
+                       for a, e in zip(stored_arrays(w), arrays))
+            assert np.array_equal(b, bias)
+        assert np.array_equal(run_bundle(bundle, self.X).output.data, out)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_bytes_payloads_are_viewed_read_only(self, fmt):
+        model = float_chain(seed=24)
+        masks = random_masks(model, np.random.default_rng(25))
+        bundle = bundle_from_model(model) if fmt == "dense" \
+            else bundle_from_masks(model, masks, fmt)
+        for layer in ModelBundle.from_bytes(bundle.to_bytes()).layers:
+            payload = np.frombuffer(layer.payload, np.uint8)
+            weights, bias = layer.decode_weights()
+            values = stored_arrays(weights)[0]
+            for a in (values, bias):
+                assert not a.flags.writeable
+                assert np.shares_memory(a, payload)
+            # the u16 index arrays widen to private int64 copies
+            for a in stored_arrays(weights)[1:]:
+                assert not a.flags.writeable
+                assert not np.shares_memory(a, payload)
+
+    def test_mutated_counts_do_not_reach_the_next_run(self):
+        bundle = ModelBundle.from_bytes(FUZZ_BUNDLES["fwcs"])
+        first = run_bundle(bundle, self.X)
+        want = [dict(c) for c in first.layer_counts]
+        first.layer_counts[0]["macs"] = -1
+        first.layer_counts[1].clear()
+        assert run_bundle(bundle, self.X).layer_counts == want
 
 
 class TestCliOnMutatedBundles:

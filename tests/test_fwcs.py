@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterlet.bundle import BundleLayer
 from filterlet.errors import CorruptionError, DataError, FormatError
@@ -270,6 +272,100 @@ class TestCPtrCheck:
             with pytest.raises(CorruptionError):
                 layer.validate(spec)
         layer.validate(self.SPEC)
+
+
+def reference_validate(layer, spec):
+    """``validate`` in its earlier form, with ``np.diff`` and a mask of the
+    entries that open a filter: the reference the one-pass check must match
+    in every decision and message."""
+    if isinstance(layer, FwcsLayer) and layer.size != spec.filterlet_length:
+        raise CorruptionError(f"size {layer.size} != channels {spec.channels}")
+    f_idx, c_ptr, width = layer.f_idx, layer.c_ptr, layer.width
+    if len(f_idx) != spec.n_filters + 1 or f_idx[0] != 0:
+        raise CorruptionError("f_idx length or leading entry wrong")
+    if np.any(np.diff(f_idx) < 0):
+        raise CorruptionError("f_idx not non-decreasing")
+    if len(c_ptr) != f_idx[-1]:
+        raise CorruptionError("c_ptr length != retained count")
+    if np.any(c_ptr % width != 0):
+        raise CorruptionError("c_ptr entry not a multiple of its width")
+    if np.any(c_ptr < 0) or np.any(c_ptr + width > spec.filterlets_per_filter
+                                   * spec.channels):
+        raise CorruptionError("c_ptr entry outside its filter")
+    opens = np.zeros(len(c_ptr) + 1, bool)
+    opens[f_idx] = True
+    if np.any((np.diff(c_ptr) <= 0) & ~opens[1:-1]):
+        raise CorruptionError("c_ptr not strictly increasing within a filter")
+
+
+def small_spec():
+    return st.builds(make_spec, n=st.integers(1, 4), kh=st.integers(1, 3),
+                     kw=st.integers(1, 2), c=st.integers(1, 3))
+
+
+@st.composite
+def run_layers(draw):
+    """(layer, spec) pairs: a well-formed FWCS or CSR layer, or one with
+    f_idx or c_ptr mutated, or checked against another spec."""
+    fmt = draw(st.sampled_from(["fwcs", "csr"]))
+    spec = draw(small_spec())
+    width = spec.channels if fmt == "fwcs" else 1
+    runs = spec.filterlets_per_filter * spec.channels // width
+    rows = [sorted(draw(st.sets(st.integers(0, runs - 1), max_size=runs)))
+            for _ in range(spec.n_filters)]
+    f_idx = [0]
+    for row in rows:
+        f_idx.append(f_idx[-1] + len(row))
+    c_ptr = [e * width for row in rows for e in row]
+    mutation = draw(st.sampled_from(
+        ["none", "f_idx entry", "f_idx length", "c_ptr offset", "c_ptr range",
+         "repeat", "swap", "other spec"]))
+    i = draw(st.integers(0, max(len(c_ptr) - 2, 0)))
+    if mutation == "f_idx entry":
+        # never the sentinel, which the constructor ties to the run count
+        k = draw(st.integers(0, spec.n_filters - 1))
+        f_idx[k] = draw(st.integers(-2, len(c_ptr) + 2))
+    elif mutation == "f_idx length":
+        k = draw(st.integers(1, spec.n_filters))
+        if spec.n_filters > 1 and draw(st.booleans()):
+            del f_idx[min(k, spec.n_filters - 1)]
+        else:
+            f_idx.insert(k, draw(st.integers(-1, len(c_ptr) + 1)))
+    elif mutation == "c_ptr offset" and c_ptr:
+        c_ptr[i] += draw(st.integers(-width - 1, width + 1))
+    elif mutation == "c_ptr range" and c_ptr:
+        c_ptr[i] = draw(st.sampled_from([-width, -1, runs * width - 1,
+                                         runs * width, (runs + 1) * width]))
+    elif mutation == "repeat" and len(c_ptr) > 1:
+        c_ptr[i + 1] = c_ptr[i]
+    elif mutation == "swap" and len(c_ptr) > 1:
+        c_ptr[i], c_ptr[i + 1] = c_ptr[i + 1], c_ptr[i]
+    elif mutation == "other spec":
+        spec = draw(small_spec())
+    arr = np.ones(len(c_ptr) * width, np.int8)
+    if fmt == "fwcs":
+        return FwcsLayer(arr, width, c_ptr, f_idx, "int8"), spec
+    return CsrLayer(arr, c_ptr, f_idx, "int8"), spec
+
+
+def check_outcome(check, layer, spec):
+    """None when ``check`` accepts, else its CorruptionError message."""
+    try:
+        check(layer, spec)
+    except CorruptionError as e:
+        return str(e)
+    return None
+
+
+class TestValidateMatchesReference:
+    @settings(derandomize=True, deadline=None, max_examples=500, database=None)
+    @given(case=run_layers())
+    def test_same_decision_and_message(self, case):
+        layer, spec = case
+        want = check_outcome(reference_validate, layer, spec)
+        assert check_outcome(type(layer).validate, layer, spec) == want
+        # a second look, now from the memo, decides the same
+        assert check_outcome(type(layer).validate, layer, spec) == want
 
 
 class TestLayerArrays:
