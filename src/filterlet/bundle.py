@@ -302,11 +302,10 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
         else:
             acc = conv_csr(x, weights, bl.spec, bias)
         counts.append(layer_stream(weights, bl.spec, schedule, cfg).counts())
-        # the operators return fresh arrays, which the next input adopts
         if bl.dtype == "int8":
             codes, sat = _requantize(acc, bl.quant)
             saturated = saturated or sat
-            x = Tensor.adopt(codes, "int8")
+            x = Tensor.from_array(codes, "int8")
         else:
-            x = Tensor.adopt(acc, "float32")
+            x = Tensor.from_array(acc, "float32")
     return RunResult(x, counts, saturated)

@@ -64,6 +64,8 @@ MAC_SCALAR = "macs"
 _MEM_KINDS = (LOAD_VEC, LOAD_SCALAR)
 _ALU_KINDS = (MAC_VEC, MAC_SCALAR)
 _VEC_KINDS = (LOAD_VEC, MAC_VEC)
+# slot of each kind in a program's tally: macs, vector loads, scalar loads
+_TALLY_SLOT = {MAC_VEC: 0, MAC_SCALAR: 0, LOAD_VEC: 1, LOAD_SCALAR: 2}
 
 VALID_LANES = (2, 4, 8, 16)
 
@@ -375,6 +377,7 @@ class _Program(NamedTuple):
     units: tuple[_Map, ...]
     cycles: tuple[_Map, ...]
     period: int
+    tally: tuple[int, int, int]  # macs, vector and scalar loads per unit
 
 
 def _compile(variants: tuple, step: int, cfg: MachineConfig) -> _Program:
@@ -392,7 +395,10 @@ def _compile(variants: tuple, step: int, cfg: MachineConfig) -> _Program:
     cycles = tuple(reduce(_compose, [units[(p + k * step) % n]
                                      for k in range(period)])
                    for p in range(n))
-    return _Program(variants, step, regs, units, cycles, period)
+    tally = [0, 0, 0]
+    for ins in variants[0]:
+        tally[_TALLY_SLOT[ins.kind]] += 1
+    return _Program(variants, step, regs, units, cycles, period, tuple(tally))
 
 
 @dataclass(frozen=True)
@@ -447,10 +453,6 @@ class _Block:
         _repeat(x, self.repeats, self.phase, once)
 
 
-_COUNT_KEYS = {LOAD_VEC: "vector_loads", LOAD_SCALAR: "scalar_loads",
-               MAC_VEC: "macs", MAC_SCALAR: "macs"}
-
-
 @dataclass(frozen=True)
 class LayerStream:
     """A lowered layer as nested repeats, its output count and the machine
@@ -476,16 +478,14 @@ class LayerStream:
         return stream
 
     def counts(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    @cached_property
-    def _counts(self) -> dict[str, int]:
-        counts = {"macs": 0, "vector_loads": 0, "scalar_loads": 0}
+        macs = vector = scalar = 0
         for b in self.blocks:
-            counts["scalar_loads"] += b.repeats * b.head
-            for ins in b.program.variants[0]:
-                counts[_COUNT_KEYS[ins.kind]] += b.repeats * b.units
-        return counts
+            n = b.repeats * b.units
+            m, v, s = b.program.tally
+            macs += n * m
+            vector += n * v
+            scalar += b.repeats * b.head + n * s
+        return {"macs": macs, "vector_loads": vector, "scalar_loads": scalar}
 
     def cycles(self) -> int:
         """Simulated cycles of the expanded stream, plus post-processing."""
@@ -567,7 +567,7 @@ def _fwcs_blocks(n_retained: int, size: int, spec: ConvLayerSpec,
     if schedule is ComputeSchedule.DEFAULT:
         blocks = [_Block(spec.out_positions, patch, n_retained,
                          _rotating_units(chunks, cfg))]
-    else:
+    elif schedule is ComputeSchedule.REORDERED:
         tile = max(1, cfg.register_count - 2)
         full, last = divmod(spec.out_positions, tile)
         blocks = []
@@ -585,23 +585,9 @@ def _fwcs_blocks(n_retained: int, size: int, spec: ConvLayerSpec,
             blocks.append(_Block(repeats, patch * width, n_retained, prog,
                                  alt % 2))
             alt += repeats * n_retained * prog.step
-    return blocks
-
-
-@lru_cache(maxsize=256)
-def _stream(kind: str, kept: int, size: int, spec: ConvLayerSpec,
-            schedule: ComputeSchedule | None,
-            cfg: MachineConfig) -> LayerStream:
-    """The stream of a ``kind`` layer ("fwcs" or "csr") keeping ``kept``
-    runs of ``size`` weights; nothing else about the layer changes it, so
-    equal keys share one stream, whose counts are computed once."""
-    if kind == "csr":
-        patch = spec.filterlets_per_filter * spec.channels
-        blocks = [_Block(spec.out_positions, patch, kept, _csr_units(cfg))]
     else:
-        blocks = _fwcs_blocks(kept, size, spec, schedule, cfg)
-    return LayerStream(tuple(b for b in blocks if b.units),
-                       spec.n_filters * spec.out_positions, cfg)
+        raise ConfigError(f"unknown schedule {schedule}")
+    return blocks
 
 
 def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
@@ -620,14 +606,17 @@ def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
     emits nothing.
     """
     if isinstance(weights, CsrLayer):
-        return _stream("csr", weights.n_retained, 1, spec, None, cfg)
-    if not isinstance(schedule, ComputeSchedule):
-        raise ConfigError(f"unknown schedule {schedule}")
-    if isinstance(weights, FwcsLayer):
-        return _stream("fwcs", weights.n_retained, weights.size, spec,
-                       schedule, cfg)
-    return _stream("fwcs", spec.n_filters * spec.filterlets_per_filter,
-                   spec.channels, spec, schedule, cfg)
+        patch = spec.filterlets_per_filter * spec.channels
+        blocks = [_Block(spec.out_positions, patch, weights.n_retained,
+                         _csr_units(cfg))]
+    elif isinstance(weights, FwcsLayer):
+        blocks = _fwcs_blocks(weights.n_retained, weights.size, spec, schedule,
+                              cfg)
+    else:
+        blocks = _fwcs_blocks(spec.n_filters * spec.filterlets_per_filter,
+                              spec.channels, spec, schedule, cfg)
+    return LayerStream(tuple(b for b in blocks if b.units),
+                       spec.n_filters * spec.out_positions, cfg)
 
 
 # Former per-format entry points, kept as aliases of ``layer_stream`` only

@@ -54,23 +54,6 @@ class Tensor:
         object.__setattr__(self, "data", frozen(flat))
 
     @classmethod
-    def adopt(cls, arr: np.ndarray, dtype: str) -> "Tensor":
-        """Tensor shaped as ``arr`` over ``arr`` itself, with no copy: for a
-        C-contiguous array of ``DTYPES[dtype]`` that the caller has just
-        made and hands over.  ``arr`` is made read-only; the caller must
-        not make it writable again."""
-        if dtype not in DTYPES or arr.dtype != DTYPES[dtype] or \
-                not arr.flags.c_contiguous or 0 in arr.shape:
-            raise DataError(f"cannot adopt a {arr.dtype} array of shape "
-                            f"{arr.shape} as {dtype!r}")
-        arr.flags.writeable = False
-        t = object.__new__(cls)
-        object.__setattr__(t, "dims", arr.shape)
-        object.__setattr__(t, "dtype", dtype)
-        object.__setattr__(t, "data", arr.reshape(-1))
-        return t
-
-    @classmethod
     def from_array(cls, arr, dtype: str | None = None) -> "Tensor":
         arr = np.asarray(arr)
         if dtype is None:
@@ -87,16 +70,18 @@ class Tensor:
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as a read-only array that no one can change: ``arr`` itself
-    when its base chain ends in a ``bytes`` object, whose contents are
-    immutable, else a private copy.  A view of a ``bytearray`` or a
-    ``memoryview`` is copied, since its owner may still write to it."""
+    """``arr`` as a new read-only array that no one can change: a view of
+    ``arr`` when its base chain ends in a ``bytes`` object, whose contents
+    are immutable, else a private copy.  A view of a ``bytearray`` or a
+    ``memoryview`` is copied, since its owner may still write to it.  The
+    caller's array object is never returned, so setting its shape or
+    dtype later changes nothing."""
     if not arr.flags.writeable:  # no view of bytes can be made writable
         base = arr.base
         while isinstance(base, np.ndarray):
             base = base.base
         if isinstance(base, bytes):
-            return arr
+            return arr.view()
     arr = arr.copy()
     arr.flags.writeable = False
     return arr

@@ -541,6 +541,15 @@ class TestAliasing:
                 assert not a.flags.writeable
                 assert not np.shares_memory(a, payload)
 
+    def test_a_layer_keeps_its_own_view_of_the_callers_array(self):
+        src = np.frombuffer(np.arange(8, dtype=np.int8).tobytes(), np.int8)
+        layer = filterlet.fwcs.FwcsLayer(src, 2, np.array([0, 2, 0, 2]),
+                                         np.array([0, 2, 4]), "int8")
+        assert layer.arr is not src and np.shares_memory(layer.arr, src)
+        src.shape = (2, 4)
+        src.dtype = np.uint8
+        assert layer.arr.shape == (8,) and layer.arr.dtype == np.int8
+
     def test_mutated_counts_do_not_reach_the_next_run(self):
         bundle = ModelBundle.from_bytes(FUZZ_BUNDLES["fwcs"])
         first = run_bundle(bundle, self.X)

@@ -12,8 +12,7 @@ from filterlet.cyclesim import ComputeSchedule, Instruction, LOAD_SCALAR, \
     _apply, _check_reads, _compile, dump_trace, layer_stream, lds, ldv, macs, \
     macv, simulate, two_mac_default_stream, two_mac_pinned_stream
 from filterlet.errors import ConfigError, StreamError
-from filterlet.fwcs import CsrLayer, FilterletMask, FwcsLayer, encode_csr, \
-    encode_fwcs, kept_count
+from filterlet.fwcs import FilterletMask, encode_csr, encode_fwcs, kept_count
 from filterlet.tensor import ConvLayerSpec, Tensor
 
 CFG = MachineConfig(lanes=4)
@@ -387,27 +386,9 @@ class TestPriceChain:
                         for spec, layer, schedule in runs] == want[cfg]
 
 
-def unmemoized_stream(weights, spec, schedule, cfg):
-    """``layer_stream`` built from the layer itself, with no memo."""
-    if isinstance(weights, CsrLayer):
-        blocks = [_Block(spec.out_positions,
-                         spec.filterlets_per_filter * spec.channels,
-                         weights.n_retained, cyclesim._csr_units(cfg))]
-    elif isinstance(weights, FwcsLayer):
-        blocks = cyclesim._fwcs_blocks(weights.n_retained, weights.size, spec,
-                                       schedule, cfg)
-    else:
-        blocks = cyclesim._fwcs_blocks(
-            spec.n_filters * spec.filterlets_per_filter, spec.channels, spec,
-            schedule, cfg)
-    return LayerStream(tuple(b for b in blocks if b.units),
-                       spec.n_filters * spec.out_positions, cfg)
-
-
-class TestStreamMemo:
-    def test_memoized_streams_equal_fresh_ones(self):
+class TestClosedFormCounts:
+    def test_counts_equal_the_expanded_stream(self):
         rng = np.random.default_rng(31)
-        cases = []
         for _ in range(12):
             spec, fw, w = rand_layer(rng, max_c=6, max_in=6)
             kept = rng.random((spec.n_filters, spec.filterlets_per_filter)) < 0.5
@@ -415,15 +396,8 @@ class TestStreamMemo:
             for layer in (fw, cs, w):
                 for schedule in ComputeSchedule:
                     for cfg in (CFG, MachineConfig(lanes=2, register_count=5)):
-                        cases.append((layer, spec, schedule, cfg))
-        # a first pass fills the memo, so the second reads shared streams
-        for case in cases:
-            layer_stream(*case).counts()
-        for case in cases:
-            got, want = layer_stream(*case), unmemoized_stream(*case)
-            assert got.counts() == want.counts()
-            assert got.cycles() == want.cycles()
-            assert got.expand() == want.expand()
+                        stream = layer_stream(layer, spec, schedule, cfg)
+                        assert stream.counts() == stream_counts(stream.expand())
 
     def test_counts_are_a_fresh_dict_each_time(self):
         spec, fw, _ = rand_layer(np.random.default_rng(32))
@@ -431,14 +405,6 @@ class TestStreamMemo:
         want = dict(stream.counts())
         stream.counts()["macs"] = -1
         assert stream.counts() == want
-        assert layer_stream(fw, spec, ComputeSchedule.DEFAULT, CFG) is stream
-
-    def test_unknown_schedule_is_refused_before_the_memo(self):
-        spec, fw, w = rand_layer(np.random.default_rng(33))
-        for layer in (fw, w):
-            for schedule in ("default", ["default"]):
-                with pytest.raises(ConfigError, match="unknown schedule"):
-                    layer_stream(layer, spec, schedule, CFG)
 
 
 class TestDumps:
