@@ -134,8 +134,8 @@ class ModelBundle:
     @classmethod
     def from_bytes(cls, buf: bytes) -> "ModelBundle":
         if isinstance(buf, (bytearray, memoryview)):
-            # one copy, so the layers' payloads, and the arrays that view
-            # them, never see later writes to the caller's buffer
+            # one copy, so the layers' payloads never see later writes to
+            # the caller's buffer
             buf = bytes(buf)
         r = Reader(buf, 0, "bundle")
         r.magic(BUNDLE_MAGIC)

@@ -241,7 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flash", type=int, required=True, help="flash budget, bytes")
     p.add_argument("--ram", type=int, required=True, help="SRAM budget, bytes")
     p.add_argument("--dlmax", type=float, required=True, help="loss-change budget")
-    p.add_argument("--lanes", type=int, default=4)
+    p.add_argument("--lanes", type=int, default=4,
+                   help="lanes of the default latency params; ignored with "
+                        "--params, whose lanes= line wins")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--iters", type=int, default=5000)
     p.add_argument("--t0", type=float, default=None,

@@ -30,10 +30,12 @@ def _operand_dtype(dtype: str, spec: ConvLayerSpec) -> type:
     return np.float32 if dtype == "int8" and k <= 1024 else np.float64
 
 
-def _gemm(input: Tensor, w: np.ndarray, spec: ConvLayerSpec,
+def _gemm(input: Tensor, rows: np.ndarray, spec: ConvLayerSpec,
           bias: np.ndarray | None) -> np.ndarray:
-    """Patch matrix times the C-contiguous ``_operand_dtype`` operand ``w``
-    (K, N), plus bias, as the accumulator map of ``input``'s dtype."""
+    """Patch matrix times the (K, N) operand, the filter-major (N, K)
+    weights ``rows`` transposed into one C-contiguous ``_operand_dtype``
+    copy, plus bias, as the accumulator map of ``input``'s dtype."""
+    w = np.ascontiguousarray(rows.T, dtype=_operand_dtype(input.dtype, spec))
     acc = patch_matrix(input.to_array().astype(w.dtype), spec) @ w
     if input.dtype == "int8":
         acc = acc.astype(np.int64)
@@ -58,27 +60,19 @@ def conv_dense(input: Tensor, filters: Tensor, spec: ConvLayerSpec,
         raise DataError(f"filter dims {filters.dims} != {spec.weight_dims}")
     if input.dtype != filters.dtype:
         raise DataError("input/filter dtype mismatch")
-    w = filters.to_array().reshape(spec.n_filters, -1).T
-    w = np.ascontiguousarray(w, dtype=_operand_dtype(input.dtype, spec))
-    return _gemm(input, w, spec, bias)
+    return _gemm(input, filters.to_array().reshape(spec.n_filters, -1), spec,
+                 bias)
 
 
 def _conv_runs(input: Tensor, layer: FwcsLayer | CsrLayer,
                spec: ConvLayerSpec, bias: np.ndarray | None) -> np.ndarray:
-    """Sparse operator over the run layout both packed formats share: run r
-    of filter n puts its ``width`` weights at rows ``c_ptr[r]`` onward of
-    column n of a zeroed operand, and the rest is ``conv_dense``'s GEMM.
-    The runs are scattered as whole rows of a filter-major (n_filters * R,
-    width) array, which is then transposed into the (K, N) operand."""
+    """Sparse operator over the run layout both packed formats share: the
+    layer's filter-major rows, unkept runs zero, already in the operand
+    dtype, and the rest is ``conv_dense``'s GEMM."""
     if input.dtype != layer.dtype:
         raise DataError("input/layer dtype mismatch")
-    slots = layer.slots(spec)
-    width = layer.width
-    w = np.zeros((spec.weight_count // width, width),
-                 _operand_dtype(input.dtype, spec))
-    w[slots] = layer.arr.reshape(-1, width)
-    w = np.ascontiguousarray(w.reshape(spec.n_filters, -1).T)
-    return _gemm(input, w, spec, bias)
+    rows = layer.rows(spec, _operand_dtype(input.dtype, spec))
+    return _gemm(input, rows, spec, bias)
 
 
 def conv_fwcs(input: Tensor, layer: FwcsLayer, spec: ConvLayerSpec,

@@ -51,12 +51,10 @@ class FilterletMask:
     kept: np.ndarray
 
     def __post_init__(self):
-        kept = np.asarray(self.kept, dtype=bool)
+        kept = frozen(self.kept, bool)
         want = (self.spec.n_filters, self.spec.filterlets_per_filter)
         if kept.shape != want:
             raise DataError(f"mask shape {kept.shape} != {want}")
-        kept = kept.copy()
-        kept.flags.writeable = False
         object.__setattr__(self, "kept", kept)
 
     @classmethod
@@ -87,24 +85,22 @@ class _RunLayer:
     """
 
     def __post_init__(self):
-        arr = frozen(np.asarray(self.arr))
-        c_ptr = np.array(self.c_ptr, dtype=np.int64)
-        f_idx = np.array(self.f_idx, dtype=np.int64)
+        if self.dtype not in DTYPES:
+            raise DataError(f"unsupported dtype {self.dtype!r}")
+        arr = frozen(self.arr)
+        if arr.dtype != DTYPES[self.dtype]:
+            raise DataError(f"values stored as {arr.dtype}, not {self.dtype}")
+        c_ptr = frozen(self.c_ptr, np.int64)
+        f_idx = frozen(self.f_idx, np.int64)
         if arr.size != self.width * (f_idx[-1] if f_idx.size else 0):
             raise DataError("arr length != width * f_idx[-1]")
         if arr.size != self.width * c_ptr.size:
             raise DataError("arr length != width * c_ptr length")
-        c_ptr.flags.writeable = False
-        f_idx.flags.writeable = False
         object.__setattr__(self, "arr", arr)
         object.__setattr__(self, "c_ptr", c_ptr)
         object.__setattr__(self, "f_idx", f_idx)
         object.__setattr__(self, "_accepted", None)
         object.__setattr__(self, "_slots", None)
-
-    @property
-    def n_filters(self) -> int:
-        return len(self.f_idx) - 1
 
     @property
     def n_retained(self) -> int:
@@ -115,9 +111,8 @@ class _RunLayer:
 
         ``f_idx`` opens every filter and never decreases; each ``c_ptr``
         entry starts a run inside its filter, strictly after the previous
-        entry of the same filter.  No one can change the arrays (``arr``
-        views immutable bytes or is a private copy; ``c_ptr`` and ``f_idx``
-        are private copies), so a spec once accepted is not checked again."""
+        entry of the same filter.  The arrays are private read-only copies,
+        so a spec once accepted is not checked again."""
         self.slots(spec)
 
     def slots(self, spec: ConvLayerSpec) -> np.ndarray:
@@ -145,10 +140,20 @@ class _RunLayer:
         slots = run + np.arange(0, spec.n_filters * runs, runs).repeat(per_filter)
         if (slots[1:] <= slots[:-1]).any():
             raise CorruptionError("c_ptr not strictly increasing within a filter")
-        slots.flags.writeable = False
+        slots = frozen(slots)
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_accepted", spec)
         return slots
+
+    def rows(self, spec: ConvLayerSpec, dtype) -> np.ndarray:
+        """``validate(spec)``, then the filter-major (n_filters, K) weights
+        as ``dtype``, K = filterlets_per_filter * channels, with every
+        unkept run zero."""
+        slots = self.slots(spec)
+        width = self.width
+        out = np.zeros((spec.weight_count // width, width), dtype)
+        out[slots] = self.arr.reshape(-1, width)
+        return out.reshape(spec.n_filters, -1)
 
 
 @dataclass(frozen=True)
@@ -196,15 +201,6 @@ def _encode_runs(cls, weights: Tensor, kept: np.ndarray, *head) -> _RunLayer:
                weights.dtype)
 
 
-def _decode_runs(layer: _RunLayer, spec: ConvLayerSpec) -> Tensor:
-    """Dense weights with every unretained run zeroed."""
-    slots = layer.slots(spec)
-    width = layer.width
-    out = np.zeros((spec.weight_count // width, width), dtype=layer.arr.dtype)
-    out[slots] = layer.arr.reshape(-1, width)
-    return Tensor(spec.weight_dims, layer.dtype, out.reshape(-1))
-
-
 def encode_fwcs(weights: Tensor, mask: FilterletMask) -> FwcsLayer:
     """Pack the retained filterlets of ``weights`` into FWCS form."""
     spec = mask.spec
@@ -217,7 +213,7 @@ def encode_fwcs(weights: Tensor, mask: FilterletMask) -> FwcsLayer:
 
 def decode_fwcs(layer: FwcsLayer, spec: ConvLayerSpec) -> Tensor:
     """Dense weights with pruned filterlets zeroed; inverse of encode."""
-    return _decode_runs(layer, spec)
+    return Tensor(spec.weight_dims, layer.dtype, layer.rows(spec, layer.arr.dtype))
 
 
 def encode_csr(weights: Tensor, weight_mask: np.ndarray) -> CsrLayer:
@@ -230,7 +226,8 @@ def encode_csr(weights: Tensor, weight_mask: np.ndarray) -> CsrLayer:
 
 
 def decode_csr(layer: CsrLayer, spec: ConvLayerSpec) -> Tensor:
-    return _decode_runs(layer, spec)
+    """Dense weights with pruned weights zeroed; inverse of encode."""
+    return Tensor(spec.weight_dims, layer.dtype, layer.rows(spec, layer.arr.dtype))
 
 
 def storage_footprint(layer) -> int:
@@ -256,8 +253,8 @@ def _pack_index_array(vals: np.ndarray, what: str) -> bytes:
 def _write_block(layer, magic: bytes, head: bytes = b"") -> bytes:
     """``magic``, the packed ``head`` fields, then u32+values, u32+u16 c_ptr
     and u32+u16 f_idx: the body both packed formats share."""
-    raw = layer.arr.astype(DTYPES[layer.dtype], copy=False).tobytes()
-    return (magic + head + struct.pack("<I", len(layer.arr)) + raw
+    # a layer holds its values as DTYPES[dtype], already little-endian
+    return (magic + head + struct.pack("<I", len(layer.arr)) + layer.arr.tobytes()
             + _pack_index_array(layer.c_ptr, "c_ptr")
             + _pack_index_array(layer.f_idx, "f_idx"))
 

@@ -15,7 +15,7 @@ from .costmodel import strategy_alphas
 from .errors import DataError
 from .fwcs import FilterletMask, kept_count
 from .model import SequentialModel, forward_float64
-from .tensor import ConvLayerSpec, Tensor
+from .tensor import ConvLayerSpec, Tensor, frozen
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ class ImportanceMap:
         mats = []
         for spec, s in zip(self.specs, self.scores):
             # a copy nobody else can write: problems memoize terms of it
-            s = np.array(s, dtype=np.float64)
-            s.flags.writeable = False
+            s = frozen(s, np.float64)
             want = (spec.n_filters, spec.filterlets_per_filter)
             if s.shape != want:
                 raise DataError(f"score shape {s.shape} != {want}")

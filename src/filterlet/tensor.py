@@ -44,14 +44,14 @@ class Tensor:
         dims = tuple(map(int, self.dims))
         if dims and min(dims) <= 0:
             raise DataError(f"non-positive extent in {dims}")
-        flat = np.ascontiguousarray(self.data, dtype=DTYPES[self.dtype]).reshape(-1)
+        flat = frozen(self.data, DTYPES[self.dtype]).reshape(-1)
         # math.prod is exact where numpy's int64 product would wrap
         if flat.size != math.prod(dims):
             raise DataError(
                 f"data length {flat.size} != prod{dims} = {math.prod(dims)}"
             )
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", frozen(flat))
+        object.__setattr__(self, "data", flat)
 
     @classmethod
     def from_array(cls, arr, dtype: str | None = None) -> "Tensor":
@@ -69,20 +69,10 @@ class Tensor:
         return self.data.reshape(self.dims)
 
 
-def frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as a new read-only array that no one can change: a view of
-    ``arr`` when its base chain ends in a ``bytes`` object, whose contents
-    are immutable, else a private copy.  A view of a ``bytearray`` or a
-    ``memoryview`` is copied, since its owner may still write to it.  The
-    caller's array object is never returned, so setting its shape or
-    dtype later changes nothing."""
-    if not arr.flags.writeable:  # no view of bytes can be made writable
-        base = arr.base
-        while isinstance(base, np.ndarray):
-            base = base.base
-        if isinstance(base, bytes):
-            return arr.view()
-    arr = arr.copy()
+def frozen(values, dtype=None) -> np.ndarray:
+    """A private read-only C-ordered copy of ``values`` (as ``dtype`` when
+    given): no one else holds it, so no one can change it."""
+    arr = np.array(values, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
 

@@ -524,7 +524,7 @@ class TestAliasing:
         assert np.array_equal(run_bundle(bundle, self.X).output.data, out)
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_bytes_payloads_are_viewed_read_only(self, fmt):
+    def test_bytes_payloads_are_copied_read_only(self, fmt):
         model = float_chain(seed=24)
         masks = random_masks(model, np.random.default_rng(25))
         bundle = bundle_from_model(model) if fmt == "dense" \
@@ -532,20 +532,16 @@ class TestAliasing:
         for layer in ModelBundle.from_bytes(bundle.to_bytes()).layers:
             payload = np.frombuffer(layer.payload, np.uint8)
             weights, bias = layer.decode_weights()
-            values = stored_arrays(weights)[0]
-            for a in (values, bias):
-                assert not a.flags.writeable
-                assert np.shares_memory(a, payload)
-            # the u16 index arrays widen to private int64 copies
-            for a in stored_arrays(weights)[1:]:
+            for a in (*stored_arrays(weights), bias):
                 assert not a.flags.writeable
                 assert not np.shares_memory(a, payload)
 
-    def test_a_layer_keeps_its_own_view_of_the_callers_array(self):
+    def test_a_layer_keeps_its_own_copy_of_the_callers_array(self):
         src = np.frombuffer(np.arange(8, dtype=np.int8).tobytes(), np.int8)
         layer = filterlet.fwcs.FwcsLayer(src, 2, np.array([0, 2, 0, 2]),
                                          np.array([0, 2, 4]), "int8")
-        assert layer.arr is not src and np.shares_memory(layer.arr, src)
+        assert not layer.arr.flags.writeable
+        assert not np.shares_memory(layer.arr, src)
         src.shape = (2, 4)
         src.dtype = np.uint8
         assert layer.arr.shape == (8,) and layer.arr.dtype == np.int8
@@ -977,6 +973,11 @@ class TestCli:
         assert main(["simulate", "--demo", "fig9b"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 7
+
+    def test_simulate_out_writes_the_printed_trace(self, tmp_path, capsys):
+        out = tmp_path / "trace.txt"
+        assert main(["simulate", "--demo", "fig9b", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
     def test_only_prune_takes_seed(self):
         parser = _build_parser()

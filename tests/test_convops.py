@@ -417,3 +417,17 @@ class TestLaneConfig:
         w = Tensor.from_array(np.zeros(spec.weight_dims, np.int8))
         with pytest.raises(DataError):
             conv_dense(x, w, spec)
+
+    @pytest.mark.parametrize("bad", ["filters", "bias"])
+    def test_shape_mismatch_raises(self, bad):
+        spec = ConvLayerSpec(n_filters=2, kernel_h=1, kernel_w=1, channels=1,
+                             input_h=2, input_w=2)
+        x = Tensor.from_array(np.zeros(spec.input_dims, np.float32))
+        w = Tensor.from_array(np.zeros(spec.weight_dims, np.float32))
+        bias = np.zeros(spec.n_filters)
+        if bad == "filters":
+            w = Tensor.from_array(np.zeros((3, 1, 1, 1), np.float32))
+        else:
+            bias = np.zeros(spec.n_filters + 1)
+        with pytest.raises(DataError, match=bad[:4]):
+            conv_dense(x, w, spec, bias)

@@ -273,6 +273,14 @@ class TestFit:
                                 (spec, 0.4, 100.0)], lanes=8)
 
 
+    def test_all_zero_column_names_its_parameter(self):
+        rng = np.random.default_rng(6)
+        # nothing kept: the index and MAC columns are all zero
+        samples = [(rand_spec(rng), 1.0, 100.0 + i) for i in range(6)]
+        with pytest.raises(FitError, match="all-zero column for t_idx"):
+            fit_latency_params(samples, lanes=8)
+
+
 class TestPersistence:
     def test_params_round_trip(self, tmp_path):
         p = LatencyParams(1.25, 0.5, 2.75, 3.0, lanes=16)
@@ -289,6 +297,19 @@ class TestPersistence:
         path = tmp_path / "params.txt"
         save_latency_params(path, p)
         assert load_latency_params(path) == p
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("# fitted on fig9\n\nt_mem=1.0\n  \nt_idx=0.5\n"
+                        "# lanes below\nt_com=2.0\nt_post=3.0\nlanes=8\n")
+        assert load_latency_params(path) == LatencyParams(1.0, 0.5, 2.0, 3.0,
+                                                          lanes=8)
+
+    def test_missing_key_rejected(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("t_mem=1.0\nt_idx=1.0\nt_post=2.0\nlanes=4\n")
+        with pytest.raises(DataError, match="t_com"):
+            load_latency_params(path)
 
     @pytest.mark.parametrize("text", ["4.9", "4.0", "four", "True", ""])
     def test_non_integer_lanes_in_a_file_rejected(self, tmp_path, text):

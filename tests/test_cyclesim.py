@@ -50,6 +50,12 @@ class TestMachineConfig:
         with pytest.raises(ConfigError):
             MachineConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("vec_instr_cycles", 0), ("register_count", 2), ("post_cycles", -1)])
+    def test_rejects_values_out_of_range(self, field, value):
+        with pytest.raises(ConfigError, match=field.split("_")[0]):
+            MachineConfig(**{field: value})
+
     def test_numpy_integers_become_python_ints(self):
         cfg = MachineConfig(lanes=np.int64(8), register_count=np.int32(5))
         assert type(cfg.lanes) is int and type(cfg.register_count) is int

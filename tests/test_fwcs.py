@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterlet.bundle import BundleLayer
+from filterlet.convops import conv_csr, conv_fwcs
 from filterlet.errors import CorruptionError, DataError, FormatError
 from filterlet.fwcs import CSR_FRAMING_BYTES, FWCS_FRAMING_BYTES, \
     CsrLayer, FilterletMask, FwcsLayer, decode_csr, decode_fwcs, encode_csr, \
@@ -379,6 +380,28 @@ class TestLayerArrays:
             assert layer.arr[0] == 1
             assert not layer.arr.flags.writeable
             arr[0] = 1
+
+    @pytest.mark.parametrize("fmt", ["fwcs", "csr"])
+    def test_values_must_be_stored_as_the_layers_dtype(self, fmt):
+        # one filter of one 1x1 filterlet of two channels, both kept
+        spec = make_spec(n=1, kh=1, kw=1, c=2)
+        x = Tensor.from_array(np.ones(spec.input_dims, np.int8))
+        if fmt == "fwcs":
+            def make(arr, dtype="int8"):
+                return FwcsLayer(arr, 2, [0], [0, 1], dtype)
+            write, read, conv = write_fwcs, read_fwcs, conv_fwcs
+        else:
+            def make(arr, dtype="int8"):
+                return CsrLayer(arr, [0, 1], [0, 2], dtype)
+            write, read, conv = write_csr, read_csr, conv_csr
+        # values of another dtype are rejected, never cast on write
+        with pytest.raises(DataError, match="float64"):
+            make(np.array([1.7, 1.7]))
+        with pytest.raises(DataError, match="int16"):
+            make(np.ones(2, np.int8), "int16")
+        layer = make(np.ones(2, np.int8))
+        back, _ = read(write(layer), 0, "int8")
+        assert conv(x, layer, spec)[0, 0, 0] == conv(x, back, spec)[0, 0, 0] == 2
 
 
 class TestFootprint:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from filterlet.convops import conv_dense
 from filterlet.errors import DataError
 from filterlet.fwcs import FilterletMask, decode_fwcs, encode_fwcs
 from filterlet.importance import GradientBundle, ImportanceMap, \
@@ -133,6 +134,21 @@ class TestFiniteDiff:
         ref = central.layers[0].reshape(-1)
         rel = np.abs(one_sided - ref) / np.maximum(np.abs(ref), 1e-3)
         assert rel.max() < 1e-4
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_forward_float64_is_conv_dense_plus_bias(self, with_bias):
+        rng = np.random.default_rng(6)
+        layer = tiny_model(rng).layers[0]
+        spec = layer.spec
+        x = Tensor.from_array(rng.uniform(-1, 1, spec.input_dims).astype(np.float32))
+        bias = rng.uniform(-1, 1, spec.n_filters) if with_bias else None
+        got = forward_float64([spec], [layer.weights.to_array()], [bias],
+                              x.to_array())
+        want = conv_dense(x, layer.weights, spec).astype(np.float64)
+        if with_bias:
+            want += bias
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
     def test_bad_epsilon(self):
         rng = np.random.default_rng(5)
