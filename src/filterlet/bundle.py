@@ -9,13 +9,15 @@ layer's declared format followed by an optional bias tensor block.
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .convops import conv_csr, conv_dense, conv_fwcs
 from .cyclesim import ComputeSchedule, MachineConfig, layer_stream
-from .errors import CorruptionError, DataError, FormatError, TopologyError
+from .errors import ConfigError, CorruptionError, DataError, FormatError, \
+    TopologyError
 from .fwcs import CSR_MAGIC, FWCS_MAGIC, FilterletMask, decode_csr, \
     decode_fwcs, encode_csr, encode_fwcs, read_csr, read_fwcs, write_csr, \
     write_fwcs
@@ -226,21 +228,14 @@ def bundle_from_masks(model: SequentialModel, masks: list[FilterletMask],
     return ModelBundle(model.name, "model", layers)
 
 
-def _dense(bl: BundleLayer, weights) -> Tensor:
-    """``bl``'s decoded ``weights`` as a dense Tensor, pruned weights zero."""
-    if bl.fmt == "fwcs":
-        return decode_fwcs(weights, bl.spec)
-    if bl.fmt == "csr":
-        return decode_csr(weights, bl.spec)
-    return weights
-
-
 def model_from_bundle(bundle: ModelBundle) -> SequentialModel:
     """Materialize dense weights for every layer (pruned layers decode to zeros)."""
     layers = []
     for bl in bundle.layers:
         weights, bias = bl.decode_weights()
-        layers.append(LayerDef(bl.name, bl.spec, _dense(bl, weights), bias, bl.quant))
+        if bl.fmt != "dense":
+            weights = (decode_fwcs if bl.fmt == "fwcs" else decode_csr)(weights, bl.spec)
+        layers.append(LayerDef(bl.name, bl.spec, weights, bias, bl.quant))
     return SequentialModel(bundle.name, layers)
 
 
@@ -258,20 +253,43 @@ def gradients_from_bundle(bundle: ModelBundle) -> GradientBundle:
 
 @dataclass
 class RunResult:
+    """A run's output and saturation flag; ``layer_counts``, per layer the
+    instruction counts of its stream, are lowered on their first read."""
+
     output: Tensor
-    layer_counts: list[dict[str, int]]
     saturated: bool
+    # per layer, the arguments of its layer_stream call
+    _streams: list = field(repr=False)
+
+    @cached_property
+    def layer_counts(self) -> list[dict[str, int]]:
+        return [layer_stream(*args).counts() for args in self._streams]
 
 
-def _requantize(acc: np.ndarray, quant: LayerQuant) -> tuple[np.ndarray, bool]:
-    saturated = bool(acc.min() < _INT32_MIN or acc.max() > _INT32_MAX)
+def _filter_sums(weights, spec: ConvLayerSpec) -> np.ndarray:
+    """Per filter, the int64 sum of its stored weights (pruned ones are 0)."""
+    if isinstance(weights, Tensor):
+        return weights.to_array().reshape(spec.n_filters, -1).sum(1, dtype=np.int64)
+    ends = np.concatenate(([0], np.cumsum(weights.arr, dtype=np.int64)))
+    return np.diff(ends[weights.f_idx * weights.width])
+
+
+def _requantize(acc: np.ndarray, quant: LayerQuant, k: int,
+                bias: np.ndarray | None) -> tuple[np.ndarray, bool]:
+    """int8 codes of the int64 map ``acc`` and whether it left int32 (where
+    it clips first).  |acc| <= k*2^14 + max|bias|, ``k`` the patch length."""
+    # in Python ints, since an int64 abs(-2^63) wraps
+    bound = (k << 14) + (0 if bias is None else max(int(bias.max()), -int(bias.min())))
+    saturated = bound > _INT32_MAX and \
+        bool(acc.min() < _INT32_MIN or acc.max() > _INT32_MAX)
     if saturated:
         acc = np.clip(acc, _INT32_MIN, _INT32_MAX)
     mult = quant.input_scale * quant.weight_scale / quant.output_scale
     codes = acc * mult
     np.rint(codes, out=codes)
     codes += quant.output_zero_point
-    np.clip(codes, -128, 127, out=codes)
+    np.minimum(codes, 127, out=codes)
+    np.maximum(codes, -128, out=codes)
     return codes.astype(np.int8), saturated
 
 
@@ -282,8 +300,10 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
     ``schedule`` and ``cfg`` set only the reported instruction counts."""
     if bundle.role != "model":
         raise DataError("can only run bundles with role 'model'")
+    if not (isinstance(schedule, ComputeSchedule) and isinstance(cfg, MachineConfig)):
+        raise ConfigError(f"bad schedule {schedule!r} or config {cfg!r}")
     x = input
-    counts = []
+    streams = []
     saturated = False
     for bl in bundle.layers:
         if x.dims != bl.spec.input_dims:
@@ -293,19 +313,19 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
         weights, bias = bl.decode_weights()
         zero = bl.quant.input_zero_point if bl.dtype == "int8" else 0
         if zero:  # sum w*(x - z) = sum w*x - z*sum w, exact in int64
-            w = _dense(bl, weights).to_array().reshape(bl.spec.n_filters, -1)
-            bias = (0 if bias is None else bias) - zero * w.sum(1, dtype=np.int64)
+            bias = (0 if bias is None else bias) - zero * _filter_sums(weights, bl.spec)
         if bl.fmt == "dense":
             acc = conv_dense(x, weights, bl.spec, bias)
         elif bl.fmt == "fwcs":
             acc = conv_fwcs(x, weights, bl.spec, bias)
         else:
             acc = conv_csr(x, weights, bl.spec, bias)
-        counts.append(layer_stream(weights, bl.spec, schedule, cfg).counts())
+        streams.append((weights, bl.spec, schedule, cfg))
         if bl.dtype == "int8":
-            codes, sat = _requantize(acc, bl.quant)
+            k = bl.spec.filterlets_per_filter * bl.spec.channels
+            codes, sat = _requantize(acc, bl.quant, k, bias)
             saturated = saturated or sat
             x = Tensor.from_array(codes, "int8")
         else:
             x = Tensor.from_array(acc, "float32")
-    return RunResult(x, counts, saturated)
+    return RunResult(x, saturated, streams)

@@ -30,13 +30,12 @@ def _operand_dtype(dtype: str, spec: ConvLayerSpec) -> type:
     return np.float32 if dtype == "int8" and k <= 1024 else np.float64
 
 
-def _gemm(input: Tensor, rows: np.ndarray, spec: ConvLayerSpec,
+def _gemm(input: Tensor, w: np.ndarray, spec: ConvLayerSpec,
           bias: np.ndarray | None) -> np.ndarray:
-    """Patch matrix times the (K, N) operand, the filter-major (N, K)
-    weights ``rows`` transposed into one C-contiguous ``_operand_dtype``
-    copy, plus bias, as the accumulator map of ``input``'s dtype."""
-    w = np.ascontiguousarray(rows.T, dtype=_operand_dtype(input.dtype, spec))
-    acc = patch_matrix(input.to_array().astype(w.dtype), spec) @ w
+    """Patch matrix, cast to the (K, N) operand ``w``'s dtype as it is
+    gathered, times ``w``, plus bias, as the accumulator map of ``input``'s
+    dtype."""
+    acc = patch_matrix(input, spec, w.dtype) @ w
     if input.dtype == "int8":
         acc = acc.astype(np.int64)
     if bias is not None:
@@ -60,19 +59,20 @@ def conv_dense(input: Tensor, filters: Tensor, spec: ConvLayerSpec,
         raise DataError(f"filter dims {filters.dims} != {spec.weight_dims}")
     if input.dtype != filters.dtype:
         raise DataError("input/filter dtype mismatch")
-    return _gemm(input, filters.to_array().reshape(spec.n_filters, -1), spec,
-                 bias)
+    w = filters.to_array().reshape(spec.n_filters, -1).T
+    return _gemm(input, np.array(w, _operand_dtype(input.dtype, spec), order="C"),
+                 spec, bias)
 
 
 def _conv_runs(input: Tensor, layer: FwcsLayer | CsrLayer,
                spec: ConvLayerSpec, bias: np.ndarray | None) -> np.ndarray:
     """Sparse operator over the run layout both packed formats share: the
-    layer's filter-major rows, unkept runs zero, already in the operand
-    dtype, and the rest is ``conv_dense``'s GEMM."""
+    layer's runs scattered into a zeroed operand, and the rest is
+    ``conv_dense``'s GEMM."""
     if input.dtype != layer.dtype:
         raise DataError("input/layer dtype mismatch")
-    rows = layer.rows(spec, _operand_dtype(input.dtype, spec))
-    return _gemm(input, rows, spec, bias)
+    w = layer.operand(spec, _operand_dtype(input.dtype, spec))
+    return _gemm(input, w, spec, bias)
 
 
 def conv_fwcs(input: Tensor, layer: FwcsLayer, spec: ConvLayerSpec,

@@ -115,10 +115,10 @@ class _RunLayer:
         so a spec once accepted is not checked again."""
         self.slots(spec)
 
-    def slots(self, spec: ConvLayerSpec) -> np.ndarray:
-        """``validate(spec)``, then the slot of each retained run: run r of
-        filter n is row ``n * R + r`` of a filter-major (n_filters * R,
-        width) array, R = filterlets_per_filter * channels // width."""
+    def slots(self, spec: ConvLayerSpec) -> tuple[np.ndarray, np.ndarray]:
+        """``validate(spec)``, then per retained run its run index r
+        within its filter and its filter n: it holds rows r*width to
+        (r+1)*width - 1 of column n of the (K, n_filters) operand."""
         if spec == self._accepted:
             return self._slots
         f_idx, c_ptr, width = self.f_idx, self.c_ptr, self.width
@@ -135,25 +135,27 @@ class _RunLayer:
         runs = spec.filterlets_per_filter * spec.channels // width
         if run.size and (run.min() < 0 or run.max() >= runs):
             raise CorruptionError("c_ptr entry outside its filter")
-        # every run lies inside its filter, so the slots increase strictly
-        # exactly when each filter's entries do
-        slots = run + np.arange(0, spec.n_filters * runs, runs).repeat(per_filter)
+        # every run lies inside its filter, so the filter-major slots
+        # increase strictly exactly when each filter's entries do
+        filt = np.arange(spec.n_filters).repeat(per_filter)
+        slots = run + filt * runs
         if (slots[1:] <= slots[:-1]).any():
             raise CorruptionError("c_ptr not strictly increasing within a filter")
-        slots = frozen(slots)
+        slots = frozen(run), frozen(filt)
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_accepted", spec)
         return slots
 
-    def rows(self, spec: ConvLayerSpec, dtype) -> np.ndarray:
-        """``validate(spec)``, then the filter-major (n_filters, K) weights
-        as ``dtype``, K = filterlets_per_filter * channels, with every
-        unkept run zero."""
-        slots = self.slots(spec)
+    def operand(self, spec: ConvLayerSpec, dtype) -> np.ndarray:
+        """``validate(spec)``, then the C-contiguous (K, n_filters) GEMM
+        operand as ``dtype``, K = filterlets_per_filter * channels: column
+        n holds filter n's weights, every unkept run zero."""
+        run, filt = self.slots(spec)
         width = self.width
-        out = np.zeros((spec.weight_count // width, width), dtype)
-        out[slots] = self.arr.reshape(-1, width)
-        return out.reshape(spec.n_filters, -1)
+        out = np.zeros((spec.filterlets_per_filter * spec.channels // width,
+                        width, spec.n_filters), dtype)
+        out[run, :, filt] = self.arr.reshape(-1, width)
+        return out.reshape(-1, spec.n_filters)
 
 
 @dataclass(frozen=True)
@@ -213,7 +215,8 @@ def encode_fwcs(weights: Tensor, mask: FilterletMask) -> FwcsLayer:
 
 def decode_fwcs(layer: FwcsLayer, spec: ConvLayerSpec) -> Tensor:
     """Dense weights with pruned filterlets zeroed; inverse of encode."""
-    return Tensor(spec.weight_dims, layer.dtype, layer.rows(spec, layer.arr.dtype))
+    return Tensor(spec.weight_dims, layer.dtype,
+                  layer.operand(spec, layer.arr.dtype).T)
 
 
 def encode_csr(weights: Tensor, weight_mask: np.ndarray) -> CsrLayer:
@@ -227,7 +230,8 @@ def encode_csr(weights: Tensor, weight_mask: np.ndarray) -> CsrLayer:
 
 def decode_csr(layer: CsrLayer, spec: ConvLayerSpec) -> Tensor:
     """Dense weights with pruned weights zeroed; inverse of encode."""
-    return Tensor(spec.weight_dims, layer.dtype, layer.rows(spec, layer.arr.dtype))
+    return Tensor(spec.weight_dims, layer.dtype,
+                  layer.operand(spec, layer.arr.dtype).T)
 
 
 def storage_footprint(layer) -> int:

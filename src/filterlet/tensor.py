@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import BoundsError, CorruptionError, DataError
 
@@ -216,23 +215,22 @@ def extract_patch(input: Tensor, spec: ConvLayerSpec, out_h: int, out_w: int) ->
     return view.reshape(-1).copy()
 
 
-def patch_matrix(input, spec: ConvLayerSpec) -> np.ndarray:
+def patch_matrix(input, spec: ConvLayerSpec, dtype=None) -> np.ndarray:
     """All receptive fields stacked row-wise, row index = out_h*out_w grid order.
 
     Accepts a Tensor or a plain (input_h, input_w, channels) array.  The
-    result is a fresh writable array, never a view of the input.
+    result is one fresh writable copy, cast to ``dtype`` if given, never a view.
     """
     arr = input.to_array() if isinstance(input, Tensor) else np.asarray(input)
     if arr.shape != spec.input_dims:
         raise DataError(f"input dims {arr.shape} do not match spec {spec.input_dims}")
-    # window axes: out row, out column, kernel row, kernel column, channel;
-    # copy(), not reshape, since a contiguous window would reshape to a view
+    # window axes: out row, out column, kernel row, kernel column, channel
     arr = np.ascontiguousarray(arr)
     (sh, sw, sc), s = arr.strides, spec.stride
-    win = as_strided(arr, (spec.out_h, spec.out_w, spec.kernel_h, spec.kernel_w,
-                           spec.channels), (sh * s, sw * s, sh, sw, sc),
-                     writeable=False)
-    return win.copy().reshape(spec.out_positions, -1)
+    win = np.ndarray((spec.out_h, spec.out_w, spec.kernel_h, spec.kernel_w,
+                      spec.channels), arr.dtype, arr, 0,
+                     (sh * s, sw * s, sh, sw, sc))
+    return np.array(win, dtype, order="C").reshape(spec.out_positions, -1)
 
 
 class Reader:

@@ -2,9 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from filterlet.bundle import ModelBundle, bundle_from_masks, \
-    bundle_from_model, run_bundle
+from filterlet.bundle import _INT32_MAX, _INT32_MIN, ModelBundle, \
+    _requantize, bundle_from_masks, bundle_from_model, run_bundle
 from filterlet.convops import _operand_dtype, conv_csr, conv_dense, \
     conv_fwcs, conv_fwcs_reordered
 from filterlet.cyclesim import MachineConfig
@@ -403,6 +405,64 @@ class TestInputZeroPoint:
             ignored = replace(layer, quant=replace(layer.quant, input_zero_point=0))
             assert np.abs(float_reference(codes, ignored) - want).max() > 1
             codes = got
+
+    def test_packed_bundles_equal_the_dense_bundle(self):
+        model, masks, x = self.chain()
+        pruned = SequentialModel(model.name, [
+            replace(layer, weights=apply_mask_zeroing(layer.weights, m))
+            for layer, m in zip(model.layers, masks)])
+        x = Tensor.from_array(x)
+        want = run_bundle(bundle_from_model(pruned), x).output
+        for fmt in ("fwcs", "csr"):
+            got = run_bundle(bundle_from_masks(model, masks, fmt), x).output
+            assert got.dims == want.dims
+            assert np.array_equal(got.data, want.data)
+
+
+class TestSaturationBound:
+    """The saturation scan runs only where K*2^14 + max|bias| can exceed
+    int32; all -128 inputs and weights reach K*2^14 at every position."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80, database=None)
+    @given(kh=st.integers(1, 3), kw=st.integers(1, 3), c=st.integers(1, 4),
+           zero_in=st.integers(-128, 127).filter(bool),
+           zero_out=st.integers(-128, 127).filter(bool),
+           above=st.lists(st.booleans(), min_size=1, max_size=3))
+    def test_saturated_flag_and_codes_match_a_range_check(
+            self, kh, kw, c, zero_in, zero_out, above):
+        n, k = len(above), kh * kw * c
+        spec = ConvLayerSpec(n_filters=n, kernel_h=kh, kernel_w=kw,
+                             channels=c, input_h=kh + 1, input_w=kw)
+        limit = _INT32_MAX - k * 2 ** 14
+        # the bias added is the stored bias minus zero_in * (sum w) =
+        # stored + 128 * zero_in * k; stored biases step by 128 here, the
+        # spacing of float32 near 2^31, so each one packs exactly
+        added = np.array([limit + 1 if a else limit - 127 for a in above])
+        quant = LayerQuant(input_scale=131.0, weight_scale=1.0,
+                           output_scale=2.0 ** 32, input_zero_point=zero_in,
+                           output_zero_point=zero_out)
+        layer = LayerDef("c0", spec,
+                         Tensor.from_array(np.full(spec.weight_dims, -128, np.int8)),
+                         added - 128 * zero_in * k, quant)
+        x = Tensor.from_array(np.full(spec.input_dims, -128, np.int8))
+        got = run_bundle(bundle_from_model(SequentialModel("sat", [layer])), x)
+        acc = np.broadcast_to(k * 2 ** 14 + added,
+                              (spec.out_h, spec.out_w, n)).astype(np.int64)
+        assert got.saturated == bool(((acc < _INT32_MIN) |
+                                      (acc > _INT32_MAX)).any())
+        # a code of 131 / 2^32 * 2^31 = 65.5 rounds to 66 but the clipped
+        # accumulator gives 65, so a missed clip changes the codes
+        mult = quant.input_scale * quant.weight_scale / quant.output_scale
+        want = np.clip(np.rint(np.clip(acc, _INT32_MIN, _INT32_MAX) * mult)
+                       + zero_out, -128, 127)
+        assert np.array_equal(got.output.to_array(), want)
+
+    def test_a_bias_of_int64_min_does_not_wrap_the_bound(self):
+        quant = LayerQuant(input_scale=1.0, weight_scale=1.0, output_scale=1.0)
+        bias = np.array([-2 ** 63], np.int64)
+        acc = np.full((1, 1, 1), -2 ** 63 + 2 ** 14, np.int64)
+        codes, saturated = _requantize(acc, quant, 1, bias)
+        assert saturated and codes.item() == -128
 
 
 class TestLaneConfig:
