@@ -9,15 +9,13 @@ layer's declared format followed by an optional bias tensor block.
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .convops import conv_csr, conv_dense, conv_fwcs
 from .cyclesim import ComputeSchedule, MachineConfig, layer_stream
-from .errors import ConfigError, CorruptionError, DataError, FormatError, \
-    TopologyError
+from .errors import CorruptionError, DataError, FormatError, TopologyError
 from .fwcs import CSR_MAGIC, FWCS_MAGIC, FilterletMask, decode_csr, \
     decode_fwcs, encode_csr, encode_fwcs, read_csr, read_fwcs, write_csr, \
     write_fwcs
@@ -92,7 +90,7 @@ class BundleLayer:
             if self.dtype == "int8":
                 # int8 biases are packed from int64 integers
                 exact = (np.rint(bias) == bias) & (np.abs(bias) < 2.0 ** 63)
-                if not exact.all():
+                if np.count_nonzero(exact) < exact.size:
                     raise CorruptionError(f"layer {self.name}: int8 bias not an integer")
                 bias = bias.astype(np.int64)
         Reader(self.payload, off, f"layer {self.name} payload").end()
@@ -253,17 +251,9 @@ def gradients_from_bundle(bundle: ModelBundle) -> GradientBundle:
 
 @dataclass
 class RunResult:
-    """A run's output and saturation flag; ``layer_counts``, per layer the
-    instruction counts of its stream, are lowered on their first read."""
-
     output: Tensor
+    layer_counts: list[dict[str, int]]
     saturated: bool
-    # per layer, the arguments of its layer_stream call
-    _streams: list = field(repr=False)
-
-    @cached_property
-    def layer_counts(self) -> list[dict[str, int]]:
-        return [layer_stream(*args).counts() for args in self._streams]
 
 
 def _filter_sums(weights, spec: ConvLayerSpec) -> np.ndarray:
@@ -287,7 +277,8 @@ def _requantize(acc: np.ndarray, quant: LayerQuant, k: int,
     mult = quant.input_scale * quant.weight_scale / quant.output_scale
     codes = acc * mult
     np.rint(codes, out=codes)
-    codes += quant.output_zero_point
+    if quant.output_zero_point:
+        codes += quant.output_zero_point
     np.minimum(codes, 127, out=codes)
     np.maximum(codes, -128, out=codes)
     return codes.astype(np.int8), saturated
@@ -300,10 +291,8 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
     ``schedule`` and ``cfg`` set only the reported instruction counts."""
     if bundle.role != "model":
         raise DataError("can only run bundles with role 'model'")
-    if not (isinstance(schedule, ComputeSchedule) and isinstance(cfg, MachineConfig)):
-        raise ConfigError(f"bad schedule {schedule!r} or config {cfg!r}")
     x = input
-    streams = []
+    counts = []
     saturated = False
     for bl in bundle.layers:
         if x.dims != bl.spec.input_dims:
@@ -320,7 +309,7 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
             acc = conv_fwcs(x, weights, bl.spec, bias)
         else:
             acc = conv_csr(x, weights, bl.spec, bias)
-        streams.append((weights, bl.spec, schedule, cfg))
+        counts.append(layer_stream(weights, bl.spec, schedule, cfg).counts())
         if bl.dtype == "int8":
             k = bl.spec.filterlets_per_filter * bl.spec.channels
             codes, sat = _requantize(acc, bl.quant, k, bias)
@@ -328,4 +317,4 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
             x = Tensor.from_array(codes, "int8")
         else:
             x = Tensor.from_array(acc, "float32")
-    return RunResult(x, saturated, streams)
+    return RunResult(x, counts, saturated)

@@ -334,6 +334,7 @@ DEMO_STREAMS = {
 }
 
 
+@lru_cache(maxsize=64)
 def _chunk_lengths(size: int, lanes: int) -> tuple[int, ...]:
     return tuple(min(lanes, size - k) for k in range(0, size, lanes))
 

@@ -124,22 +124,23 @@ class _RunLayer:
         f_idx, c_ptr, width = self.f_idx, self.c_ptr, self.width
         if len(f_idx) != spec.n_filters + 1 or f_idx[0] != 0:
             raise CorruptionError("f_idx length or leading entry wrong")
-        per_filter = f_idx[1:] - f_idx[:-1]
-        if per_filter.min() < 0:
-            raise CorruptionError("f_idx not non-decreasing")
+        try:
+            # repeat rejects a negative count, that is a decreasing f_idx
+            filt = np.arange(spec.n_filters).repeat(f_idx[1:] - f_idx[:-1])
+        except ValueError:
+            raise CorruptionError("f_idx not non-decreasing") from None
         if len(c_ptr) != f_idx[-1]:
             raise CorruptionError("c_ptr length != retained count")
         run, rem = np.divmod(c_ptr, width)
-        if rem.any():
+        if np.count_nonzero(rem):
             raise CorruptionError("c_ptr entry not a multiple of its width")
         runs = spec.filterlets_per_filter * spec.channels // width
         if run.size and (run.min() < 0 or run.max() >= runs):
             raise CorruptionError("c_ptr entry outside its filter")
         # every run lies inside its filter, so the filter-major slots
         # increase strictly exactly when each filter's entries do
-        filt = np.arange(spec.n_filters).repeat(per_filter)
         slots = run + filt * runs
-        if (slots[1:] <= slots[:-1]).any():
+        if np.count_nonzero(slots[1:] <= slots[:-1]):
             raise CorruptionError("c_ptr not strictly increasing within a filter")
         slots = frozen(run), frozen(filt)
         object.__setattr__(self, "_slots", slots)
@@ -173,7 +174,7 @@ class FwcsLayer(_RunLayer):
     def width(self) -> int:
         return self.size
 
-    def slots(self, spec: ConvLayerSpec) -> np.ndarray:
+    def slots(self, spec: ConvLayerSpec) -> tuple[np.ndarray, np.ndarray]:
         if self.size != spec.filterlet_length:
             raise CorruptionError(f"size {self.size} != channels {spec.channels}")
         return super().slots(spec)

@@ -108,7 +108,8 @@ class ConvLayerSpec:
             v = getattr(self, name)
             if not is_integer(v) or v < 1:
                 raise DataError(f"{name} {v!r} is not an integer >= 1")
-            object.__setattr__(self, name, int(v))
+            if type(v) is not int:  # a numpy integer, kept as an int
+                object.__setattr__(self, name, int(v))
         if self.kernel_h > self.input_h or self.kernel_w > self.input_w:
             raise DataError("kernel does not fit inside the input")
 

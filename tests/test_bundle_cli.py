@@ -18,8 +18,7 @@ from filterlet.cli import _build_parser, main
 from filterlet.convops import conv_dense
 from filterlet.costmodel import Budget, LatencyParams, model_size
 from filterlet.cyclesim import ComputeSchedule, MachineConfig, layer_stream
-from filterlet.errors import ConfigError, CorruptionError, DataError, \
-    TopologyError
+from filterlet.errors import CorruptionError, DataError, TopologyError
 from filterlet.fwcs import CsrLayer, FilterletMask, encode_csr, encode_fwcs, \
     write_csr
 from filterlet.importance import GradientBundle, score_model
@@ -346,38 +345,6 @@ class TestRunBundle:
                 assert got.layer_counts == want.layer_counts
                 assert np.array_equal(got.output.data, want.output.data)
         assert encodes == []
-
-    def test_counts_are_lowered_on_first_read_only(self, monkeypatch):
-        model = int8_chain(seed=15)
-        rng = np.random.default_rng(16)
-        x = Tensor.from_array(rng.integers(-100, 100, (10, 10, 3)).astype(np.int8))
-        masks = random_masks(model, rng)
-        bundles = [bundle_from_model(model)] + \
-            [bundle_from_masks(model, masks, fmt) for fmt in ("fwcs", "csr")]
-        cfg = MachineConfig(lanes=2, register_count=3)
-        lowered = []
-
-        def counting_stream(*args):
-            lowered.append(args)
-            return layer_stream(*args)
-
-        monkeypatch.setattr(filterlet.bundle, "layer_stream", counting_stream)
-        for bundle in bundles:
-            for schedule in ComputeSchedule:
-                lowered.clear()
-                result = run_bundle(bundle, x, schedule, cfg)
-                assert lowered == []
-                counts = result.layer_counts
-                assert len(lowered) == len(bundle.layers)
-                assert result.layer_counts is counts
-                assert len(lowered) == len(bundle.layers)
-                assert counts == [
-                    layer_stream(bl.decode_weights()[0], bl.spec, schedule,
-                                 cfg).counts() for bl in bundle.layers]
-            with pytest.raises(ConfigError):
-                run_bundle(bundle, x, "reordered", cfg)
-            with pytest.raises(ConfigError):
-                run_bundle(bundle, x, ComputeSchedule.DEFAULT, {"lanes": 2})
 
     def test_float32_bundle_matches_conv_oracle(self):
         rng = np.random.default_rng(20)
