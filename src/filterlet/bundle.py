@@ -183,6 +183,11 @@ class ModelBundle:
         with open(path, "rb") as f:
             return cls.from_bytes(f.read())
 
+    def check_role(self, role: str) -> None:
+        """Raise DataError unless this bundle's role is ``role``."""
+        if self.role != role:
+            raise DataError(f"expected a {role} bundle, got role {self.role!r}")
+
     def payload_bytes(self) -> int:
         return sum(len(layer.payload) for layer in self.layers)
 
@@ -228,6 +233,7 @@ def bundle_from_masks(model: SequentialModel, masks: list[FilterletMask],
 
 def model_from_bundle(bundle: ModelBundle) -> SequentialModel:
     """Materialize dense weights for every layer (pruned layers decode to zeros)."""
+    bundle.check_role("model")
     layers = []
     for bl in bundle.layers:
         weights, bias = bl.decode_weights()
@@ -238,8 +244,7 @@ def model_from_bundle(bundle: ModelBundle) -> SequentialModel:
 
 
 def gradients_from_bundle(bundle: ModelBundle) -> GradientBundle:
-    if bundle.role != "grads":
-        raise DataError(f"expected a gradient bundle, got role {bundle.role!r}")
+    bundle.check_role("grads")
     grads = []
     for bl in bundle.layers:
         if bl.fmt != "dense" or bl.dtype != "float32":
@@ -260,8 +265,7 @@ def _filter_sums(weights, spec: ConvLayerSpec) -> np.ndarray:
     """Per filter, the int64 sum of its stored weights (pruned ones are 0)."""
     if isinstance(weights, Tensor):
         return weights.to_array().reshape(spec.n_filters, -1).sum(1, dtype=np.int64)
-    ends = np.concatenate(([0], np.cumsum(weights.arr, dtype=np.int64)))
-    return np.diff(ends[weights.f_idx * weights.width])
+    return weights.operand(spec, np.int64).sum(0)
 
 
 def _requantize(acc: np.ndarray, quant: LayerQuant, k: int,
@@ -289,8 +293,7 @@ def run_bundle(bundle: ModelBundle, input: Tensor,
                cfg: MachineConfig = MachineConfig()) -> RunResult:
     """Execute every layer with its format's operator; int8 layers requantize.
     ``schedule`` and ``cfg`` set only the reported instruction counts."""
-    if bundle.role != "model":
-        raise DataError("can only run bundles with role 'model'")
+    bundle.check_role("model")
     x = input
     counts = []
     saturated = False

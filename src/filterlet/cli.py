@@ -32,8 +32,7 @@ EXIT_CORRUPT = 4
 def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("FILTERLET_SEED",
-                              os.environ.get("DTMM_SEED", "0")))
+    return int(os.environ.get("FILTERLET_SEED", "0"))
 
 
 def _load_tensor(path) -> Tensor:
@@ -80,10 +79,8 @@ def cmd_prune(args) -> int:
     budget = Budget(args.flash, args.ram, args.dlmax)
     problem = ScheduleProblem(model.specs, importance, budget, latency,
                               m=model.value_bits)
-    bundle, result = plan_and_pack(
-        problem, model, seed=_seed_from(args), iters=args.iters,
-        t0=args.t0, cooling=args.cooling, step=args.step,
-    )
+    bundle, result = plan_and_pack(problem, model, seed=_seed_from(args),
+                                   iters=args.iters)
     report = {
         "strategy": list(result.s),
         "feasible": result.feasible,
@@ -150,6 +147,7 @@ def cmd_bench(args) -> int:
     if args.bundle is None:
         raise DataError("bench needs a bundle path unless --demo is given")
     bundle = ModelBundle.load(args.bundle)
+    bundle.check_role("model")
     schedule = ComputeSchedule(args.schedule)
     layers = []
     total = 0
@@ -162,6 +160,18 @@ def cmd_bench(args) -> int:
     _emit({"schedule": schedule.value, "lanes": cfg.lanes,
            "layers": layers, "total_cycles": total}, args.report)
     return EXIT_OK
+
+
+def _compare_row(stored, spec, schedule: ComputeSchedule,
+                 cfg: MachineConfig) -> dict:
+    """Bytes and cycles of one stored layer; a packed one adds its
+    ``c_ptr`` entries and their bytes."""
+    row = {"bytes": storage_footprint(stored),
+           "cycles": layer_stream(stored, spec, schedule, cfg).cycles()}
+    if not isinstance(stored, Tensor):
+        row["index_entries"] = len(stored.c_ptr)
+        row["index_bytes"] = INDEX_DTYPE.itemsize * len(stored.c_ptr)
+    return row
 
 
 def cmd_compare(args) -> int:
@@ -183,11 +193,8 @@ def cmd_compare(args) -> int:
         struct_fw = encode_fwcs(layer.weights, struct_mask)
         rows.append({
             "layer": layer.name,
-            "dense": {
-                "bytes": storage_footprint(layer.weights),
-                "cycles": layer_stream(layer.weights, spec,
-                                       ComputeSchedule.DEFAULT, cfg).cycles(),
-            },
+            "dense": _compare_row(layer.weights, spec,
+                                  ComputeSchedule.DEFAULT, cfg),
             "structured": {
                 "kept_filters": int(kept_filters.sum()),
                 "bytes": storage_footprint(layer.weights)
@@ -195,20 +202,8 @@ def cmd_compare(args) -> int:
                 "cycles": layer_stream(struct_fw, spec,
                                        ComputeSchedule.DEFAULT, cfg).cycles(),
             },
-            "csr": {
-                "bytes": storage_footprint(cs),
-                "index_bytes": INDEX_DTYPE.itemsize * len(cs.c_ptr),
-                "index_entries": len(cs.c_ptr),
-                "cycles": layer_stream(cs, spec,
-                                       ComputeSchedule.DEFAULT, cfg).cycles(),
-            },
-            "fwcs": {
-                "bytes": storage_footprint(fw),
-                "index_bytes": INDEX_DTYPE.itemsize * len(fw.c_ptr),
-                "index_entries": len(fw.c_ptr),
-                "cycles": layer_stream(fw, spec,
-                                       ComputeSchedule.REORDERED, cfg).cycles(),
-            },
+            "csr": _compare_row(cs, spec, ComputeSchedule.DEFAULT, cfg),
+            "fwcs": _compare_row(fw, spec, ComputeSchedule.REORDERED, cfg),
         })
     _emit({"ratio": args.ratio, "lanes": args.lanes, "layers": rows}, args.report)
     return EXIT_OK
@@ -246,10 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "--params, whose lanes= line wins")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--iters", type=int, default=5000)
-    p.add_argument("--t0", type=float, default=None,
-                   help="initial temperature; default 10%% of the unpruned time")
-    p.add_argument("--cooling", type=float, default=0.995)
-    p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--params", default=None, help="fitted latency params file")
     p.add_argument("--export-masked", default=None, metavar="PATH",
                    help="also write a dense bundle with pruned filterlets "

@@ -119,16 +119,18 @@ def finite_diff_gradient(model: SequentialModel, loss_fn, sample,
                          epsilon: float = 1e-3) -> GradientBundle:
     """Central-difference gradient oracle: (L(w+e) - L(w-e)) / 2e per weight.
 
-    Runs in float64 regardless of the model's storage dtype.  Only sensible
-    for desk-scale models; every weight costs two forward passes over the
-    whole sample.
+    Runs in float64 regardless of the model's storage dtype.  An int8
+    layer's loss is evaluated on its codes, and its gradient is returned
+    with respect to the dequantized weights code * weight_scale that
+    :func:`score_model` multiplies it by.  Only sensible for desk-scale
+    models; every weight costs two forward passes over the whole sample.
     """
     if epsilon <= 0:
         raise DataError("epsilon must be positive")
     arrays, loss_at = _float64_loss(model, loss_fn, sample)
 
     grads = []
-    for arr in arrays:
+    for layer, arr in zip(model.layers, arrays):
         g = np.zeros(arr.size, dtype=np.float64)
         flat = arr.reshape(-1)
         for k in range(flat.size):
@@ -139,6 +141,8 @@ def finite_diff_gradient(model: SequentialModel, loss_fn, sample,
             lo = loss_at()
             flat[k] = orig
             g[k] = (hi - lo) / (2.0 * epsilon)
+        if layer.weights.dtype == "int8":
+            g /= layer.quant.weight_scale
         grads.append(g.reshape(arr.shape))
     return GradientBundle(grads, provenance="finite-difference oracle")
 

@@ -599,8 +599,7 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
 
 
 def plan_and_pack(problem: ScheduleProblem, model: SequentialModel,
-                  seed: int = 0, iters: int = 5000, t0: float | None = None,
-                  cooling: float = 0.995, step: float = 0.05,
+                  seed: int = 0, iters: int = 5000,
                   ) -> tuple[ModelBundle | None, ScheduleResult]:
     """Search a strategy with the problem's importance map and pack the
     pruned model when one is feasible.  An infeasible search returns no
@@ -611,8 +610,7 @@ def plan_and_pack(problem: ScheduleProblem, model: SequentialModel,
     if problem.m != model.value_bits:
         raise DataError(f"problem prices {problem.m}-bit weights but the model "
                         f"stores {model.value_bits}-bit weights")
-    result = anneal(problem, seed=seed, iters=iters, t0=t0,
-                    cooling=cooling, step=step)
+    result = anneal(problem, seed=seed, iters=iters)
     if not result.feasible:
         return None, result
     # the search's own sort of each layer, as build_mask would sort it again

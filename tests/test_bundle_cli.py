@@ -759,9 +759,7 @@ class TestCli:
                      "--dlmax", "0", "--seed", "0", "--iters", "100"])
         assert code == 2
 
-    @pytest.mark.parametrize("setting", [["--step", "0"], ["--step", "nan"],
-                                         ["--step", "-0.05"], ["--t0", "nan"],
-                                         ["--dlmax", "nan"]])
+    @pytest.mark.parametrize("setting", [["--iters", "0"], ["--dlmax", "nan"]])
     def test_meaningless_search_settings_exit_3(self, workdir, capsys,
                                                 setting):
         tmp, _, model_path, grads_path, _ = workdir
@@ -799,6 +797,16 @@ class TestCli:
         if command == "run":
             argv.append(str(input_path))
         assert main(argv) == 3
+
+    @pytest.mark.parametrize("command", ["run", "bench", "prune", "compare"])
+    def test_grads_bundle_as_model_exits_3(self, workdir, capsys, command):
+        tmp, _, _, grads_path, input_path = workdir
+        argv = {"run": [input_path], "bench": [],
+                "prune": [grads_path, tmp / "x.fltb", "--flash", "10000000",
+                          "--ram", "10000000", "--dlmax", "1e9"],
+                "compare": [grads_path, "--ratio", "0.5"]}[command]
+        assert main([command, str(grads_path), *map(str, argv)]) == 3
+        assert "expected a model bundle" in capsys.readouterr().err
 
     def test_corrupt_bundle_exits_4(self, workdir, capsys):
         tmp, _, model_path, _, input_path = workdir
@@ -1007,7 +1015,7 @@ class TestCli:
 
     def test_env_seed_fallback(self, workdir, capsys, monkeypatch):
         tmp, model, model_path, grads_path, _ = workdir
-        monkeypatch.setenv("DTMM_SEED", "7")
+        monkeypatch.setenv("FILTERLET_SEED", "7")
         out_env = tmp / "env.fltb"
         code = main(["prune", str(model_path), str(grads_path), str(out_env),
                      "--flash", "2000", "--ram", "10000000",
@@ -1021,24 +1029,3 @@ class TestCli:
         assert code == 0
         capsys.readouterr()
         assert out_env.read_bytes() == out_seed.read_bytes()
-
-    def test_filterlet_seed_wins_over_old_name(self, workdir, capsys,
-                                              monkeypatch):
-        tmp, model, model_path, grads_path, _ = workdir
-
-        def prune(name, *argv):
-            out = tmp / f"{name}.fltb"
-            code = main(["prune", str(model_path), str(grads_path), str(out),
-                         "--flash", "2000", "--ram", "10000000",
-                         "--dlmax", "1e9", "--iters", "150", *argv])
-            assert code == 0
-            capsys.readouterr()
-            return out.read_bytes()
-
-        monkeypatch.setenv("FILTERLET_SEED", "7")
-        monkeypatch.setenv("DTMM_SEED", "3")
-        from_env = prune("env")
-        monkeypatch.delenv("FILTERLET_SEED")
-        monkeypatch.delenv("DTMM_SEED")
-        assert from_env == prune("seed7", "--seed", "7")
-        assert from_env != prune("seed3", "--seed", "3")

@@ -406,8 +406,20 @@ class TestInputZeroPoint:
             assert np.abs(float_reference(codes, ignored) - want).max() > 1
             codes = got
 
-    def test_packed_bundles_equal_the_dense_bundle(self):
+    # the random masks never empty a filter nor keep one whole, so the
+    # edges are set on filter 0 or 1 of every layer
+    @pytest.mark.parametrize("edge", [None, (0, False), (1, True)],
+                             ids=["random", "emptied", "whole"])
+    def test_packed_bundles_equal_the_dense_bundle(self, edge):
         model, masks, x = self.chain()
+        if edge is not None:
+            filt, keep = edge
+            edged = []
+            for m in masks:
+                kept = m.kept.copy()
+                kept[filt] = keep
+                edged.append(FilterletMask(m.spec, kept))
+            masks = edged
         pruned = SequentialModel(model.name, [
             replace(layer, weights=apply_mask_zeroing(layer.weights, m))
             for layer, m in zip(model.layers, masks)])

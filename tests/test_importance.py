@@ -7,7 +7,8 @@ from filterlet.fwcs import FilterletMask, decode_fwcs, encode_fwcs
 from filterlet.importance import GradientBundle, ImportanceMap, \
     apply_mask_zeroing, build_mask, delta_loss, finite_diff_gradient, \
     model_loss, score_model, taylor_score
-from filterlet.model import LayerDef, SequentialModel, forward_float64
+from filterlet.model import LayerDef, LayerQuant, SequentialModel, \
+    forward_float64
 from filterlet.tensor import ConvLayerSpec, Tensor
 
 
@@ -149,6 +150,48 @@ class TestFiniteDiff:
             want += bias
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+    def test_int8_scores_are_the_loss_slope_along_each_filterlet(self):
+        # layers at different weight scales are traded against each other,
+        # so the oracle's gradients must be per dequantized weight
+        rng = np.random.default_rng(7)
+        layers, channels = [], 2
+        for i, scale in enumerate((0.01, 0.05)):
+            spec = ConvLayerSpec(n_filters=3, kernel_h=2, kernel_w=2,
+                                 channels=channels, input_h=5 - i,
+                                 input_w=5 - i)
+            w = rng.integers(-20, 21, spec.weight_dims).astype(np.int8)
+            quant = LayerQuant(input_scale=0.1, weight_scale=scale,
+                               output_scale=0.5)
+            layers.append(LayerDef(f"c{i}", spec, Tensor.from_array(w),
+                                   quant=quant))
+            channels = spec.n_filters
+        model = SequentialModel("q", layers)
+        sample = [rng.uniform(-1, 1, model.specs[0].input_dims)]
+        scores = score_model(model, finite_diff_gradient(
+            model, sq_loss, sample, epsilon=1e-2)).scores
+
+        # t scales one filterlet's codes by 1 + t; the loss is quadratic
+        # in t, so a central difference is exact up to rounding
+        arrays = [layer.weights.to_array().astype(np.float64)
+                  for layer in layers]
+
+        def loss_at():
+            return sq_loss([forward_float64(model.specs, arrays, [None, None], x)
+                            for x in sample])
+
+        h = 0.5
+        for arr, layer_scores in zip(arrays, scores):
+            filterlets = arr.reshape(arr.shape[0], -1, arr.shape[3])
+            for n, p in np.ndindex(layer_scores.shape):
+                codes = filterlets[n, p].copy()
+                filterlets[n, p] = codes * (1 + h)
+                hi = loss_at()
+                filterlets[n, p] = codes * (1 - h)
+                lo = loss_at()
+                filterlets[n, p] = codes
+                assert layer_scores[n, p] == \
+                    pytest.approx(abs(hi - lo) / (2 * h), rel=1e-6)
 
     def test_bad_epsilon(self):
         rng = np.random.default_rng(5)
