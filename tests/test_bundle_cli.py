@@ -759,7 +759,10 @@ class TestCli:
                      "--dlmax", "0", "--seed", "0", "--iters", "100"])
         assert code == 2
 
-    @pytest.mark.parametrize("setting", [["--iters", "0"], ["--dlmax", "nan"]])
+    @pytest.mark.parametrize("setting", [["--iters", "0"], ["--iters", "-1"],
+                                         ["--dlmax", "-0.05"],
+                                         ["--ram", "0"],
+                                         ["--dlmax", "nan"]])
     def test_meaningless_search_settings_exit_3(self, workdir, capsys,
                                                 setting):
         tmp, _, model_path, grads_path, _ = workdir
