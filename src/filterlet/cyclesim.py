@@ -32,17 +32,24 @@ rules are written once, as these per-instruction maps; ``simulate`` applies
 them one instruction at a time.  Maps compose exactly, so each family of
 units (rotating, pinned, CSR) is compiled where it is built, once per unit
 shape and machine, with its registers and kinds checked then: per rotation
-phase, the map of that phase's unit and the map of a whole phase cycle (the
-units after which the phase is back where it started).  A block holds that
-program.  ``LayerStream.cycles`` assigns the stream's slots once, checks up
-front that no MAC reads a register before a load writes it, and applies a
-block's cycle maps in place of its units.  After each cycle and each repeat
-the state is keyed on the phase and on every slot relative to the memory
-unit's next free cycle, as a flat tuple, with times that can no longer
-delay anything clamped.  Equal keys give equal futures up to a shift, so
-when a key recurs after P steps and D cycles, whole periods are skipped by
-adding D per period to every slot, and only the remainder is applied.  The
-cycle count is exact.
+phase, the map of that phase's unit and the map C of a whole phase cycle
+(the units after which the phase is back where it started).  Compiling also
+resolves each phase cycle's period: C is composed with itself until C^(k+1)
+is C^k plus one gain D on every term, and C^1..C^k and D are kept.  Every
+map is homogeneous, f(x + c) = f(x) + c, so C^(k+j) = C^k + j*D.  A block
+holds that program.  ``LayerStream.cycles`` assigns the stream's slots once,
+checks up front that no MAC reads a register before a load writes it, and
+issues a position's full phase cycles as one power plus a multiple of D.
+
+State keys now serve only the repeats over positions, and the fallback for
+a cycle map without powers (one that leaves a slot alone, or that does not
+settle within a few powers), which is stepped one cycle at a time.  After
+each step the state is keyed on the phase and on every slot relative to
+the memory unit's next free cycle, as a flat tuple, with times that can no
+longer delay anything clamped.  Equal keys give equal futures up to a
+shift, so when a key recurs after P steps and D cycles, whole periods are
+skipped by adding D per period to every slot, and only the remainder is
+applied.  The cycle count is exact.
 """
 
 import re
@@ -284,8 +291,8 @@ def _key(phase: int, x: list[int]) -> tuple:
     clamped to them.
     """
     m, a = x[_MEM], x[_ALU]
-    return (phase, a - m, *[max(v, a) - m for v in x[2::2]],
-            *[max(v, m - 1) - m for v in x[3::2]])
+    return (phase, a - m, *[(v if v > a else a) - m for v in x[2::2]],
+            *[(v if v >= m else m - 1) - m for v in x[3::2]])
 
 
 def simulate(stream, cfg: MachineConfig = MachineConfig()) -> CycleTrace:
@@ -370,7 +377,11 @@ class _Program(NamedTuple):
     """A block's unit variants, each advancing the phase by ``step``, and
     their maps for one machine: per phase, the map of its unit and the map
     of one phase cycle, the ``period`` units after which the phase first
-    returns to where it started."""
+    returns to where it started.
+
+    ``powers`` holds, per phase, the powers C^1..C^k of its cycle map C
+    and the gain D with C^(k+1) = C^k + D, so that C^(k+j) = C^k + j*D;
+    it is empty unless every phase has them."""
 
     variants: tuple[tuple[Instruction, ...], ...]
     step: int
@@ -379,6 +390,45 @@ class _Program(NamedTuple):
     cycles: tuple[_Map, ...]
     period: int
     tally: tuple[int, int, int]  # macs, vector and scalar loads per unit
+    powers: tuple[tuple[tuple[_Map, ...], int], ...]
+
+
+# the most powers of one cycle map that compiling tries before a block falls
+# back to stepping the map with ``_repeat``
+_MAX_POWER = 8
+
+
+def _powers(c: _Map, width: int) -> tuple[tuple[_Map, ...], int] | None:
+    """C^1..C^k of the cycle map ``c`` over a state of ``width`` slots and
+    the gain D with C^(k+1) = C^k + D, for the least k up to
+    ``_MAX_POWER``; None if there is none.
+
+    Only a map that writes every slot qualifies: adding D to a slot that
+    it leaves alone would move that slot too.  Every map is homogeneous,
+    f(x + c) = f(x) + c, so C^(k+j) = C^k + j*D follows by induction on j.
+    """
+    if len(c.slots) != width:
+        return None
+    powers = [c]
+    while len(powers) <= _MAX_POWER:
+        nxt = _compose(powers[-1], c)
+        gain = _gain(powers[-1], nxt)
+        if gain is not None:
+            return tuple(powers), gain
+        powers.append(nxt)
+    return None
+
+
+def _gain(a: _Map, b: _Map) -> int | None:
+    """The D with ``b`` = ``a`` + D on every (slot, source) term, or None."""
+    rows = {s: dict(t) for s, t in zip(a.slots, a.terms)}
+    other = {s: dict(t) for s, t in zip(b.slots, b.terms)}
+    if rows.keys() != other.keys() or any(
+            rows[s].keys() != other[s].keys() for s in rows):
+        return None
+    gains = {other[s][src] - off for s, row in rows.items()
+             for src, off in row.items()}
+    return gains.pop() if len(gains) == 1 else None
 
 
 def _compile(variants: tuple, step: int, cfg: MachineConfig) -> _Program:
@@ -399,7 +449,9 @@ def _compile(variants: tuple, step: int, cfg: MachineConfig) -> _Program:
     tally = [0, 0, 0]
     for ins in variants[0]:
         tally[_TALLY_SLOT[ins.kind]] += 1
-    return _Program(variants, step, regs, units, cycles, period, tuple(tally))
+    powers = [_powers(c, 2 + 2 * len(regs)) for c in cycles]
+    return _Program(variants, step, regs, units, cycles, period, tuple(tally),
+                    () if None in powers else tuple(powers))
 
 
 @dataclass(frozen=True)
@@ -424,19 +476,22 @@ class _Block:
         """Raise if a MAC of the block reads a register that no load of
         ``loaded`` or of the block has written before it.
 
-        The first ``len(variants)`` units visit every phase the block
-        reaches, and a check that passes once passes for every later visit.
+        A phase cycle visits every phase the block reaches, and a check
+        that passes once passes for every later visit.
         """
-        phase = self.phase
-        for _ in range(min(self.repeats * self.units, len(self.program.units))):
-            _check_reads(self.program.units[phase], loaded)
+        prog, n, phase = self.program, self.repeats * self.units, self.phase
+        if n >= prog.period:
+            _check_reads(prog.cycles[phase], loaded)
+            return
+        for _ in range(n):
+            _check_reads(prog.units[phase], loaded)
             phase = self.next_phase(phase)
 
     def run(self, x: list[int]) -> None:
         """Issue every repeat of the block after the state ``x``, whose
         registers are ``program.regs``."""
         prog = self.program
-        units, cycles = prog.units, prog.cycles
+        units, cycles, powers = prog.units, prog.cycles, prog.powers
         full, rest = divmod(self.units, prog.period)
 
         def cycle(phase: int) -> int:
@@ -445,7 +500,15 @@ class _Block:
 
         def once(phase: int) -> int:
             x[_MEM] += self.head  # the head's scalar loads only move it on
-            phase = _repeat(x, full, phase, cycle)
+            # a phase cycle returns to its phase
+            if not powers:
+                _repeat(x, full, phase, cycle)
+            elif full:
+                maps, gain = powers[phase]
+                _apply(maps[min(full, len(maps)) - 1], x)
+                if full > len(maps):
+                    gain *= full - len(maps)
+                    x[:] = [v + gain for v in x]
             for _ in range(rest):
                 _apply(units[phase], x)
                 phase = self.next_phase(phase)
@@ -493,9 +556,12 @@ class LayerStream:
         loaded: set[str] = set()
         for b in self.blocks:
             b.check_reads(loaded)
-        regs = sorted({r for b in self.blocks for r in b.program.regs})
+        regs = tuple(sorted({r for b in self.blocks for r in b.program.regs}))
         x = [1, 1] + [0, 0] * len(regs)
         for b in self.blocks:
+            if b.program.regs == regs:
+                b.run(x)
+                continue
             # the block's own slots, gathered from the stream's and put back
             idx = [_MEM, _ALU, *(2 + 2 * regs.index(r) + k
                                  for r in b.program.regs for k in (0, 1))]

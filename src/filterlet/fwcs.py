@@ -92,8 +92,8 @@ class _RunLayer:
             raise DataError(f"values stored as {arr.dtype}, not {self.dtype}")
         c_ptr = frozen(self.c_ptr, np.int64)
         f_idx = frozen(self.f_idx, np.int64)
-        if arr.size != self.width * (f_idx[-1] if f_idx.size else 0):
-            raise DataError("arr length != width * f_idx[-1]")
+        if c_ptr.size != (f_idx[-1] if f_idx.size else 0):
+            raise DataError("c_ptr length != f_idx[-1]")
         if arr.size != self.width * c_ptr.size:
             raise DataError("arr length != width * c_ptr length")
         object.__setattr__(self, "arr", arr)
@@ -104,7 +104,8 @@ class _RunLayer:
 
     @property
     def n_retained(self) -> int:
-        return int(self.f_idx[-1])
+        # the constructor checked that c_ptr has f_idx[-1] entries
+        return self.c_ptr.size
 
     def validate(self, spec: ConvLayerSpec) -> None:
         """Structural invariants; raises CorruptionError when violated.

@@ -11,7 +11,11 @@ Entries:
 - ``index/prune-6L/seed{1..5}``: the same bundles' index bytes as stored
   (u16 ``c_ptr`` and ``f_idx`` entries), and as kept filterlets plus
   filters, the size of a u8 kernel position per run and a u8 run count
-  per filter.
+  per filter;
+- ``cycles/affine``: how many (layer, machine, schedule, kept count) cases
+  of a seeded sweep were checked against ``cycles() == post + (a + b * n
+  if n else 0)``, with ``a`` and ``b`` taken from ``n = 1, 2``, and the
+  first case that broke it, or ``null``.
 
 Regenerate the file with::
 
@@ -21,13 +25,25 @@ Regenerate the file with::
 import importlib.util
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from filterlet.fwcs import INDEX_DTYPE
+import numpy as np
+
+from filterlet.cyclesim import ComputeSchedule, MachineConfig, VALID_LANES, \
+    layer_stream
+from filterlet.fwcs import INDEX_DTYPE, FilterletMask, encode_csr, encode_fwcs
+from filterlet.tensor import ConvLayerSpec, Tensor
 
 CLAIMS = Path(__file__).with_name("claims.json")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PRUNE_SEEDS = (1, 2, 3, 4, 5)
+AFFINE_SEED, AFFINE_LAYERS = 29, 150
+# what a layer keeps, and the schedule it runs: a CSR layer's stream is
+# the same under either schedule
+AFFINE_KINDS = {"default": ComputeSchedule.DEFAULT,
+                "reordered": ComputeSchedule.REORDERED,
+                "csr": ComputeSchedule.DEFAULT}
 
 
 def load_workloads():
@@ -51,6 +67,74 @@ def prune_instance(workload, seed: int):
     return st["budget"], result, bundle
 
 
+def kept_units(spec: ConvLayerSpec, kind: str) -> int:
+    """How many units a ``kind`` layer of ``spec`` can keep: filterlets,
+    or weights for the ``csr`` kind."""
+    return spec.n_filters * spec.filterlets_per_filter * \
+        (spec.channels if kind == "csr" else 1)
+
+
+def kept_layer(spec: ConvLayerSpec, kind: str, n: int, rng):
+    """A zero-weight ``kind`` layer of ``spec`` keeping ``n`` units drawn
+    by ``rng``."""
+    w = Tensor.from_array(np.zeros(spec.weight_dims, np.int8))
+    kept = np.zeros(kept_units(spec, kind), bool)
+    kept[rng.choice(kept.size, n, replace=False)] = True
+    kept = kept.reshape(spec.n_filters, -1)
+    if kind == "csr":
+        return encode_csr(w, kept)
+    return encode_fwcs(w, FilterletMask(spec, kept))
+
+
+def affine_failure(spec: ConvLayerSpec, kind: str, cfg: MachineConfig,
+                   counts, rng) -> dict | None:
+    """The first kept count of ``counts`` at which a ``kind`` layer of
+    ``spec`` costs other than ``post + (a + b * n if n else 0)`` cycles,
+    with ``a`` and ``b`` from ``n = 1, 2``, as a JSON-ready case; None if
+    every count fits.  The spec must allow two kept units."""
+    def cycles(n):
+        return layer_stream(kept_layer(spec, kind, n, rng), spec,
+                            AFFINE_KINDS[kind], cfg).cycles()
+
+    post = spec.n_filters * spec.out_positions * cfg.post_cycles
+    one, two = cycles(1), cycles(2)
+    a, b = 2 * one - two - post, two - one
+    for n in counts:
+        got, want = cycles(n), post + (a + b * n if n else 0)
+        if got != want:
+            return {"spec": asdict(spec), "cfg": asdict(cfg), "kind": kind,
+                    "kept": n, "cycles": got, "affine": want}
+    return None
+
+
+def affine_sweep() -> dict:
+    """``affine_failure`` over a seeded sweep: geometries with kernels 1-3,
+    stride 1-2 and 1-39 channels, random machines, every kind and four
+    random kept counts each."""
+    rng = np.random.default_rng(AFFINE_SEED)
+    cases = 0
+    for _ in range(AFFINE_LAYERS):
+        kh, kw = (int(k) for k in rng.integers(1, 4, 2))
+        spec = ConvLayerSpec(
+            n_filters=int(rng.integers(2, 5)), kernel_h=kh, kernel_w=kw,
+            channels=int(rng.integers(1, 40)),
+            input_h=int(rng.integers(kh, kh + 7)),
+            input_w=int(rng.integers(kw, kw + 7)),
+            stride=int(rng.integers(1, 3)))
+        cfg = MachineConfig(lanes=int(rng.choice(VALID_LANES)),
+                            vec_instr_cycles=int(rng.integers(1, 4)),
+                            overlap_enabled=bool(rng.integers(2)),
+                            register_count=int(rng.integers(3, 12)))
+        for kind in AFFINE_KINDS:
+            counts = [int(n) for n in
+                      rng.integers(0, kept_units(spec, kind) + 1, 4)]
+            failure = affine_failure(spec, kind, cfg, counts, rng)
+            cases += len(counts)
+            if failure is not None:
+                return {"cases": cases, "first_failure": failure}
+    return {"cases": cases, "first_failure": None}
+
+
 def compute() -> dict[str, dict]:
     """Every claim entry, keyed by name."""
     prune = load_workloads().Prune()
@@ -68,6 +152,7 @@ def compute() -> dict[str, dict]:
                        for p, _ in packed),
             "u8": sum(p.n_retained + spec.n_filters for p, spec in packed),
         }
+    entries["cycles/affine"] = affine_sweep()
     return entries
 
 

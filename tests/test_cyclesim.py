@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claims import AFFINE_KINDS, affine_failure, kept_units
 from filterlet import cyclesim
 from filterlet.cyclesim import ComputeSchedule, Instruction, LOAD_SCALAR, \
-    LOAD_VEC, LayerStream, MAC_SCALAR, MAC_VEC, MachineConfig, _Block, \
-    _apply, _check_reads, _compile, dump_trace, layer_stream, lds, ldv, macs, \
-    macv, simulate, two_mac_default_stream, two_mac_pinned_stream
+    LOAD_VEC, LayerStream, MAC_SCALAR, MAC_VEC, MachineConfig, VALID_LANES, \
+    _Block, _apply, _check_reads, _chunk_lengths, _compile, _compose, \
+    _csr_units, _pinned_units, _rotating_units, dump_trace, layer_stream, lds, \
+    ldv, macs, macv, simulate, two_mac_default_stream, two_mac_pinned_stream
 from filterlet.errors import ConfigError, StreamError
 from filterlet.fwcs import FilterletMask, encode_csr, encode_fwcs, kept_count
 from filterlet.tensor import ConvLayerSpec, Tensor
@@ -588,8 +590,8 @@ class TestAgainstReferenceIssue:
 class TestIssueCounts:
     # map applications and period keys of one price_chain() layer; issuing
     # one instruction, or one unit, at a time would take hundreds
-    PINNED = {ComputeSchedule.DEFAULT: (4, 9),
-              ComputeSchedule.REORDERED: (4, 9)}
+    PINNED = {ComputeSchedule.DEFAULT: (2, 3),
+              ComputeSchedule.REORDERED: (2, 3)}
 
     @pytest.mark.parametrize("schedule", list(ComputeSchedule))
     def test_one_layer_takes_a_few_maps_and_keys(self, monkeypatch, schedule):
@@ -610,3 +612,85 @@ class TestIssueCounts:
         monkeypatch.setattr(cyclesim, "_key", counting_key)
         stream.cycles()
         assert (len(applied), len(keys)) == self.PINNED[schedule]
+
+
+def map_rows(m):
+    """``m`` as {slot: {source: offset}}, whatever the order of its terms."""
+    return {s: dict(terms) for s, terms in zip(m.slots, m.terms)}
+
+
+def swept_programs():
+    """Rotating, pinned and CSR programs over ``vec_instr_cycles`` 1-3,
+    overlap on and off, and a sweep of unit shapes.  Lanes only shape the
+    chunks, and the register count only picks the tile width."""
+    chunkings = sorted({_chunk_lengths(size, lanes) for size in (1, 3, 8, 17)
+                        for lanes in VALID_LANES})
+    for vic in (1, 2, 3):
+        for overlap in (True, False):
+            cfg = MachineConfig(vec_instr_cycles=vic, overlap_enabled=overlap)
+            yield cfg, _csr_units(cfg)
+            for chunks in chunkings:
+                yield cfg, _rotating_units(chunks, cfg)
+                for width in (2, 3, 9):
+                    yield cfg, _pinned_units(chunks, width, cfg)
+
+
+class TestCyclePowers:
+    def test_each_stored_power_is_one_cycle_more_and_the_last_gains_d(self):
+        for _, prog in swept_programs():
+            assert prog.powers
+            for phase, (maps, gain) in enumerate(prog.powers):
+                c = prog.cycles[phase]
+                assert maps[0] == c
+                for before, power in zip(maps, maps[1:]):
+                    assert map_rows(power) == map_rows(_compose(before, c))
+                after = map_rows(_compose(maps[-1], c))
+                assert after == {s: {src: off + gain for src, off in row.items()}
+                                 for s, row in map_rows(maps[-1]).items()}
+
+    def test_blocks_price_alike_with_and_without_powers(self):
+        for cfg, prog in swept_programs():
+            stepped = prog._replace(powers=())
+            k = max(len(maps) for maps, _ in prog.powers)
+            for full in (1, k, k + 3):
+                for rest in {0, prog.period - 1}:
+                    phase = (full + rest) % len(prog.variants)
+                    blocks = [_Block(2, 2, full * prog.period + rest, p, phase)
+                              for p in (prog, stepped)]
+                    want = simulate(LayerStream(blocks[:1], 0, cfg).expand(),
+                                    cfg).total_cycles
+                    assert [LayerStream((b,), 0, cfg).cycles()
+                            for b in blocks] == [want, want]
+
+    def test_a_cycle_map_that_leaves_a_slot_alone_gets_no_powers(self):
+        # q1 is loaded once ahead of the block, whose unit only reads it, so
+        # its cycle map never writes q1's ready slot
+        prog = _compile(((ldv("q0"), macv("q0", "q1")),), 1, CFG)
+        assert prog.regs == ("q0", "q1") and 4 not in prog.cycles[0].slots
+        assert prog.powers == ()
+        stream = LayerStream((_Block(1, 0, 1, _compile(((ldv("q1"),),), 0, CFG)),
+                              _Block(5, 2, 7, prog)), 3, CFG)
+        assert stream.cycles() == simulate(stream.expand(), CFG).total_cycles \
+            + 3 * CFG.post_cycles
+
+
+class TestAffineInKeptCount:
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(data=st.data())
+    def test_cycles_are_affine_in_the_kept_count(self, data):
+        kh, kw = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        spec = ConvLayerSpec(
+            n_filters=data.draw(st.integers(2, 4)), kernel_h=kh, kernel_w=kw,
+            channels=data.draw(st.integers(1, 39)),
+            input_h=data.draw(st.integers(kh, kh + 6)),
+            input_w=data.draw(st.integers(kw, kw + 6)),
+            stride=data.draw(st.integers(1, 2)))
+        cfg = MachineConfig(lanes=data.draw(st.sampled_from(VALID_LANES)),
+                            vec_instr_cycles=data.draw(st.integers(1, 3)),
+                            overlap_enabled=data.draw(st.booleans()),
+                            register_count=data.draw(st.integers(3, 11)))
+        kind = data.draw(st.sampled_from(sorted(AFFINE_KINDS)))
+        counts = data.draw(st.lists(st.integers(0, kept_units(spec, kind)),
+                                    min_size=1, max_size=4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        assert affine_failure(spec, kind, cfg, counts, rng) is None
