@@ -36,28 +36,30 @@ phase, the map of that phase's unit and the map C of a whole phase cycle
 (the units after which the phase is back where it started).  Compiling also
 resolves each phase cycle's period: C is composed with itself until C^(k+1)
 is C^k plus one gain D on every term, and C^1..C^k and D are kept.  Every
-map is homogeneous, f(x + c) = f(x) + c, so C^(k+j) = C^k + j*D.  A block
-holds that program.  ``LayerStream.cycles`` assigns the stream's slots once,
-checks up front that no MAC reads a register before a load writes it, and
-issues a position's full phase cycles as one power plus a multiple of D.
+map is homogeneous, f(x + c) = f(x) + c, so C^(k+j) = C^k + j*D.  Last,
+each map a block applies (unit, cycle and power) becomes one straight-line
+Python function of the state, lines like ``x[3] = max(x[0] + 2, x[5] + 1)``,
+and so does the state key below, once per state width.  A block holds that
+program.  ``LayerStream.cycles`` assigns the stream's slots once, checks up
+front that no MAC reads a register before a load writes it, and issues a
+position's full phase cycles as one power plus a multiple of D; a cycle map
+without powers (one that leaves a slot alone, or that does not settle
+within a few powers) is applied once per cycle instead.
 
-State keys now serve only the repeats over positions, and the fallback for
-a cycle map without powers (one that leaves a slot alone, or that does not
-settle within a few powers), which is stepped one cycle at a time.  After
-each step the state is keyed on the phase and on every slot relative to
-the memory unit's next free cycle, as a flat tuple, with times that can no
-longer delay anything clamped.  Equal keys give equal futures up to a
-shift, so when a key recurs after P steps and D cycles, whole periods are
-skipped by adding D per period to every slot, and only the remainder is
-applied.  The cycle count is exact.
+Positions repeat.  Before each one the state is keyed on the phase and on
+every slot relative to the memory unit's next free cycle, as a flat tuple,
+with times that can no longer delay anything clamped.  Equal keys give
+equal futures up to a shift, so when a key recurs after P positions and D
+cycles, whole periods are skipped by adding D per period to every slot, and
+only the remainder is issued.  The cycle count is exact.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
 from math import gcd
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError, StreamError
 from .fwcs import CsrLayer, FwcsLayer
@@ -113,6 +115,11 @@ class MachineConfig:
             raise ConfigError("need at least 3 vector registers")
         if self.post_cycles < 0:
             raise ConfigError("post_cycles must be >= 0")
+        # hashed once: every lowering looks its compiled programs up by it
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class Instruction(NamedTuple):
@@ -281,18 +288,44 @@ def _check_reads(m: _Map, loaded: set[str]) -> None:
     loaded |= m.loads
 
 
-def _key(phase: int, x: list[int]) -> tuple:
-    """Everything that decides later issue times, relative to the memory
-    unit's next free cycle.
+def _expr(terms) -> str:
+    """Source of the max of ``x[src] + offset`` over ``terms``."""
+    parts = [f"x[{src}] + {off}" if off else f"x[{src}]" for src, off in terms]
+    return parts[0] if len(parts) == 1 else f"max({', '.join(parts)})"
+
+
+def _function(params: str, body: str) -> Callable:
+    """The function of ``params`` whose body is the one line ``body``."""
+    exec(f"def f({params}):\n    {body}\n", scope := {})
+    return scope["f"]
+
+
+def _straight(m: _Map, gain: bool = False) -> Callable:
+    """``_apply`` of ``m`` as one straight-line function of the state ``x``;
+    with ``gain``, a function of ``(x, g)`` that also adds ``g`` to every
+    slot it writes."""
+    lhs = ", ".join(f"x[{s}]" for s in m.slots)
+    rhs = ", ".join(_expr(terms) + " + g" * gain for terms in m.terms)
+    return _function("x, g" if gain else "x", f"{lhs} = {rhs}")
+
+
+@lru_cache(maxsize=None)
+def _state_key(width: int) -> Callable:
+    """The key of a phase and a ``width``-slot state: everything that
+    decides later issue times, relative to the memory unit's next free cycle.
 
     A load never starts before the memory unit is free and a MAC never
     before the ALU is, and both only grow, so a reader end below the one
     and a ready cycle at or below the other can no longer bind and are
     clamped to them.
     """
-    m, a = x[_MEM], x[_ALU]
-    return (phase, a - m, *[(v if v > a else a) - m for v in x[2::2]],
-            *[(v if v >= m else m - 1) - m for v in x[3::2]])
+    names = "".join(f", x{i}" for i in range(2, width))
+    ready = "".join(f", (x{i} - m if x{i} > a else d)"
+                    for i in range(2, width, 2))
+    ends = "".join(f", (x{i} - m if x{i} >= m else -1)"
+                   for i in range(3, width, 2))
+    return _function("phase, x", f"m, a{names} = x; d = a - m; "
+                                 f"return (phase, d{ready}{ends})")
 
 
 def simulate(stream, cfg: MachineConfig = MachineConfig()) -> CycleTrace:
@@ -346,33 +379,6 @@ def _chunk_lengths(size: int, lanes: int) -> tuple[int, ...]:
     return tuple(min(lanes, size - k) for k in range(0, size, lanes))
 
 
-def _repeat(x: list[int], n: int, phase: int, step) -> int:
-    """Apply ``step`` (phase -> next phase, updating the state ``x``) ``n``
-    times from ``phase``.
-
-    Once the phase and the clamped state repeat, with a period of P steps
-    and a gain of D cycles, the next whole periods are skipped by adding D
-    per period to every slot; the remainder is run step by step.
-    """
-    seen: dict | None = {}
-    i = 0
-    while i < n:
-        if seen is not None:
-            key = _key(phase, x)
-            if key in seen:
-                j, mem_free = seen[key]
-                periods = (n - i) // (i - j)
-                gain = periods * (x[_MEM] - mem_free)
-                x[:] = [v + gain for v in x]
-                i += periods * (i - j)
-                seen = None
-                continue
-            seen[key] = (i, x[_MEM])
-        phase = step(phase)
-        i += 1
-    return phase
-
-
 class _Program(NamedTuple):
     """A block's unit variants, each advancing the phase by ``step``, and
     their maps for one machine: per phase, the map of its unit and the map
@@ -391,10 +397,21 @@ class _Program(NamedTuple):
     period: int
     tally: tuple[int, int, int]  # macs, vector and scalar loads per unit
     powers: tuple[tuple[tuple[_Map, ...], int], ...]
+    code: "_Code"
+
+
+class _Code(NamedTuple):
+    """What issuing a block runs: ``_straight`` of each map of its program,
+    per phase, and the state key of its width."""
+
+    units: tuple[Callable, ...]
+    cycles: tuple[Callable, ...]
+    powers: tuple[tuple[tuple[Callable, ...], int], ...]
+    key: Callable
 
 
 # the most powers of one cycle map that compiling tries before a block falls
-# back to stepping the map with ``_repeat``
+# back to applying the map once per cycle
 _MAX_POWER = 8
 
 
@@ -449,13 +466,18 @@ def _compile(variants: tuple, step: int, cfg: MachineConfig) -> _Program:
     tally = [0, 0, 0]
     for ins in variants[0]:
         tally[_TALLY_SLOT[ins.kind]] += 1
-    powers = [_powers(c, 2 + 2 * len(regs)) for c in cycles]
+    width = 2 + 2 * len(regs)
+    powers = [_powers(c, width) for c in cycles]
+    powers = () if None in powers else tuple(powers)
+    code = _Code(tuple(map(_straight, units)), tuple(map(_straight, cycles)),
+                 tuple((tuple(_straight(p, gain=True) for p in maps), gain)
+                       for maps, gain in powers),
+                 _state_key(width))
     return _Program(variants, step, regs, units, cycles, period, tuple(tally),
-                    () if None in powers else tuple(powers))
+                    powers, code)
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """``repeats`` x [``head`` scalar loads, then ``units`` units].
 
     The unit at phase ``p`` is ``program.variants[p]``; each unit advances
@@ -489,32 +511,37 @@ class _Block:
 
     def run(self, x: list[int]) -> None:
         """Issue every repeat of the block after the state ``x``, whose
-        registers are ``program.regs``."""
+        registers are ``program.regs``, skipping whole periods of repeats
+        once the keyed state recurs."""
         prog = self.program
-        units, cycles, powers = prog.units, prog.cycles, prog.powers
+        units, cycles, powers, key = prog.code
         full, rest = divmod(self.units, prog.period)
-
-        def cycle(phase: int) -> int:
-            _apply(cycles[phase], x)
-            return phase
-
-        def once(phase: int) -> int:
-            x[_MEM] += self.head  # the head's scalar loads only move it on
-            # a phase cycle returns to its phase
-            if not powers:
-                _repeat(x, full, phase, cycle)
-            elif full:
-                maps, gain = powers[phase]
-                _apply(maps[min(full, len(maps)) - 1], x)
-                if full > len(maps):
-                    gain *= full - len(maps)
+        phase, i, n = self.phase, 0, self.repeats
+        seen: dict | None = {}
+        while i < n:
+            if seen is not None:
+                state = key(phase, x)
+                if state in seen:
+                    j, mem_free = seen[state]
+                    periods = (n - i) // (i - j)
+                    gain = periods * (x[_MEM] - mem_free)
                     x[:] = [v + gain for v in x]
+                    i += periods * (i - j)
+                    seen = None
+                    continue
+                seen[state] = (i, x[_MEM])
+            x[_MEM] += self.head  # the head's scalar loads only move it on
+            # a position's full phase cycles return to its phase
+            if powers and full:
+                fns, gain = powers[phase]
+                fns[min(full, len(fns)) - 1](x, gain * max(full - len(fns), 0))
+            else:
+                for _ in range(full):
+                    cycles[phase](x)
             for _ in range(rest):
-                _apply(units[phase], x)
+                units[phase](x)
                 phase = self.next_phase(phase)
-            return phase
-
-        _repeat(x, self.repeats, self.phase, once)
+            i += 1
 
 
 @dataclass(frozen=True)
@@ -556,7 +583,8 @@ class LayerStream:
         loaded: set[str] = set()
         for b in self.blocks:
             b.check_reads(loaded)
-        regs = tuple(sorted({r for b in self.blocks for r in b.program.regs}))
+        regs = (self.blocks[0].program.regs if len(self.blocks) == 1 else
+                tuple(sorted({r for b in self.blocks for r in b.program.regs})))
         x = [1, 1] + [0, 0] * len(regs)
         for b in self.blocks:
             if b.program.regs == regs:

@@ -250,6 +250,16 @@ def storage_footprint(layer) -> int:
             + INDEX_DTYPE.itemsize * entries)
 
 
+def check_fwcs_index(spec: ConvLayerSpec) -> None:
+    """Raise FormatError unless an FWCS layer of ``spec`` stores every index
+    entry (``c_ptr``, ``f_idx``, the size field) as u16 under every mask."""
+    p, c = spec.filterlets_per_filter, spec.channels
+    for what, top in (("c_ptr", (p - 1) * c), ("f_idx", spec.n_filters * p),
+                      ("size", c)):
+        if top > _INDEX_MAX:
+            raise FormatError(f"{what} entry {top} outside u16 range")
+
+
 def _pack_index_array(vals: np.ndarray, what: str) -> bytes:
     if vals.size and (vals.min() < 0 or vals.max() > _INDEX_MAX):
         raise FormatError(f"{what} entry outside u16 range")

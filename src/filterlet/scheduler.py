@@ -49,7 +49,7 @@ from .costmodel import Budget, LatencyParams, StrategyVector, \
     activation_bytes, flash_bytes, input_bytes, kept_flash_bits, \
     layer_latency, strategy_alphas, total_time
 from .errors import DataError
-from .fwcs import FilterletMask, kept_count
+from .fwcs import FilterletMask, check_fwcs_index, kept_count
 from .importance import ImportanceMap, order_mask, prune_order
 from .model import SequentialModel, check_chain
 from .tensor import ConvLayerSpec
@@ -603,13 +603,16 @@ def plan_and_pack(problem: ScheduleProblem, model: SequentialModel,
                   ) -> tuple[ModelBundle | None, ScheduleResult]:
     """Search a strategy with the problem's importance map and pack the
     pruned model when one is feasible.  An infeasible search returns no
-    bundle, only the result.
+    bundle, only the result.  Raises FormatError before searching when a
+    layer's FWCS index can overflow u16.
     """
     if model.specs != problem.specs:
         raise DataError("model layers do not match the problem's specs")
     if problem.m != model.value_bits:
         raise DataError(f"problem prices {problem.m}-bit weights but the model "
                         f"stores {model.value_bits}-bit weights")
+    for spec in problem.specs:
+        check_fwcs_index(spec)
     result = anneal(problem, seed=seed, iters=iters)
     if not result.feasible:
         return None, result

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import filterlet.bundle
 import filterlet.fwcs
+import filterlet.scheduler
 from filterlet.bundle import FORMATS, ROLES, BundleLayer, ModelBundle, \
     bundle_from_masks, bundle_from_model, gradients_from_bundle, \
     model_from_bundle, run_bundle
@@ -739,6 +740,29 @@ class TestCli:
             model_size(model.specs, rep["strategy"], m=32)
         # the prediction leaves out only f_idx, the size field and the framing
         assert 0 < rep["actual_payload_bytes"] - rep["predicted"]["size_bytes"] < 100
+
+    @pytest.mark.parametrize("dims, entry", [
+        ((1, 3, 3, 8192), "c_ptr"), ((7282, 3, 3, 1), "f_idx"),
+        ((1, 1, 1, 65536), "size")])
+    def test_prune_rejects_an_index_past_u16_before_searching(
+            self, tmp_path, capsys, monkeypatch, dims, entry):
+        def no_search(*args, **kwargs):
+            raise AssertionError("anneal ran")
+
+        monkeypatch.setattr(filterlet.scheduler, "anneal", no_search)
+        n, kh, kw, c = dims
+        spec = ConvLayerSpec(n_filters=n, kernel_h=kh, kernel_w=kw,
+                             channels=c, input_h=kh, input_w=kw)
+        w = np.random.default_rng(5).normal(size=dims).astype(np.float32)
+        model = SequentialModel("wide", [
+            LayerDef("conv0", spec, Tensor.from_array(w))])
+        mp, gp, out = tmp_path / "m.fltb", tmp_path / "g.fltb", tmp_path / "o.fltb"
+        bundle_from_model(model).save(mp)
+        grads_bundle_for(model).save(gp)
+        assert main(["prune", str(mp), str(gp), str(out), "--flash", "10000000",
+                     "--ram", "10000000", "--dlmax", "1e9"]) == 3
+        assert f"{entry} entry" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_prune_rejects_mismatched_grad_names(self, workdir, capsys):
         tmp, model, model_path, _, _ = workdir

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claims import AFFINE_KINDS, affine_failure, kept_units
-from filterlet import cyclesim
 from filterlet.cyclesim import ComputeSchedule, Instruction, LOAD_SCALAR, \
     LOAD_VEC, LayerStream, MAC_SCALAR, MAC_VEC, MachineConfig, VALID_LANES, \
     _Block, _apply, _check_reads, _chunk_lengths, _compile, _compose, \
-    _csr_units, _pinned_units, _rotating_units, dump_trace, layer_stream, lds, \
-    ldv, macs, macv, simulate, two_mac_default_stream, two_mac_pinned_stream
+    _csr_units, _pinned_units, _rotating_units, _state_key, dump_trace, \
+    layer_stream, lds, ldv, macs, macv, simulate, two_mac_default_stream, \
+    two_mac_pinned_stream
 from filterlet.errors import ConfigError, StreamError
 from filterlet.fwcs import FilterletMask, encode_csr, encode_fwcs, kept_count
 from filterlet.tensor import ConvLayerSpec, Tensor
@@ -62,6 +62,24 @@ class TestMachineConfig:
         cfg = MachineConfig(lanes=np.int64(8), register_count=np.int32(5))
         assert type(cfg.lanes) is int and type(cfg.register_count) is int
         assert cfg == MachineConfig(lanes=8, register_count=5)
+
+    def test_configs_of_python_and_numpy_ints_share_one_program(self):
+        a = MachineConfig(lanes=8, vec_instr_cycles=3, register_count=5)
+        b = MachineConfig(lanes=np.int16(8), vec_instr_cycles=np.int64(3),
+                          register_count=np.uint8(5))
+        assert hash(a) == hash(b)
+        chunks = _chunk_lengths(17, 8)
+        assert _rotating_units(chunks, a) is _rotating_units(chunks, b)
+        assert _pinned_units(chunks, 3, a) is _pinned_units(chunks, 3, b)
+
+    def test_a_replaced_field_gets_its_own_hash(self):
+        cfg = MachineConfig()
+        for field, value in (("lanes", 8), ("vec_instr_cycles", 1),
+                             ("overlap_enabled", False),
+                             ("register_count", 6), ("post_cycles", 0)):
+            other = replace(cfg, **{field: value})
+            assert hash(other) == hash(MachineConfig(**{field: value}))
+            assert hash(other) != hash(cfg) and other != cfg
 
 
 class TestSimulate:
@@ -566,11 +584,8 @@ class TestAgainstReferenceIssue:
         assert simulate(ops, cfg).total_cycles == total
         assert stream.cycles() == total + stream.outputs * cfg.post_cycles
 
-    def test_a_read_before_any_load_raises_before_anything_is_issued(
-            self, monkeypatch):
-        applied = []
-        monkeypatch.setattr(cyclesim, "_apply",
-                            lambda m, x: applied.append(m))
+    def test_a_read_before_any_load_raises_before_anything_is_issued(self):
+        applied, keys = [], []
         # the second block's second phase reads q2, which nothing loads
         pair = (ldv("q0"), ldv("q1"), macv("q0", "q1"))
         blocks = (_Block(20, 3, 5, _compile((pair,), 0, CFG)),
@@ -579,12 +594,31 @@ class TestAgainstReferenceIssue:
                                            1, CFG)))
         stream = LayerStream(blocks, 0, CFG)
         with pytest.raises(StreamError, match="q2"):
-            stream.cycles()
-        assert applied == []
+            counted(stream, applied, keys).cycles()
+        assert applied == keys == []
         with pytest.raises(StreamError, match="q2"):
             reference_issue(stream.expand(), CFG)
         with pytest.raises(StreamError, match="q2"):
             simulate(stream.expand(), CFG)
+
+
+def counted(stream, applied, keys):
+    """``stream`` with every compiled map of its blocks appending to
+    ``applied`` when it runs, and every state key to ``keys``."""
+    def counting(f, calls):
+        return lambda *args: calls.append(1) or f(*args)
+
+    blocks = []
+    for b in stream.blocks:
+        code = b.program.code
+        code = code._replace(
+            units=tuple(counting(f, applied) for f in code.units),
+            cycles=tuple(counting(f, applied) for f in code.cycles),
+            powers=tuple((tuple(counting(f, applied) for f in fs), gain)
+                         for fs, gain in code.powers),
+            key=counting(code.key, keys))
+        blocks.append(b._replace(program=b.program._replace(code=code)))
+    return LayerStream(tuple(blocks), stream.outputs, stream.cfg)
 
 
 class TestIssueCounts:
@@ -594,23 +628,12 @@ class TestIssueCounts:
               ComputeSchedule.REORDERED: (2, 3)}
 
     @pytest.mark.parametrize("schedule", list(ComputeSchedule))
-    def test_one_layer_takes_a_few_maps_and_keys(self, monkeypatch, schedule):
+    def test_one_layer_takes_a_few_maps_and_keys(self, schedule):
         spec, layer = price_chain()[0]
         stream = layer_stream(layer, spec, schedule, MachineConfig())
         applied, keys = [], []
-        apply, key = cyclesim._apply, cyclesim._key
-
-        def counting_apply(m, x):
-            applied.append(1)
-            apply(m, x)
-
-        def counting_key(phase, x):
-            keys.append(1)
-            return key(phase, x)
-
-        monkeypatch.setattr(cyclesim, "_apply", counting_apply)
-        monkeypatch.setattr(cyclesim, "_key", counting_key)
-        stream.cycles()
+        cycles = counted(stream, applied, keys).cycles()
+        assert cycles == stream.cycles()
         assert (len(applied), len(keys)) == self.PINNED[schedule]
 
 
@@ -650,7 +673,8 @@ class TestCyclePowers:
 
     def test_blocks_price_alike_with_and_without_powers(self):
         for cfg, prog in swept_programs():
-            stepped = prog._replace(powers=())
+            stepped = prog._replace(powers=(),
+                                    code=prog.code._replace(powers=()))
             k = max(len(maps) for maps, _ in prog.powers)
             for full in (1, k, k + 3):
                 for rest in {0, prog.period - 1}:
@@ -672,6 +696,55 @@ class TestCyclePowers:
                               _Block(5, 2, 7, prog)), 3, CFG)
         assert stream.cycles() == simulate(stream.expand(), CFG).total_cycles \
             + 3 * CFG.post_cycles
+
+
+def reference_key(phase, x):
+    """The state key rule over a whole state: the phase, then every slot
+    relative to the memory unit's next free cycle, ready cycles clamped to
+    the ALU's and reader ends to the cycle before the memory unit's."""
+    m, a = x[0], x[1]
+    return (phase, a - m, *[(v if v > a else a) - m for v in x[2::2]],
+            *[(v if v >= m else m - 1) - m for v in x[3::2]])
+
+
+class TestStraightLineCode:
+    def test_each_compiled_map_leaves_the_state_as_its_map_does(self):
+        rng = np.random.default_rng(3)
+        for _, prog in swept_programs():
+            code = prog.code
+            # (map, function, whether it also takes a gain)
+            pairs = [(m, f, False) for m, f in (*zip(prog.units, code.units),
+                                                *zip(prog.cycles, code.cycles))]
+            assert len(pairs) == 2 * len(prog.variants)
+            assert [g for _, g in code.powers] == [g for _, g in prog.powers]
+            for (maps, _), (fs, _) in zip(prog.powers, code.powers):
+                assert len(fs) == len(maps)
+                pairs += [(m, f, True) for m, f in zip(maps, fs)]
+            width = 2 + 2 * len(prog.regs)
+            for _ in range(3):
+                x = rng.integers(-20, 60, width).tolist()
+                gain = int(rng.integers(0, 40))
+                for m, f, gains in pairs:
+                    want, got = list(x), list(x)
+                    _apply(m, want)
+                    if gains:  # a power writes every slot, each plus the gain
+                        f(got, gain)
+                        want = [v + gain for v in want]
+                    else:
+                        f(got)
+                    assert got == want
+
+    def test_the_state_key_follows_the_key_rule(self):
+        rng = np.random.default_rng(4)
+        for width in range(4, 21, 2):
+            key = _state_key(width)
+            assert _state_key(width) is key
+            for _ in range(200):
+                # slots near both units' next free cycles, to take every
+                # side of each clamp
+                x = rng.integers(0, 9, width).tolist()
+                phase = int(rng.integers(0, 5))
+                assert key(phase, x) == reference_key(phase, x)
 
 
 class TestAffineInKeptCount:

@@ -7,8 +7,8 @@ from filterlet.bundle import BundleLayer
 from filterlet.convops import conv_csr, conv_fwcs
 from filterlet.errors import CorruptionError, DataError, FormatError
 from filterlet.fwcs import CSR_FRAMING_BYTES, FWCS_FRAMING_BYTES, \
-    CsrLayer, FilterletMask, FwcsLayer, decode_csr, decode_fwcs, encode_csr, \
-    encode_fwcs, kept_count, read_csr, read_fwcs, storage_footprint, \
+    CsrLayer, FilterletMask, FwcsLayer, check_fwcs_index, decode_csr, \
+    decode_fwcs, encode_csr, encode_fwcs, kept_count, read_csr, read_fwcs, storage_footprint, \
     write_csr, write_fwcs
 from filterlet.model import LayerQuant
 from filterlet.tensor import ConvLayerSpec, Tensor
@@ -444,6 +444,28 @@ class TestFootprint:
                 storage_footprint(fw)
             assert len(write_csr(cs)) - CSR_FRAMING_BYTES == \
                 storage_footprint(cs)
+
+
+class TestIndexWidth:
+    @pytest.mark.parametrize("dims, entry", [
+        ((1, 3, 3, 8192), "c_ptr"), ((7282, 3, 3, 1), "f_idx"),
+        ((1, 1, 1, 65536), "size")])
+    def test_an_entry_past_u16_under_some_mask_is_rejected(self, dims, entry):
+        spec = make_spec(*dims)
+        with pytest.raises(FormatError, match=f"{entry} entry"):
+            check_fwcs_index(spec)
+        # the layer with every filterlet kept is one such mask
+        w = Tensor.from_array(np.zeros(spec.weight_dims, np.int8))
+        with pytest.raises(FormatError, match=f"{entry} .*outside u16"):
+            write_fwcs(encode_fwcs(w, FilterletMask.all_kept(spec)))
+
+    @pytest.mark.parametrize("dims", [(1, 1, 4, 21845), (65535, 1, 1, 1),
+                                      (1, 1, 1, 65535)])
+    def test_entries_at_the_u16_limit_pass(self, dims):
+        spec = make_spec(*dims)
+        check_fwcs_index(spec)
+        w = Tensor.from_array(np.zeros(spec.weight_dims, np.int8))
+        write_fwcs(encode_fwcs(w, FilterletMask.all_kept(spec)))
 
 
 class TestSerialization:
