@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 infeasible strategy search, 3 input error
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -27,12 +26,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_INPUT = 3
 EXIT_CORRUPT = 4
-
-
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("FILTERLET_SEED", "0"))
 
 
 def _load_tensor(path) -> Tensor:
@@ -79,7 +72,7 @@ def cmd_prune(args) -> int:
     budget = Budget(args.flash, args.ram, args.dlmax)
     problem = ScheduleProblem(model.specs, importance, budget, latency,
                               m=model.value_bits)
-    bundle, result = plan_and_pack(problem, model, seed=_seed_from(args),
+    bundle, result = plan_and_pack(problem, model, seed=args.seed,
                                    iters=args.iters)
     report = {
         "strategy": list(result.s),
@@ -239,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lanes", type=int, default=4,
                    help="lanes of the default latency params; ignored with "
                         "--params, whose lanes= line wins")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=5000)
     p.add_argument("--params", default=None, help="fitted latency params file")
     p.add_argument("--export-masked", default=None, metavar="PATH",

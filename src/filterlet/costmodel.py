@@ -116,10 +116,11 @@ def flash_bytes(layer_bits) -> int:
 
 
 def model_size(specs: list[ConvLayerSpec], s, m: int = 8) -> int:
-    """Flash bytes of the packed strategy: retained weights plus index entries.
+    """Flash bytes of the packed strategy: retained weights plus one index
+    entry per retained filterlet, at the kept counts of mask construction.
 
-    Uses the same kept-count rounding as mask construction, so the result
-    matches the serialized payloads exactly up to per-layer framing.
+    A packed payload is larger: this leaves out each layer's ``f_idx``
+    entries, its size field, its bias block and its framing (ROADMAP item 2).
     """
     alphas = strategy_alphas(s, len(specs))
     return flash_bytes(layer_flash_bits(spec, alpha, m)
@@ -165,13 +166,17 @@ def runtime_memory(specs: list[ConvLayerSpec], s, m: int = 8,
 
 
 def layer_latency(spec: ConvLayerSpec, alpha: float, p: LatencyParams) -> float:
-    """Predicted cycles for one layer at pruned fraction ``alpha``.
+    """Predicted cycles for one layer at pruned fraction ``alpha``, or an
+    array of them at an array of fractions.
 
     Per output position: fetch the receptive field, then for each retained
     filterlet one index lookup plus ceil(C/l) lane-wide MACs, then per-filter
     post-processing; scaled by the number of output positions.
     """
-    if not 0.0 <= alpha <= 1.0:
+    # True for one fraction in range, an array for an array of them; nan is
+    # outside either way
+    inside = (alpha >= 0.0) & (alpha <= 1.0)
+    if not (inside is True or np.all(inside)):
         raise DataError(f"alpha {alpha} outside [0, 1]")
     fetch = spec.kernel_h * spec.kernel_w * spec.channels * p.t_mem
     chunks = -(-spec.channels // p.lanes)

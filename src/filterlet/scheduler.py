@@ -6,22 +6,24 @@ latency range, so the chain can cross infeasible regions, but only feasible
 candidates are ever returned as the incumbent.
 
 Every metric of a strategy combines per-layer terms (latency, flash bits,
-pruned score, output activation bytes).  Latency reads the layer's exact
-fraction; the other three depend only on its kept count, so a problem sorts
-each layer's scores once and prices each (layer, kept count) once from that
-order, without a mask, however many searches and evaluations use it.
-``plan_and_pack`` builds the winning masks from the same orders.
+pruned score, output activation bytes), and each term depends only on the
+layer's kept count.  A problem sorts each layer's scores once and prices
+every kept count 0..N from that order, without a mask, in one table per
+layer: latency at the pruned share ``1 - keep/N``, and the pruned score as a
+running sum over the prune order.  ``evaluate``, ``layer_terms`` and
+``plan_and_pack`` read a fraction's row at ``kept_count(N, alpha)``, so the
+search prices exactly what the masks keep.
 
-The chain walks indexed states.  A layer's fraction is an id into the floats
-that ``+-step`` moves reach from 0 (drift such as ``0.7000000000000001``
-included), and each move of an id is resolved once.  Each distinct strategy
-is numbered once, with its predicted time, feasibility and penalized
-objective in flat columns and a lazily filled table of its ``2n`` neighbours,
-so a step is a draw, a neighbour lookup, an objective lookup and a compare.
-A new strategy is priced from raw totals of its layer terms, keeping only
-its time, feasibility and objective.  The best states are chosen once the
-chain has run, and the trace rows are built from the chain's columns when
-they are first read.
+The chain walks indexed states.  A layer's state is its place among the
+distinct kept counts of the fractions ``min(1, k * step)``, and a move takes
+it one place up or down.  Each distinct strategy is numbered once, with its
+predicted time, feasibility and penalized objective in flat columns and a
+lazily filled table of its ``2n`` neighbours, so a step is a draw, a
+neighbour lookup, an objective lookup and a compare.  A new strategy is
+priced from raw totals of its layer terms, keeping only its time,
+feasibility and objective.  The best states are chosen once the chain has
+run, and the trace rows are built from the chain's columns when they are
+first read.
 The draws are decoded from raw words of the seeded stream (``_Draws``) rather
 than asked of a numpy ``Generator`` one call at a time.
 
@@ -34,7 +36,6 @@ that might accept; that step goes through the scalar loop, with
 """
 
 import math
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -49,7 +50,7 @@ from .costmodel import Budget, LatencyParams, StrategyVector, \
     activation_bytes, flash_bytes, input_bytes, kept_flash_bits, \
     layer_latency, strategy_alphas, total_time
 from .errors import DataError
-from .fwcs import FilterletMask, check_fwcs_index, kept_count
+from .fwcs import check_fwcs_index, kept_count
 from .importance import ImportanceMap, order_mask, prune_order
 from .model import SequentialModel, check_chain
 from .tensor import ConvLayerSpec
@@ -60,9 +61,9 @@ class ScheduleProblem:
     """One pruning-strategy search instance; ``m`` is the bit width of a
     stored weight (8 for int8, 32 for float32 models).
 
-    Each layer's score order and its terms per kept count are computed on
-    first use and kept with the problem, so its scores must not change after
-    it is first searched or evaluated.
+    Each layer's table of terms is built on first use and kept with the
+    problem, so its scores must not change after it is first searched or
+    evaluated.
     """
 
     specs: list[ConvLayerSpec]
@@ -95,7 +96,7 @@ class Evaluation(NamedTuple):
 
 
 class LayerTerms(NamedTuple):
-    """One layer's share of a strategy's metrics at one pruned fraction."""
+    """One layer's share of a strategy's metrics at one kept count."""
 
     time: float      # predicted cycles
     bits: int        # flash bits
@@ -104,69 +105,63 @@ class LayerTerms(NamedTuple):
 
 
 class _LayerTable:
-    """Terms of one layer of a problem: one stable argsort of its scores,
-    and the kept-count terms once per kept count, priced from the order
-    without building a mask."""
+    """One layer's terms at every kept count ``keep = 0..n``, in columns
+    indexed by it, priced from one stable argsort of the layer's scores
+    without building a mask.
 
-    __slots__ = ("problem", "spec", "flat", "order", "rank", "lasts",
-                 "by_keep")
+    Time is ``layer_latency`` at ``1 - keep/n``.  The pruned score is the
+    running sum of the scores in prune order, so it adds them in another
+    order than ``delta_loss`` of a mask does; bits and output bytes are
+    exact integers.
+    """
+
+    __slots__ = ("spec", "n", "order", "time", "bits", "dl", "out_bytes")
 
     def __init__(self, problem: ScheduleProblem, i: int):
-        self.problem = problem
         self.spec = spec = problem.specs[i]
-        scores = problem.importance.scores[i]
-        self.flat = scores.reshape(-1)
-        self.order = order = prune_order(scores)
-        # each filterlet's position in the order, and each filter's last
-        # one: the filter is emptied once more filterlets than that are pruned
-        self.rank = rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        self.lasts = sorted(
-            rank.reshape(spec.n_filters, -1).max(axis=1).tolist())
-        self.by_keep: dict[int, tuple[int, float, int]] = {}
+        m = problem.m
+        flat = problem.importance.scores[i].reshape(-1)
+        self.n = n = flat.size
+        self.order = order = prune_order(flat)
+        keep = np.arange(n + 1)
+        self.time = layer_latency(spec, 1.0 - keep / n,
+                                  problem.latency).tolist()
+        self.bits = kept_flash_bits(spec, keep, m).tolist()
+        # with keep kept, the n - keep lowest scores are pruned
+        self.dl = np.cumsum(
+            np.concatenate(([0.0], flat[order])))[::-1].tolist()
+        # a filter keeps its output channel while the last of its
+        # filterlets in the order is kept
+        last = np.zeros(n, dtype=bool)
+        last[np.unique(order[::-1] // spec.filterlets_per_filter,
+                       return_index=True)[1]] = True
+        channels = np.concatenate(([0], np.cumsum(last)))
+        self.out_bytes = activation_bytes(spec.out_positions, channels,
+                                          m).tolist()
 
-    def kept_terms(self, keep: int) -> tuple[int, float, int]:
-        """Flash bits, pruned score and output bytes with the last ``keep``
-        filterlets of the order kept."""
-        spec, m, cut = self.spec, self.problem.m, self.flat.size - keep
-        # the pruned scores in flat order, as a mask's scores[~kept] holds
-        # them, so the pairwise sum is the same
-        dl = float(self.flat[self.rank < cut].sum())
-        channels = spec.n_filters - bisect_left(self.lasts, cut)
-        return (kept_flash_bits(spec, keep, m), dl,
-                activation_bytes(spec.out_positions, channels, m))
-
-    def terms(self, alpha: float) -> LayerTerms:
-        keep = kept_count(self.flat.size, alpha)
-        kept = self.by_keep.get(keep)
-        if kept is None:
-            kept = self.by_keep[keep] = self.kept_terms(keep)
-        return LayerTerms(
-            layer_latency(self.spec, alpha, self.problem.latency), *kept)
-
-    def mask(self, alpha: float) -> FilterletMask:
-        """The layer's :func:`build_mask` mask at pruned fraction ``alpha``."""
-        return order_mask(self.spec, self.order,
-                          kept_count(self.flat.size, alpha))
+    def terms(self, keep: int) -> LayerTerms:
+        return LayerTerms(self.time[keep], self.bits[keep], self.dl[keep],
+                          self.out_bytes[keep])
 
 
 def layer_terms(problem: ScheduleProblem, i: int, alpha: float) -> LayerTerms:
-    """Terms of layer ``i`` at pruned fraction ``alpha``."""
-    return problem._tables[i].terms(alpha)
+    """Terms of layer ``i`` at pruned fraction ``alpha``: its table's row at
+    the kept count ``kept_count(N, alpha)``."""
+    table = problem._tables[i]
+    return table.terms(kept_count(table.n, alpha))
 
 
-class _TermsById(dict):
-    """One layer's terms by fraction id, priced on first lookup."""
-
-    __slots__ = ("table", "fracs")
-
-    def __init__(self, table: _LayerTable, fracs: list[float]):
-        super().__init__()
-        self.table, self.fracs = table, fracs
-
-    def __missing__(self, f: int) -> LayerTerms:
-        t = self[f] = self.table.terms(self.fracs[f])
-        return t
+def _kept_grid(n: int, step: float) -> list[int]:
+    """The distinct kept counts of ``n`` filterlets at the pruned fractions
+    ``min(1, k * step)``, k = 0, 1, ..., in decreasing keep: one layer's
+    states in :func:`anneal`."""
+    if step * n <= 1.0:
+        # fractions a step apart move (1 - alpha) * n by at most 1, so the
+        # grid skips no kept count
+        return list(range(n, -1, -1))
+    # the last k, int(1 / step) + 1, is at least 1 / step
+    return list(dict.fromkeys(kept_count(n, min(1.0, k * step))
+                              for k in range(int(1 / step) + 2)))
 
 
 def _totals(terms, in_bytes: int,
@@ -174,11 +169,12 @@ def _totals(terms, in_bytes: int,
     """Time, flash bytes, RAM peak, pruned score and summed relative excess
     over ``budget`` of a strategy's layer terms.
 
-    Time is summed by sum() from 0, as total_time sums it, and the score
-    from 0.0 in layer order, as delta_loss sums it, so both are bit-identical
-    to theirs.  A broken limit adds a positive ratio (the difference from a
-    smaller float or int is never 0, nor is it over a divisor of at least
-    1e-12), so the excess is 0.0 exactly when every limit holds.
+    Time is summed by sum() from 0, as total_time sums it, so it is
+    bit-identical to total_time at the kept fractions; the score is summed
+    from 0.0 in layer order, as delta_loss sums its layers.  A broken limit
+    adds a positive ratio (the difference from a smaller float or int is
+    never 0, nor is it over a divisor of at least 1e-12), so the excess is
+    0.0 exactly when every limit holds.
     """
     times = []
     dl = 0.0
@@ -204,10 +200,14 @@ def _totals(terms, in_bytes: int,
 
 
 def evaluate(s, problem: ScheduleProblem) -> Evaluation:
-    """Every metric of strategy ``s``, combined from its layer terms.
+    """Every metric of strategy ``s``, combined from its layer terms at the
+    kept counts of its ``build_mask`` masks.
 
-    Equal to ``total_time``, ``model_size``, ``delta_loss`` of ``build_mask``
-    and ``runtime_memory`` with the masks' kept channels.
+    Flash and RAM equal ``model_size`` and ``runtime_memory`` with the masks'
+    kept channels.  Time equals ``total_time`` at the kept fractions
+    ``1 - keep/N``, the pruned share of what the masks keep, rather than at
+    ``s``.  The loss change is ``delta_loss`` of the masks, each layer's
+    pruned scores added in prune order.
     """
     alphas = strategy_alphas(s, len(problem.specs))
     budget = problem.budget
@@ -439,11 +439,14 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     """Metropolis search over strategies from the unpruned model;
     deterministic for a fixed seed.
 
-    Moves perturb one layer's fraction by +-step (clamped to [0, 1]).  The
-    returned strategy is the best feasible candidate visited.  A chain that
-    visits no feasible candidate runs once more, from its best penalized
-    candidate re-heated to ``t0``, on the same draws; if that one finds none
-    either, the best penalized candidate is returned with ``feasible`` False.
+    A layer's states are the distinct kept counts of the fractions
+    ``min(1, k * step)``, k = 0, 1, ..., and a move takes one layer one
+    place to fewer or more kept filterlets, clamped at both ends.  The
+    returned strategy, reported as each layer's pruned share ``1 - keep/N``,
+    is the best feasible candidate visited.  A chain that visits no feasible
+    candidate runs once more, from its best penalized candidate re-heated to
+    ``t0``, on the same draws; if that one finds none either, the best
+    penalized candidate is returned with ``feasible`` False.
     """
     if iters < 1:
         raise DataError("iters must be >= 1")
@@ -464,17 +467,14 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     if t0 is None:
         t0 = 0.1 * max(base_time, 1.0)
 
-    # fraction ids: fracs[f] is the float, moved[2 * f + down] the id one
-    # step up or down from it (-1 until resolved); keyed on the exact float
-    # and never on a grid index, as moves drift off the grid and latency
-    # reads the exact fraction
-    fracs, frac_ids, moved = [0.0], {0.0: 0}, [-1, -1]
-
     in_bytes, budget = input_bytes(problem.specs[0], problem.m), problem.budget
-    # per layer, its terms by fraction id
-    terms = [_TermsById(table, fracs) for table in problem._tables]
+    tables = problem._tables
+    # per layer, its kept counts in walk order and its terms at each place
+    grids = [_kept_grid(table.n, step) for table in tables]
+    terms = [[table.terms(keep) for keep in grid]
+             for table, grid in zip(tables, grids)]
 
-    # state k: its fraction ids, predicted time, feasibility, penalized
+    # state k: its places, predicted time, feasibility, penalized
     # objective, and in nbrs[two_n * k + slot] its neighbour by move slot
     # (-1 until resolved); unresolved[k] counts its -1 slots, and
     # minimum[k] is set once they are resolved and all lie strictly uphill
@@ -487,13 +487,13 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
     unresolved: list[int] = []
     minimum: list[bool] = []
 
-    def number(fids: tuple[int, ...]) -> int:
-        k = state_ids.get(fids)
+    def number(places: tuple[int, ...]) -> int:
+        k = state_ids.get(places)
         if k is None:
             time, _, _, _, excess = _totals(
-                map(dict.__getitem__, terms, fids), in_bytes, budget)
-            k = state_ids[fids] = len(states)
-            states.append(fids)
+                map(list.__getitem__, terms, places), in_bytes, budget)
+            k = state_ids[places] = len(states)
+            states.append(places)
             times.append(time)
             oks.append(excess == 0.0)
             objs.append(time + lam * excess)
@@ -503,25 +503,17 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
         return k
 
     def neighbour(k: int, slot: int) -> int:
-        """State ``k`` with layer ``slot >> 1`` moved up (even ``slot``) or
-        down (odd)."""
-        fids = states[k]
+        """State ``k`` with layer ``slot >> 1`` moved one place to fewer
+        kept filterlets (even ``slot``) or more (odd)."""
+        places = states[k]
         i = slot >> 1
-        j = 2 * fids[i] + (slot & 1)
-        g = moved[j]
-        if g < 0:
-            v = fracs[fids[i]]
-            v = min(1.0, max(0.0, v - step if slot & 1 else v + step))
-            g = frac_ids.get(v)
-            if g is None:
-                g = frac_ids[v] = len(fracs)
-                fracs.append(v)
-                moved.extend((-1, -1))
-            moved[j] = g
-        nbrs[two_n * k + slot] = nbr = number((*fids[:i], g, *fids[i + 1:]))
+        j = places[i] - 1 if slot & 1 else places[i] + 1
+        j = min(max(j, 0), len(grids[i]) - 1)
+        nbrs[two_n * k + slot] = nbr = number(
+            (*places[:i], j, *places[i + 1:]))
         unresolved[k] -= 1
         if not unresolved[k]:
-            # a move clamped at 0 or 1 proposes k itself; a block stops
+            # a move clamped at either end proposes k itself; a block stops
             # before such a step, as exp(0) * _MARGIN exceeds every uniform
             minimum[k] = objs[k] < min(
                 [objs[j] for j in nbrs[two_n * k:two_n * (k + 1)] if j != k],
@@ -583,7 +575,8 @@ def anneal(problem: ScheduleProblem, seed: int = 0, iters: int = 5000,
         chosen = min(feasible_states, key=times.__getitem__)
     else:
         chosen = min(range(len(states)), key=objs.__getitem__)
-    s = StrategyVector(tuple(fracs[f] for f in states[chosen]))
+    s = StrategyVector(tuple(1.0 - grid[j] / table.n for grid, j, table
+                             in zip(grids, states[chosen], tables)))
     final = evaluate(s, problem)
     return ScheduleResult(
         s=s,
@@ -617,6 +610,6 @@ def plan_and_pack(problem: ScheduleProblem, model: SequentialModel,
     if not result.feasible:
         return None, result
     # the search's own sort of each layer, as build_mask would sort it again
-    masks = [table.mask(a)
-             for table, a in zip(problem._tables, result.s.alphas)]
+    masks = [order_mask(t.spec, t.order, kept_count(t.n, a))
+             for t, a in zip(problem._tables, result.s.alphas)]
     return bundle_from_masks(model, masks, fmt="fwcs"), result

@@ -12,6 +12,9 @@ Entries:
   (u16 ``c_ptr`` and ``f_idx`` entries), and as kept filterlets plus
   filters, the size of a u8 kernel position per run and a u8 run count
   per filter;
+- ``pricing/prune-6L/seed{1..5}``: the same searches' predicted time, the
+  time of the packed masks (``total_time`` at each packed layer's pruned
+  share ``1 - n_retained/N``) and the relative gap between them;
 - ``cycles/affine``: how many (layer, machine, schedule, kept count) cases
   of a seeded sweep were checked against ``cycles() == post + (a + b * n
   if n else 0)``, with ``a`` and ``b`` taken from ``n = 1, 2``, and the
@@ -30,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from filterlet.costmodel import total_time
 from filterlet.cyclesim import ComputeSchedule, MachineConfig, VALID_LANES, \
     layer_stream
 from filterlet.fwcs import INDEX_DTYPE, FilterletMask, encode_csr, encode_fwcs
@@ -57,14 +61,14 @@ def load_workloads():
 
 
 def prune_instance(workload, seed: int):
-    """The budget, search result and bundle of ``prune-6L``'s first
-    operation at draw seed ``seed``."""
+    """The budget, latency parameters, search result and bundle of
+    ``prune-6L``'s first operation at draw seed ``seed``."""
     st = workload.build(workload.draw(seed))
     bundle, result, _ = workload.run(st, "prune",
                                      workload.prepare(st, "prune", 0))
     if bundle is None:
         raise RuntimeError(f"prune-6L seed {seed}: no feasible strategy")
-    return st["budget"], result, bundle
+    return st["budget"], st["latency"], result, bundle
 
 
 def kept_units(spec: ConvLayerSpec, kind: str) -> int:
@@ -140,13 +144,22 @@ def compute() -> dict[str, dict]:
     prune = load_workloads().Prune()
     entries: dict[str, dict] = {}
     for seed in PRUNE_SEEDS:
-        budget, result, bundle = prune_instance(prune, seed)
+        budget, latency, result, bundle = prune_instance(prune, seed)
         entries[f"flash/prune-6L/seed{seed}"] = {
             "predicted": result.predicted_size,
             "payload": bundle.payload_bytes(),
             "budget": budget.mem_flash,
         }
         packed = [(bl.decode_weights()[0], bl.spec) for bl in bundle.layers]
+        packed_time = total_time(
+            [spec for _, spec in packed],
+            [1.0 - p.n_retained / (spec.n_filters * spec.filterlets_per_filter)
+             for p, spec in packed], latency)
+        entries[f"pricing/prune-6L/seed{seed}"] = {
+            "predicted": result.predicted_time,
+            "packed": packed_time,
+            "gap": result.predicted_time / packed_time - 1.0,
+        }
         entries[f"index/prune-6L/seed{seed}"] = {
             "u16": sum(INDEX_DTYPE.itemsize * (len(p.c_ptr) + len(p.f_idx))
                        for p, _ in packed),

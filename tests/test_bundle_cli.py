@@ -1039,20 +1039,3 @@ class TestCli:
             outs.append(out.read_bytes())
             capsys.readouterr()
         assert outs[0] == outs[1]
-
-    def test_env_seed_fallback(self, workdir, capsys, monkeypatch):
-        tmp, model, model_path, grads_path, _ = workdir
-        monkeypatch.setenv("FILTERLET_SEED", "7")
-        out_env = tmp / "env.fltb"
-        code = main(["prune", str(model_path), str(grads_path), str(out_env),
-                     "--flash", "2000", "--ram", "10000000",
-                     "--dlmax", "1e9", "--iters", "150"])
-        assert code == 0
-        capsys.readouterr()
-        out_seed = tmp / "seed.fltb"
-        code = main(["prune", str(model_path), str(grads_path), str(out_seed),
-                     "--flash", "2000", "--ram", "10000000",
-                     "--dlmax", "1e9", "--seed", "7", "--iters", "150"])
-        assert code == 0
-        capsys.readouterr()
-        assert out_env.read_bytes() == out_seed.read_bytes()

@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 
 from filterlet.bundle import bundle_from_model, run_bundle
 from filterlet.costmodel import Budget, LatencyParams, StrategyVector, \
-    input_bytes, model_size, runtime_memory, total_time
+    activation_bytes, input_bytes, kept_flash_bits, layer_latency, \
+    model_size, runtime_memory, total_time
 from filterlet.errors import DataError, TopologyError
-from filterlet.fwcs import FilterletMask
+from filterlet.fwcs import FilterletMask, kept_count
 from filterlet.importance import GradientBundle, ImportanceMap, build_mask, \
-    delta_loss, score_model
+    delta_loss, layer_mask, pruned_score, score_model
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
 from filterlet.scheduler import _BLOCK, _CHUNK, ScheduleProblem, \
-    ScheduleResult, TraceRow, _Draws, _LayerTable, _totals, _Trace, anneal, \
+    ScheduleResult, TraceRow, _Draws, _kept_grid, _totals, _Trace, anneal, \
     evaluate, layer_terms, plan_and_pack
 from filterlet.tensor import ConvLayerSpec, Tensor
 
@@ -87,25 +88,58 @@ def trace_digest(trace):
     return h.hexdigest()[:16]
 
 
+def prune_order_sum(scores, keep):
+    """Summed scores of a layer's filterlets that a mask keeping ``keep``
+    prunes, added one at a time from 0.0 in prune order: lowest score first,
+    ties in flat order."""
+    flat = scores.reshape(-1).tolist()
+    total = 0.0
+    for j in sorted(range(len(flat)), key=flat.__getitem__)[:len(flat) - keep]:
+        total += flat[j]
+    return total
+
+
+def kept_grid(n, step):
+    """The distinct kept counts of ``n`` filterlets at the fractions
+    min(1, k * step), k = 0, 1, ..., in decreasing keep."""
+    keeps, k = set(), 0
+    while True:
+        alpha = min(1.0, k * step)
+        keeps.add(kept_count(n, alpha))
+        if alpha == 1.0:
+            return sorted(keeps, reverse=True)
+        k += 1
+
+
 def reference_anneal(problem, seed=0, iters=5000, t0=None, cooling=0.995,
                      step=0.05):
-    """The annealing chain as a plain loop over strategy tuples: numpy's
-    Generator draws, a dict of visited strategies, and every metric of a new
-    strategy re-derived from all of its masks by the whole-model functions.
-    ``anneal`` must equal it bit for bit, trace included."""
+    """The annealing chain as a plain loop over tuples of grid places:
+    numpy's Generator draws, a dict of visited strategies, and every metric
+    of a new strategy re-derived from all of its masks by the whole-model
+    functions, time at the masks' pruned shares 1 - keep/N and the loss
+    change as ``prune_order_sum``.  Each layer walks its ``kept_grid`` one
+    place at a time.  ``anneal`` must equal it bit for bit, trace
+    included."""
     rng = np.random.default_rng(seed)
     specs, budget, n = problem.specs, problem.budget, len(problem.specs)
+    scores = problem.importance.scores
+    grids = [kept_grid(sc.size, step) for sc in scores]
     base_time = total_time(specs, np.zeros(n), problem.latency)
     min_time = total_time(specs, np.ones(n), problem.latency)
     lam = 10.0 * max(base_time - min_time, 1.0)
     if t0 is None:
         t0 = 0.1 * max(base_time, 1.0)
 
-    def metrics(s):
+    def metrics(places):
+        s = tuple(1.0 - grid[j] / sc.size
+                  for grid, j, sc in zip(grids, places, scores))
         masks = build_mask(problem.importance, s)
+        keeps = [int(m.kept.sum()) for m in masks]
         time = total_time(specs, s, problem.latency)
         size = model_size(specs, s, problem.m)
-        dl = delta_loss(problem.importance, masks)
+        dl = 0.0
+        for sc, keep in zip(scores, keeps):
+            dl += prune_order_sum(sc, keep)
         ram = runtime_memory(specs, s, problem.m,
                              kept_channels=[m.kept_channels() for m in masks])
         violations, v = {}, 0.0
@@ -118,17 +152,17 @@ def reference_anneal(problem, seed=0, iters=5000, t0=None, cooling=0.995,
         if ram > budget.mem_ram:
             violations["ram"] = (float(ram), float(budget.mem_ram))
             v += (ram - budget.mem_ram) / budget.mem_ram
-        return (time, size, ram, dl, violations), time + lam * v
+        return s, (time, size, ram, dl, violations), time + lam * v
 
     visited = {}
 
-    def visit(s):
-        if s not in visited:
-            visited[s] = metrics(s)
-        (time, _, _, _, violations), obj = visited[s]
+    def visit(places):
+        if places not in visited:
+            visited[places] = metrics(places)
+        _, (time, _, _, _, violations), obj = visited[places]
         return time, not violations, obj
 
-    cur = (0.0,) * n
+    cur = (0,) * n
     cur_time, cur_feasible, cur_obj = visit(cur)
     best_feasible = cur if cur_feasible else None
     best_feasible_time = cur_time if cur_feasible else math.inf
@@ -144,9 +178,10 @@ def reference_anneal(problem, seed=0, iters=5000, t0=None, cooling=0.995,
         temp = float(t0)
         for _ in range(iters):
             i = rng.integers(n)
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            cand = (*cur[:i], min(1.0, max(0.0, cur[i] + sign * step)),
-                    *cur[i + 1:])
+            # one place to fewer kept filterlets or to more, clamped
+            j = cur[i] + (1 if rng.random() < 0.5 else -1)
+            j = min(max(j, 0), len(grids[i]) - 1)
+            cand = (*cur[:i], j, *cur[i + 1:])
             time, ok, obj = visit(cand)
             if obj <= cur_obj or rng.random() < math.exp(
                     min(0.0, (cur_obj - obj) / max(temp, 1e-12))):
@@ -158,8 +193,8 @@ def reference_anneal(problem, seed=0, iters=5000, t0=None, cooling=0.995,
             rows.append(TraceRow(len(rows), temp, cur_obj, ok))
             temp *= cooling
     chosen = best_feasible if best_feasible is not None else best_pen
-    (time, size, ram, dl, violations), _ = visited[chosen]
-    return ScheduleResult(StrategyVector(chosen), time, size, ram, dl,
+    s, (time, size, ram, dl, violations), _ = visited[chosen]
+    return ScheduleResult(StrategyVector(s), time, size, ram, dl,
                           not violations, violations, len(rows) - 1,
                           tuple(rows))
 
@@ -443,12 +478,19 @@ class TestEvaluate:
         s = data.draw(st.lists(alpha, min_size=n, max_size=n))
         masks = build_mask(problem.importance, s)
         ev = evaluate(s, problem)
-        assert ev.dl == delta_loss(problem.importance, masks)
+        keeps = [int(m.kept.sum()) for m in masks]
+        dl = 0.0
+        for scores, keep in zip(problem.importance.scores, keeps):
+            dl += prune_order_sum(scores, keep)
+        assert ev.dl == dl
+        assert ev.dl == pytest.approx(delta_loss(problem.importance, masks),
+                                      rel=1e-12, abs=0.0)
         assert ev.size == model_size(problem.specs, s, problem.m)
         assert ev.ram == runtime_memory(
             problem.specs, s, problem.m,
             kept_channels=[m.kept_channels() for m in masks])
-        assert ev.time == total_time(problem.specs, s, problem.latency)
+        kept_s = [1.0 - keep / m.kept.size for keep, m in zip(keeps, masks)]
+        assert ev.time == total_time(problem.specs, kept_s, problem.latency)
         assert evaluate(StrategyVector(tuple(s)), problem) == ev
 
     def test_rejects_bad_strategies(self):
@@ -520,6 +562,82 @@ class TestEvaluate:
                                         LAT)) == before
         with pytest.raises(ValueError):
             imp.scores[0][0, 0] = 1.0
+
+
+def chain_model(specs, rng):
+    """An int8 model of ``specs`` with random weights and no bias."""
+    quant = LayerQuant(input_scale=0.05, weight_scale=0.02, output_scale=0.4)
+    return SequentialModel("chain", [
+        LayerDef(f"conv{i}", spec, Tensor.from_array(
+            rng.integers(-100, 101, spec.weight_dims).astype(np.int8)),
+            None, quant)
+        for i, spec in enumerate(specs)])
+
+
+class TestLayerTable:
+    """A layer's table holds, at every kept count, what the mask that keeps
+    that many prices to; the search and ``plan_and_pack`` price the masks
+    they pack."""
+
+    @pytest.mark.parametrize("name", sorted(TestEvaluate.PROBLEMS))
+    def test_every_kept_count_prices_its_mask(self, name):
+        problem = TestEvaluate.PROBLEMS[name]
+        for i, (spec, scores) in enumerate(zip(problem.specs,
+                                               problem.importance.scores)):
+            n = scores.size
+            for keep in range(n + 1):
+                alpha = 1.0 - keep / n
+                mask = layer_mask(spec, scores, alpha)
+                assert int(mask.kept.sum()) == keep
+                terms = layer_terms(problem, i, alpha)
+                assert terms == (
+                    layer_latency(spec, alpha, problem.latency),
+                    kept_flash_bits(spec, keep, problem.m),
+                    prune_order_sum(scores, keep),
+                    activation_bytes(spec.out_positions,
+                                     mask.kept_channels(), problem.m))
+                assert terms.dl == pytest.approx(
+                    pruned_score(scores, mask), rel=1e-12, abs=0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=40,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_layers=st.integers(1, 4))
+    def test_search_prices_the_packed_masks(self, seed, n_layers):
+        rng = np.random.default_rng(seed)
+        problem = small_chain_problem(rng, n_layers, "flash")
+        sizes = [scores.size for scores in problem.importance.scores]
+        s = rng.uniform(0.0, 1.0, n_layers).tolist()
+        kept_s = [1.0 - kept_count(n, a) / n for n, a in zip(sizes, s)]
+        assert evaluate(s, problem).time == total_time(problem.specs, kept_s,
+                                                       problem.latency)
+        bundle, result = plan_and_pack(problem,
+                                       chain_model(problem.specs, rng),
+                                       seed=int(rng.integers(1000)), iters=200)
+        if bundle is not None:
+            kept = [bl.decode_weights()[0].n_retained for bl in bundle.layers]
+            assert result.predicted_time == total_time(
+                problem.specs, [1.0 - k / n for k, n in zip(kept, sizes)],
+                problem.latency)
+
+    def test_anneal_walks_the_enumerated_grid(self):
+        for n, step in itertools.product(
+                (1, 2, 9, 20, 24, 144, 2304),
+                (0.05, 0.07, 0.1, 0.3, 1.0, 1 / 24, 1 / 144)):
+            assert _kept_grid(n, step) == kept_grid(n, step), (n, step)
+
+    def test_a_tiny_step_walks_every_kept_count(self):
+        assert _kept_grid(2304, 1e-6) == list(range(2304, -1, -1))
+        # unconstrained, the chain prunes one filterlet at a time down to
+        # none, and each of its 37 kept counts has its own time
+        rng = np.random.default_rng(8)
+        spec = ConvLayerSpec(n_filters=4, kernel_h=3, kernel_w=3, channels=4,
+                             input_h=8, input_w=8)
+        problem = ScheduleProblem(
+            [spec], ImportanceMap([spec], [rng.random((4, 9))]),
+            Budget(mem_flash=10 ** 9, mem_ram=10 ** 9, dl_max=10 ** 9), LAT)
+        result = anneal(problem, seed=0, iters=800, step=1e-6)
+        assert result.s.alphas == (1.0,)
+        assert len({r.objective for r in result.trace}) == 37
 
 
 class TestTotals:
@@ -671,22 +789,23 @@ class TestAgainstReferenceChain:
             if budget == "infeasible":
                 assert not got.feasible
 
-    # long chains that freeze, at no temperature or one tiny against the
-    # default t0 (a tenth of the dense model's time), so most of their steps
-    # are decided in blocks; the warmer ones accept a few uphill moves first
+    # long chains that freeze at an interior minimum, at no temperature or
+    # one tiny against the default t0 (a tenth of the dense model's time),
+    # so most of their steps are decided in blocks; the warmer ones accept a
+    # few uphill moves first
     # (iters, t0, cooling, layers, budget, seed)
-    CLAMPED = (5000, 1e-9, 0.9, 6, "ram", 2)
+    CLAMPED = (5000, 1e-9, 0.9, 6, "ram", 24)
     FROZEN = [(3000, 0.0, 0.9, 1, "flash", 0),
-              (3000, 0.0, 0.9, 1, "infeasible", 1),
+              (3000, 0.0, 0.9, 1, "ram", 2),
               (4000, 1e-9, 0.995, 2, "ram", 0),
-              (5000, 30.0, 0.995, 3, "flash", 0),
-              (6000, 0.0, 0.995, 4, "ram", 2),
-              (4500, 100.0, 0.9, 4, "ram", 2),
-              (3500, 30.0, 0.995, 5, "flash", 1),
-              (6000, 30.0, 0.995, 6, "flash", 1),
-              (5000, 1e-9, 0.9, 6, "ram", 7),
-              (5000, 0.0, 0.9, 5, "infeasible", 7),
-              # freezes at a state with layers clamped at fraction 0 or 1
+              (5000, 30.0, 0.995, 3, "flash", 3),
+              (6000, 0.0, 0.995, 4, "ram", 17),
+              (4500, 100.0, 0.9, 4, "ram", 17),
+              (3500, 30.0, 0.995, 5, "flash", 26),
+              (6000, 30.0, 0.995, 6, "flash", 24),
+              (5000, 1e-9, 0.9, 6, "ram", 22),
+              (5000, 0.0, 0.9, 5, "flash", 16),
+              # freezes with one layer at the fully pruned end of its grid
               CLAMPED]
 
     @staticmethod
@@ -712,10 +831,8 @@ class TestAgainstReferenceChain:
     def test_one_sort_per_layer_and_no_mask_in_the_search(self, monkeypatch):
         problem = six_layer_problem(ram_share=0.6, dl_share=0.6,
                                     flash_share=1.0)
-        layer_of = {id(spec): i for i, spec in enumerate(problem.specs)}
-        sorts, masks, priced = [], [], []
+        sorts, masks = [], []
         argsort, post_init = np.argsort, FilterletMask.__post_init__
-        kept_terms = _LayerTable.kept_terms
 
         def counting_argsort(*args, **kwargs):
             sorts.append(1)
@@ -725,17 +842,11 @@ class TestAgainstReferenceChain:
             post_init(mask)
             masks.append(mask)
 
-        def counting_kept_terms(table, keep):
-            priced.append((layer_of[id(table.spec)], keep))
-            return kept_terms(table, keep)
-
         monkeypatch.setattr(np, "argsort", counting_argsort)
         monkeypatch.setattr(FilterletMask, "__post_init__", counting_post_init)
-        monkeypatch.setattr(_LayerTable, "kept_terms", counting_kept_terms)
         anneal(problem, seed=5, iters=2000)
         assert len(sorts) <= len(problem.specs)
         assert not masks
-        assert priced and len(priced) == len(set(priced))
 
 
 class BlockSpy:
@@ -873,44 +984,47 @@ class TestTrace:
 
 
 class TestPinnedAnneal:
-    """Results recorded from the annealer that re-derived every metric of
-    every candidate from all of its masks; the per-layer terms must
+    """Results recorded from ``reference_anneal``, which re-derives every
+    metric of every candidate from all of its masks; the layer tables must
     reproduce them bit for bit."""
 
     PINNED = {
         # name: (problem shares, anneal args, s, time, size, ram, dl,
         #        violations, trace digest)
         "seed0": ({}, {"seed": 0},
-                  (0.44999999999999996, 0.7500000000000001, 0.7000000000000001,
-                   0.5499999999999999, 0.3, 0.35),
-                  1079861.6, 6497, 13744, 733.9395880497492, {},
-                  "39aaebe7c77d24c5"),
+                  (0.5486111111111112, 0.5972222222222222, 0.5486111111111112,
+                   0.5972222222222222, 0.45138888888888884,
+                   0.5972222222222222),
+                  1101752.0, 6049, 14144, 732.3015520414905, {},
+                  "0fba45e95d53676c"),
         "seed1": ({}, {"seed": 1},
-                  (0.65, 0.5499999999999999, 0.39999999999999997,
-                   0.7500000000000001, 0.6, 0.35),
-                  1125135.2, 6352, 14144, 737.8611865807543, {},
-                  "d47ef20c7aebe828"),
+                  (0.75, 0.6527777777777778, 0.5, 0.6527777777777778,
+                   0.4027777777777778, 0.45138888888888884),
+                  1072388.0, 6246, 13744, 736.917301987352, {},
+                  "748fffcd73783544"),
         "seed2": ({}, {"seed": 2},
-                  (0.7500000000000001, 0.65, 0.5499999999999999, 0.6,
-                   0.39999999999999997, 0.44999999999999996),
-                  1071308.0, 6264, 13744, 730.5476499769258, {},
-                  "19f13a4a505db2b5"),
+                  (0.75, 0.6527777777777778, 0.5486111111111112,
+                   0.5972222222222222, 0.4027777777777778,
+                   0.45138888888888884),
+                  1070408.0, 6264, 13744, 730.5476499769256, {},
+                  "09ed3d083bf41bad"),
         # sees nothing feasible, so the chain runs twice (10000 steps)
         "infeasible": ({"dl_share": 0.0}, {"seed": 3},
                        (0.0,) * 6, 2180684.0, 13680, 14144, 0.0,
                        {"flash": (13680.0, 7524.0)}, "4e799c6cc902d6ce"),
         "step0.1": ({}, {"seed": 4, "step": 0.1},
-                    (0.7999999999999999, 0.7, 0.7, 0.5, 0.30000000000000004,
-                     0.2),
-                    1077183.2, 6877, 12776, 731.012708964604, {},
-                    "c308e487d83b908f"),
-        # RAM binds on 430 of the 5000 candidates: emptied filters matter
+                    (0.7986111111111112, 0.7013888888888888,
+                     0.7013888888888888, 0.5, 0.29861111111111116,
+                     0.20138888888888884),
+                    1076264.0, 6877, 12776, 731.0127089646041, {},
+                    "814f808cf1621e47"),
+        # RAM binds on 1193 of the 5000 candidates: emptied filters matter
         "ram": ({"ram_share": 0.6, "dl_share": 0.6, "flash_share": 1.0},
                 {"seed": 5},
-                (0.8999999999999999, 1.0, 0.8500000000000002,
-                 0.9500000000000003, 0.6, 0.5499999999999999),
-                546946.3999999999, 2806, 7052, 1768.246027176452, {},
-                "20f2615bd5e62584"),
+                (1.0, 1.0, 0.8472222222222222, 0.9513888888888888,
+                 0.5972222222222222, 0.4027777777777778),
+                554924.0, 3114, 5440, 1771.9884165493083, {},
+                "e918530670c293af"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
