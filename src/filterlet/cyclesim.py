@@ -20,9 +20,9 @@ A layer's stream is described once, as blocks of nested repeats: per output
 position (or position tile) a run of patch loads, then one unit per retained
 filterlet, where a unit's registers depend only on a small rotation phase.
 ``layer_stream`` picks the description from the type of the layer as
-stored and returns it as a ``LayerStream``.  Lowering expands it, counting
-multiplies each unit's counts by its repeats, and ``LayerStream.cycles``
-prices it without expanding it.
+stored and returns it as a ``LayerStream``, a tuple built in a few Python
+calls.  Lowering expands it, counting multiplies each unit's counts by its
+repeats, and ``LayerStream.cycles`` prices it without expanding it.
 
 Every timing rule sets a start cycle to a max of earlier times plus fixed
 offsets, so issuing one instruction is a max-plus map of a flat issue state:
@@ -515,6 +515,7 @@ class _Block(NamedTuple):
         once the keyed state recurs."""
         prog = self.program
         units, cycles, powers, key = prog.code
+        step, n_variants = prog.step, len(prog.variants)
         full, rest = divmod(self.units, prog.period)
         phase, i, n = self.phase, 0, self.repeats
         seen: dict | None = {}
@@ -540,17 +541,16 @@ class _Block(NamedTuple):
                     cycles[phase](x)
             for _ in range(rest):
                 units[phase](x)
-                phase = self.next_phase(phase)
+                phase = (phase + step) % n_variants
             i += 1
 
 
-@dataclass(frozen=True)
-class LayerStream:
+class LayerStream(NamedTuple):
     """A lowered layer as nested repeats, its output count and the machine
     it was lowered for.
 
-    Expanding it yields the instruction stream; counting and pricing it
-    never do.
+    A tuple, so building one per call is cheap.  Expanding it yields the
+    instruction stream; counting and pricing it never do.
     """
 
     blocks: tuple[_Block, ...]
@@ -653,36 +653,37 @@ def _csr_units(cfg: MachineConfig) -> _Program:
                           for rot in range(4)), 1, cfg)
 
 
-def _fwcs_blocks(n_retained: int, size: int, spec: ConvLayerSpec,
-                 schedule: ComputeSchedule, cfg: MachineConfig) -> list[_Block]:
-    """The blocks of an FWCS layer keeping ``n_retained`` filterlets of
-    length ``size``; which filterlets are kept does not change them."""
-    patch = spec.filterlets_per_filter * spec.channels
+def _fwcs_blocks(n_retained: int, size: int, positions: int, patch: int,
+                 schedule: ComputeSchedule,
+                 cfg: MachineConfig) -> tuple[_Block, ...]:
+    """The blocks of an FWCS layer keeping ``n_retained`` (at least one)
+    filterlets of length ``size``, over ``positions`` output positions
+    with ``patch`` input values each; which filterlets are kept does not
+    change them."""
     chunks = _chunk_lengths(size, cfg.lanes)
     if schedule is ComputeSchedule.DEFAULT:
-        blocks = [_Block(spec.out_positions, patch, n_retained,
-                         _rotating_units(chunks, cfg))]
-    elif schedule is ComputeSchedule.REORDERED:
-        tile = max(1, cfg.register_count - 2)
-        full, last = divmod(spec.out_positions, tile)
-        blocks = []
-        alt = 0
-        for repeats, width in ((full, tile), (1, last)):
-            if repeats == 0 or width == 0:
-                continue
-            if width == 1:
-                # nothing to reuse in a one-position tile; rotating
-                # registers avoid the pinned register's reload stall
-                blocks.append(_Block(repeats, patch, n_retained,
-                                     _rotating_units(chunks, cfg)))
-                continue
-            prog = _pinned_units(chunks, width, cfg)
-            blocks.append(_Block(repeats, patch * width, n_retained, prog,
-                                 alt % 2))
-            alt += repeats * n_retained * prog.step
-    else:
+        return (_Block(positions, patch, n_retained,
+                       _rotating_units(chunks, cfg)),)
+    if schedule is not ComputeSchedule.REORDERED:
         raise ConfigError(f"unknown schedule {schedule}")
-    return blocks
+    tile = max(1, cfg.register_count - 2)
+    full, last = divmod(positions, tile)
+    blocks = []
+    alt = 0
+    for repeats, width in ((full, tile), (1, last)):
+        if repeats == 0 or width == 0:
+            continue
+        if width == 1:
+            # nothing to reuse in a one-position tile; rotating
+            # registers avoid the pinned register's reload stall
+            blocks.append(_Block(repeats, patch, n_retained,
+                                 _rotating_units(chunks, cfg)))
+            continue
+        prog = _pinned_units(chunks, width, cfg)
+        blocks.append(_Block(repeats, patch * width, n_retained, prog,
+                             alt % 2))
+        alt += repeats * n_retained * prog.step
+    return tuple(blocks)
 
 
 def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
@@ -700,18 +701,23 @@ def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
     MAC, for every retained weight at every position.  A fully pruned layer
     emits nothing.
     """
+    # spec.out_positions and spec.filterlets_per_filter, read off the
+    # fields once: each property call is a cost on every lowering
+    kernel, stride = spec.kernel_h * spec.kernel_w, spec.stride
+    positions = ((spec.input_h - spec.kernel_h) // stride + 1) * \
+        ((spec.input_w - spec.kernel_w) // stride + 1)
+    patch = kernel * spec.channels
     if isinstance(weights, CsrLayer):
-        patch = spec.filterlets_per_filter * spec.channels
-        blocks = [_Block(spec.out_positions, patch, weights.n_retained,
-                         _csr_units(cfg))]
-    elif isinstance(weights, FwcsLayer):
-        blocks = _fwcs_blocks(weights.n_retained, weights.size, spec, schedule,
-                              cfg)
+        n = weights.n_retained
+        blocks = (_Block(positions, patch, n, _csr_units(cfg)),) if n else ()
     else:
-        blocks = _fwcs_blocks(spec.n_filters * spec.filterlets_per_filter,
-                              spec.channels, spec, schedule, cfg)
-    return LayerStream(tuple(b for b in blocks if b.units),
-                       spec.n_filters * spec.out_positions, cfg)
+        if isinstance(weights, FwcsLayer):
+            n, size = weights.n_retained, weights.size
+        else:
+            n, size = spec.n_filters * kernel, spec.channels
+        blocks = _fwcs_blocks(n, size, positions, patch, schedule,
+                              cfg) if n else ()
+    return LayerStream(blocks, spec.n_filters * positions, cfg)
 
 
 # Former per-format entry points, kept as aliases of ``layer_stream`` only

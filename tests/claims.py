@@ -15,6 +15,13 @@ Entries:
 - ``pricing/prune-6L/seed{1..5}``: the same searches' predicted time, the
   time of the packed masks (``total_time`` at each packed layer's pruned
   share ``1 - n_retained/N``) and the relative gap between them;
+- ``latency/prune-6L/conv{0..5}``: per ``prune-6L`` layer (the geometry
+  is the same for every draw seed), the simulated ``post``, ``a`` and
+  ``b`` of ``post + (a + b * n if n else 0)`` under REORDERED at lanes 4,
+  the schedule and lanes ``run`` defaults to, taken from ``n = 0, 1, 2``;
+  then, with every filterlet kept and with half kept, the default
+  ``LatencyParams(1, 1, 2, 2)`` prediction, the simulated cycles and the
+  prediction's relative error;
 - ``cycles/affine``: how many (layer, machine, schedule, kept count) cases
   of a seeded sweep were checked against ``cycles() == post + (a + b * n
   if n else 0)``, with ``a`` and ``b`` taken from ``n = 1, 2``, and the
@@ -33,10 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
-from filterlet.costmodel import total_time
+from filterlet.costmodel import LatencyParams, layer_latency, total_time
 from filterlet.cyclesim import ComputeSchedule, MachineConfig, VALID_LANES, \
     layer_stream
-from filterlet.fwcs import INDEX_DTYPE, FilterletMask, encode_csr, encode_fwcs
+from filterlet.fwcs import INDEX_DTYPE, FilterletMask, encode_csr, \
+    encode_fwcs, kept_count
 from filterlet.tensor import ConvLayerSpec, Tensor
 
 CLAIMS = Path(__file__).with_name("claims.json")
@@ -111,6 +119,34 @@ def affine_failure(spec: ConvLayerSpec, kind: str, cfg: MachineConfig,
     return None
 
 
+def latency_entries(workloads) -> dict[str, dict]:
+    """``latency/prune-6L/conv*``: the default latency parameters against
+    the simulator on each ``prune-6L`` layer."""
+    prune = workloads.Prune()
+    specs = workloads.chain_specs(prune.layers, workloads.FIRST_CHANNELS,
+                                  prune.filters, prune.side)
+    cfg = MachineConfig(lanes=4)
+    params = LatencyParams(1.0, 1.0, 2.0, 2.0, lanes=cfg.lanes)
+    rng = np.random.default_rng(0)
+    entries = {}
+    for k, spec in enumerate(specs):
+        def cycles(n):
+            return layer_stream(kept_layer(spec, "reordered", n, rng), spec,
+                                ComputeSchedule.REORDERED, cfg).cycles()
+
+        post, one, two = cycles(0), cycles(1), cycles(2)
+        entry = {"post": post, "a": 2 * one - two - post, "b": two - one}
+        total = kept_units(spec, "reordered")
+        for label, kept in (("all", total), ("half", kept_count(total, 0.5))):
+            predicted = layer_latency(spec, 1.0 - kept / total, params)
+            simulated = cycles(kept)
+            entry[label] = {"kept": kept, "predicted": predicted,
+                            "simulated": simulated,
+                            "error": predicted / simulated - 1.0}
+        entries[f"latency/prune-6L/conv{k}"] = entry
+    return entries
+
+
 def affine_sweep() -> dict:
     """``affine_failure`` over a seeded sweep: geometries with kernels 1-3,
     stride 1-2 and 1-39 channels, random machines, every kind and four
@@ -141,7 +177,8 @@ def affine_sweep() -> dict:
 
 def compute() -> dict[str, dict]:
     """Every claim entry, keyed by name."""
-    prune = load_workloads().Prune()
+    workloads = load_workloads()
+    prune = workloads.Prune()
     entries: dict[str, dict] = {}
     for seed in PRUNE_SEEDS:
         budget, latency, result, bundle = prune_instance(prune, seed)
@@ -165,6 +202,7 @@ def compute() -> dict[str, dict]:
                        for p, _ in packed),
             "u8": sum(p.n_retained + spec.n_filters for p, spec in packed),
         }
+    entries.update(latency_entries(workloads))
     entries["cycles/affine"] = affine_sweep()
     return entries
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claims import AFFINE_KINDS, affine_failure, kept_units
+from filterlet import cyclesim
 from filterlet.cyclesim import ComputeSchedule, Instruction, LOAD_SCALAR, \
     LOAD_VEC, LayerStream, MAC_SCALAR, MAC_VEC, MachineConfig, VALID_LANES, \
     _Block, _apply, _check_reads, _chunk_lengths, _compile, _compose, \
@@ -431,6 +432,42 @@ class TestClosedFormCounts:
         want = dict(stream.counts())
         stream.counts()["macs"] = -1
         assert stream.counts() == want
+
+
+class TestLoweredStream:
+    def test_assigning_to_a_field_raises(self):
+        spec, fw, _ = rand_layer(np.random.default_rng(33))
+        stream = layer_stream(fw, spec, ComputeSchedule.DEFAULT, CFG)
+        for field in ("blocks", "outputs", "cfg"):
+            with pytest.raises(AttributeError):
+                setattr(stream, field, getattr(stream, field))
+
+    @pytest.mark.parametrize("schedule", list(ComputeSchedule))
+    def test_lowering_a_layer_again_compiles_nothing(self, schedule,
+                                                     monkeypatch):
+        # 7x7 positions: six-wide tiles and a one-position remainder
+        spec = ConvLayerSpec(n_filters=3, kernel_h=3, kernel_w=3, channels=6,
+                             input_h=9, input_w=9)
+        rng = np.random.default_rng(34)
+        w = Tensor.from_array(
+            rng.integers(-128, 128, spec.weight_dims).astype(np.int8))
+        kept = rng.random((spec.n_filters, spec.filterlets_per_filter)) < 0.5
+        layers = (w, encode_fwcs(w, FilterletMask(spec, kept)),
+                  encode_csr(w, FilterletMask(spec, kept).to_weight_mask()))
+
+        def priced():
+            return [(s.counts(), s.cycles(), len(s.expand()))
+                    for s in (layer_stream(layer, spec, schedule, CFG)
+                              for layer in layers)]
+
+        want = priced()
+
+        def compiles(*_):
+            raise AssertionError("compiled again")
+
+        monkeypatch.setattr(cyclesim, "_compile", compiles)
+        monkeypatch.setattr(cyclesim, "_function", compiles)
+        assert priced() == want
 
 
 class TestDumps:
