@@ -3,7 +3,10 @@
 Layout: magic, u16 version, u32 manifest length, manifest JSON, u32 blob
 count, a table of u32 blob lengths, u32 CRC32 over the concatenated blobs,
 then the blobs themselves.  One blob per layer: the weight block in the
-layer's declared format followed by an optional bias tensor block.
+layer's declared format, then, if the layer has one, its bias as
+``n_filters`` raw values of ``BIAS_DTYPES[dtype]``.  Version-1 bundles (each
+bias a float32 tensor block, FWCS indices u16) are read and converted to
+version 2 once; only version 2 is written.
 """
 
 import json
@@ -16,16 +19,20 @@ import numpy as np
 from .convops import conv_csr, conv_dense, conv_fwcs
 from .cyclesim import ComputeSchedule, MachineConfig, layer_stream
 from .errors import CorruptionError, DataError, FormatError, TopologyError
-from .fwcs import CSR_MAGIC, FWCS_MAGIC, FilterletMask, decode_csr, \
-    decode_fwcs, encode_csr, encode_fwcs, read_csr, read_fwcs, write_csr, \
-    write_fwcs
+from .fwcs import CSR_MAGIC, FWCS_MAGIC, FilterletMask, check_csr_index, \
+    check_fwcs_index, decode_csr, decode_fwcs, encode_csr, encode_fwcs, \
+    read_csr, read_fwcs, read_fwcs_v1, write_csr, write_fwcs
 from .importance import GradientBundle
 from .model import LayerDef, LayerQuant, SequentialModel, check_chain
 from .tensor import DTYPES, TENSOR_MAGIC, ConvLayerSpec, Reader, Tensor, \
-    read_tensor, write_tensor
+    frozen, read_tensor, write_tensor
 
 BUNDLE_MAGIC = b"FLTB"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
+
+# a layer's stored bias, per layer dtype: an int8 layer's bias is added to
+# its integer accumulators, so it is stored as int32, as CMSIS-NN does
+BIAS_DTYPES = {"float32": np.dtype("<f4"), "int8": np.dtype("<i4")}
 
 FORMATS = ("dense", "fwcs", "csr")
 ROLES = ("model", "grads")
@@ -65,8 +72,9 @@ class BundleLayer:
             raise DataError(f"layer {self.name}: int8 weights need quant params")
 
     def decode_weights(self):
-        """(weights as stored: Tensor, FwcsLayer or CsrLayer; bias or None,
-        float32 as stored, or int64 for an int8 layer)."""
+        """(weights as stored: Tensor, FwcsLayer or CsrLayer, checked
+        against the spec; bias or None, float32, or int64 for an int8
+        layer)."""
         if self.fmt == "dense":
             weights, off = read_tensor(self.payload, 0)
             if weights.dtype != self.dtype:
@@ -74,26 +82,17 @@ class BundleLayer:
                                       f"{weights.dtype} != manifest {self.dtype}")
             if weights.dims != self.spec.weight_dims:
                 raise CorruptionError(f"layer {self.name}: decoded shape mismatch")
+        elif self.fmt == "fwcs":
+            weights, off = read_fwcs(self.payload, 0, self.spec, self.dtype)
         else:
-            read = read_fwcs if self.fmt == "fwcs" else read_csr
-            weights, off = read(self.payload, 0, self.dtype)
+            weights, off = read_csr(self.payload, 0, self.dtype)
             weights.validate(self.spec)
+        r = Reader(self.payload, off, f"layer {self.name} payload")
         bias = None
         if self.has_bias:
-            bias_t, off = read_tensor(self.payload, off)
-            if bias_t.dtype != "float32":
-                raise CorruptionError(f"layer {self.name}: bias stored as "
-                                      f"{bias_t.dtype}, not float32")
-            if bias_t.dims != (self.spec.n_filters,):
-                raise CorruptionError(f"layer {self.name}: bias shape mismatch")
-            bias = bias_t.data
-            if self.dtype == "int8":
-                # int8 biases are packed from int64 integers
-                exact = (np.rint(bias) == bias) & (np.abs(bias) < 2.0 ** 63)
-                if np.count_nonzero(exact) < exact.size:
-                    raise CorruptionError(f"layer {self.name}: int8 bias not an integer")
-                bias = bias.astype(np.int64)
-        Reader(self.payload, off, f"layer {self.name} payload").end()
+            bias = frozen(r.array(BIAS_DTYPES[self.dtype], self.spec.n_filters),
+                          np.int64 if self.dtype == "int8" else None)
+        r.end()
         return weights, bias
 
 
@@ -140,7 +139,7 @@ class ModelBundle:
         r = Reader(buf, 0, "bundle")
         r.magic(BUNDLE_MAGIC)
         version, mlen = r.unpack("<HI")
-        if version != BUNDLE_VERSION:
+        if version not in (1, BUNDLE_VERSION):
             raise CorruptionError(f"unsupported bundle version {version}")
         try:
             manifest = json.loads(r.take(mlen).decode())
@@ -170,9 +169,13 @@ class ModelBundle:
                     dtype=entry["dtype"], has_bias=entry["has_bias"],
                     quant=quant, payload=blob,
                 ))
-            return cls(manifest["name"], manifest.get("role", "model"), layers)
+            bundle = cls(manifest["name"], manifest.get("role", "model"), layers)
         except (KeyError, TypeError, DataError, FormatError, TopologyError) as e:
             raise CorruptionError(f"malformed manifest entry: {e}") from None
+        if version == 1:
+            for layer in bundle.layers:
+                layer.payload = _payload_from_v1(layer)
+        return bundle
 
     def save(self, path) -> None:
         with open(path, "wb") as f:
@@ -192,17 +195,67 @@ class ModelBundle:
         return sum(len(layer.payload) for layer in self.layers)
 
 
+def _payload_from_v1(layer: BundleLayer) -> bytes:
+    """``layer``'s bundle version 1 payload as version 2: its FWCS block
+    with u8 or u16 counts and positions, its float32 bias tensor as raw
+    values.  Raises CorruptionError where version 1 stored no valid layer."""
+    buf, spec, name = layer.payload, layer.spec, layer.name
+    if layer.fmt == "fwcs":
+        weights, off = read_fwcs_v1(buf, 0, layer.dtype)
+        block = write_fwcs(weights, spec)
+    else:
+        _, off = read_tensor(buf, 0) if layer.fmt == "dense" \
+            else read_csr(buf, 0, layer.dtype)
+        block = buf[:off]
+    if layer.has_bias:
+        bias_t, off = read_tensor(buf, off)
+        if bias_t.dtype != "float32":
+            raise CorruptionError(f"layer {name}: bias stored as "
+                                  f"{bias_t.dtype}, not float32")
+        if bias_t.dims != (spec.n_filters,):
+            raise CorruptionError(f"layer {name}: bias shape mismatch")
+        bias = bias_t.data
+        if layer.dtype == "int8" and not _int32_values(bias):
+            raise CorruptionError(
+                f"layer {name}: int8 bias not an integer within int32")
+        block += bias.astype(BIAS_DTYPES[layer.dtype]).tobytes()
+    Reader(buf, off, f"layer {name} payload").end()
+    return block
+
+
+def _int32_values(values: np.ndarray) -> bool:
+    """Whether every one of the real ``values`` is an integer within int32."""
+    # float64 holds every int32 and every float32 exactly, so neither the
+    # range nor the integer test rounds
+    wide = values.astype(np.float64)
+    return bool(np.all((wide >= _INT32_MIN) & (wide <= _INT32_MAX)
+                       & (np.rint(wide) == wide)))
+
+
+def _bias_bytes(layer: LayerDef) -> bytes:
+    """``layer``'s bias as stored: ``BIAS_DTYPES`` of its weight dtype.  An
+    int8 layer's bias must hold integers within int32, and an integer bias
+    of a float32 layer must be exact as float32, else DataError."""
+    bias, dtype = layer.bias, layer.weights.dtype
+    if dtype == "int8":
+        if not (np.issubdtype(bias.dtype, np.integer)
+                or np.issubdtype(bias.dtype, np.floating)) \
+                or not _int32_values(bias):
+            raise DataError(f"layer {layer.name}: int8 bias is not integers "
+                            f"within int32")
+        return bias.astype(BIAS_DTYPES[dtype]).tobytes()
+    # float32 holds integers exactly only up to 2^24
+    packed = bias.astype(BIAS_DTYPES[dtype])
+    if np.issubdtype(bias.dtype, np.integer) and \
+            np.any(packed.astype(np.int64) != bias):
+        raise DataError(f"layer {layer.name}: integer bias not exact as float32")
+    return packed.tobytes()
+
+
 def _bundle_layer(layer: LayerDef, fmt: str, block: bytes) -> BundleLayer:
     """``layer`` stored as the ``fmt`` weight ``block``, then its bias, if
-    any, as a float32 tensor."""
-    payload = block
-    if layer.bias is not None:
-        # float32 holds integers exactly only up to 2^24
-        packed = layer.bias.astype(np.float32)
-        if np.issubdtype(layer.bias.dtype, np.integer) and \
-                np.any(packed.astype(np.int64) != layer.bias):
-            raise DataError(f"layer {layer.name}: integer bias not exact as float32")
-        payload += write_tensor(Tensor.from_array(packed, "float32"))
+    any."""
+    payload = block if layer.bias is None else block + _bias_bytes(layer)
     return BundleLayer(layer.name, fmt, layer.spec, layer.weights.dtype,
                        layer.bias is not None, layer.quant, payload)
 
@@ -216,17 +269,25 @@ def bundle_from_model(model: SequentialModel, role: str = "model") -> ModelBundl
 
 def bundle_from_masks(model: SequentialModel, masks: list[FilterletMask],
                       fmt: str = "fwcs") -> ModelBundle:
-    """Pack ``model`` with each layer pruned by its mask, in FWCS or CSR form."""
+    """Pack ``model`` with each layer pruned by its mask, in FWCS or CSR
+    form.  Raises FormatError before encoding any layer when one cannot
+    store its index."""
     if len(masks) != len(model.layers):
         raise DataError("mask count != layer count")
+    if fmt not in ("fwcs", "csr"):
+        raise FormatError(f"cannot pack pruned layers as {fmt!r}")
+    for layer, mask in zip(model.layers, masks):
+        if fmt == "fwcs":
+            check_fwcs_index(layer.spec)
+        else:
+            check_csr_index(layer.spec, int(np.count_nonzero(mask.kept))
+                            * layer.spec.channels)
     layers = []
     for layer, mask in zip(model.layers, masks):
         if fmt == "fwcs":
-            block = write_fwcs(encode_fwcs(layer.weights, mask))
-        elif fmt == "csr":
-            block = write_csr(encode_csr(layer.weights, mask.to_weight_mask()))
+            block = write_fwcs(encode_fwcs(layer.weights, mask), layer.spec)
         else:
-            raise FormatError(f"cannot pack pruned layers as {fmt!r}")
+            block = write_csr(encode_csr(layer.weights, mask.to_weight_mask()))
         layers.append(_bundle_layer(layer, fmt, block))
     return ModelBundle(model.name, "model", layers)
 

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 infeasible strategy search, 3 input error
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -63,6 +64,14 @@ def _scored_model(args):
     return model, score_model(model, gradients_from_bundle(grads_bundle))
 
 
+def _relative_slack(value, limit) -> float:
+    """How much of ``limit`` is left after ``value``, as a share of it; a
+    zero limit has none left, or less when exceeded."""
+    if limit == 0:
+        return 0.0 if value <= 0 else -math.inf
+    return 1.0 - value / limit
+
+
 def cmd_prune(args) -> int:
     model, importance = _scored_model(args)
     if args.params:
@@ -86,6 +95,15 @@ def cmd_prune(args) -> int:
         "violations": {k: {"value": v[0], "limit": v[1]}
                        for k, v in result.violations.items()},
     }
+    values = {"flash": result.predicted_size, "ram": result.predicted_ram,
+              "dl": result.predicted_dl}
+    limits = {"flash": budget.mem_flash, "flash_payload": budget.mem_flash,
+              "ram": budget.mem_ram, "dl": budget.dl_max}
+    if bundle is not None:
+        values["flash_payload"] = bundle.payload_bytes()
+    report["slack"] = {k: limits[k] - v for k, v in values.items()}
+    report["binding"] = min(values, key=lambda k: _relative_slack(values[k],
+                                                                 limits[k]))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as f:
             f.write(result.trace_csv())

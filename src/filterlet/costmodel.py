@@ -116,11 +116,14 @@ def flash_bytes(layer_bits) -> int:
 
 
 def model_size(specs: list[ConvLayerSpec], s, m: int = 8) -> int:
-    """Flash bytes of the packed strategy: retained weights plus one index
-    entry per retained filterlet, at the kept counts of mask construction.
+    """Flash bytes of the packed strategy in the paper's layout: retained
+    weights plus one u16 index entry per retained filterlet, at the kept
+    counts of mask construction.
 
-    A packed payload is larger: this leaves out each layer's ``f_idx``
-    entries, its size field, its bias block and its framing (ROADMAP item 2).
+    This is not the packed payload.  A bundle stores each kept filterlet's
+    position as u8 on kernels of at most 255 positions, and adds per layer
+    a run count per filter, the block's magic and the bias (ROADMAP item
+    2), so the payload can be larger or smaller than this.
     """
     alphas = strategy_alphas(s, len(specs))
     return flash_bytes(layer_flash_bits(spec, alpha, m)

@@ -18,14 +18,15 @@ from .tensor import DTYPES, ConvLayerSpec, Reader, Tensor, frozen
 FWCS_MAGIC = b"FWCS"
 CSR_MAGIC = b"CSRW"
 
-# magic + three u32 array-length fields; the u16 size field is part of the
-# accounted payload, the framing is not
-FWCS_FRAMING_BYTES = 16
+# magic + three u32 array-length fields of a CSR block
 CSR_FRAMING_BYTES = 16
 
-# every index entry, the FWCS size field included, is stored as this dtype
+# the paper's index width: CSR entries and version-1 FWCS entries are stored
+# as this dtype, and storage_footprint, the flash model and compare price
+# every index entry at it
 INDEX_DTYPE = np.dtype("<u2")
 _INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
+_U8 = np.dtype("u1")
 
 
 def kept_count(total: int, alpha: float) -> int:
@@ -116,6 +117,16 @@ class _RunLayer:
         so a spec once accepted is not checked again."""
         self.slots(spec)
 
+    def _accept(self, spec: ConvLayerSpec, run: np.ndarray,
+                filt: np.ndarray) -> None:
+        """Take ``run`` and ``filt`` as ``slots(spec)``, unchecked: for a
+        caller that built the layer from them, checked them, and keeps no
+        other reference to these two fresh arrays, which become read-only
+        here instead of being copied."""
+        run.flags.writeable = filt.flags.writeable = False
+        object.__setattr__(self, "_slots", (run, filt))
+        object.__setattr__(self, "_accepted", spec)
+
     def slots(self, spec: ConvLayerSpec) -> tuple[np.ndarray, np.ndarray]:
         """``validate(spec)``, then per retained run its run index r
         within its filter and its filter n: it holds rows r*width to
@@ -193,16 +204,22 @@ class CsrLayer(_RunLayer):
     width = 1
 
 
-def _encode_runs(cls, weights: Tensor, kept: np.ndarray, *head) -> _RunLayer:
+def _encode_runs(cls, weights: Tensor, kept: np.ndarray, *head,
+                 spec: ConvLayerSpec | None = None) -> _RunLayer:
     """A ``cls`` layer of the runs ``kept`` marks: each filter's weights
     split into ``kept.shape[1]`` equal runs, of which ``kept[n, r]`` keeps
-    run r of filter n.  ``head`` holds the fields between arr and c_ptr."""
+    run r of filter n.  ``head`` holds the fields between arr and c_ptr.
+    Given ``spec``, the layer is accepted for it: a mask's runs are valid
+    slots by construction."""
     n, runs = kept.shape
     w = weights.to_array().reshape(n, runs, -1)
     rows, cols = np.nonzero(kept)
     f_idx = np.concatenate(([0], np.cumsum(kept.sum(axis=1))))
-    return cls(w[rows, cols].reshape(-1), *head, cols * w.shape[2], f_idx,
-               weights.dtype)
+    layer = cls(w[rows, cols].reshape(-1), *head, cols * w.shape[2], f_idx,
+                weights.dtype)
+    if spec is not None:
+        layer._accept(spec, cols, rows)
+    return layer
 
 
 def encode_fwcs(weights: Tensor, mask: FilterletMask) -> FwcsLayer:
@@ -212,7 +229,8 @@ def encode_fwcs(weights: Tensor, mask: FilterletMask) -> FwcsLayer:
         raise FormatError(
             f"weight dims {weights.dims} do not match spec {spec.weight_dims}"
         )
-    return _encode_runs(FwcsLayer, weights, mask.kept, spec.channels)
+    return _encode_runs(FwcsLayer, weights, mask.kept, spec.channels,
+                        spec=spec)
 
 
 def decode_fwcs(layer: FwcsLayer, spec: ConvLayerSpec) -> Tensor:
@@ -237,9 +255,12 @@ def decode_csr(layer: CsrLayer, spec: ConvLayerSpec) -> Tensor:
 
 
 def storage_footprint(layer) -> int:
-    """Stored bytes of a layer: values at the width of its dtype, u16 index
-    entries.  FWCS counts arr, c_ptr, f_idx and the size field; CSR counts
-    arr, c_ptr and f_idx; a dense Tensor counts values only."""
+    """Stored bytes of a layer in the paper's layout: values at the width of
+    their dtype, every index entry u16.  FWCS counts arr, c_ptr, f_idx and
+    the size field, which is the version-1 FWCS block without its framing;
+    CSR counts arr, c_ptr and f_idx, its block without the framing; a dense
+    Tensor counts values only.  A version-2 FWCS block stores its index
+    narrower (``write_fwcs``), so this is not its size."""
     if isinstance(layer, Tensor):
         return layer.data.nbytes
     if not isinstance(layer, _RunLayer):
@@ -250,12 +271,23 @@ def storage_footprint(layer) -> int:
             + INDEX_DTYPE.itemsize * entries)
 
 
-def check_fwcs_index(spec: ConvLayerSpec) -> None:
-    """Raise FormatError unless an FWCS layer of ``spec`` stores every index
-    entry (``c_ptr``, ``f_idx``, the size field) as u16 under every mask."""
-    p, c = spec.filterlets_per_filter, spec.channels
-    for what, top in (("c_ptr", (p - 1) * c), ("f_idx", spec.n_filters * p),
-                      ("size", c)):
+def check_fwcs_index(spec: ConvLayerSpec) -> np.dtype:
+    """The dtype an FWCS layer of ``spec`` stores its run counts and kernel
+    positions as: u8 when a filter's kh*kw positions fit (a count reaches
+    kh*kw), else u16.  Raises FormatError past u16, whatever the mask."""
+    p = spec.filterlets_per_filter
+    if p <= np.iinfo(_U8).max:
+        return _U8
+    if p > _INDEX_MAX:
+        raise FormatError(f"run count entry {p} outside u16 range")
+    return INDEX_DTYPE
+
+
+def check_csr_index(spec: ConvLayerSpec, kept: int) -> None:
+    """Raise FormatError unless a CSR layer of ``spec`` that keeps ``kept``
+    weights stores every ``c_ptr`` and ``f_idx`` entry as u16."""
+    for what, top in (("c_ptr", spec.filterlets_per_filter * spec.channels - 1),
+                      ("f_idx", kept)):
         if top > _INDEX_MAX:
             raise FormatError(f"{what} entry {top} outside u16 range")
 
@@ -266,19 +298,11 @@ def _pack_index_array(vals: np.ndarray, what: str) -> bytes:
     return struct.pack("<I", vals.size) + vals.astype(INDEX_DTYPE).tobytes()
 
 
-def _write_block(layer, magic: bytes, head: bytes = b"") -> bytes:
-    """``magic``, the packed ``head`` fields, then u32+values, u32+u16 c_ptr
-    and u32+u16 f_idx: the body both packed formats share."""
-    # a layer holds its values as DTYPES[dtype], already little-endian
-    return (magic + head + struct.pack("<I", len(layer.arr)) + layer.arr.tobytes()
-            + _pack_index_array(layer.c_ptr, "c_ptr")
-            + _pack_index_array(layer.f_idx, "f_idx"))
-
-
 def _read_block(buf: bytes, offset: int, dtype: str, cls, magic: bytes,
                 head: str = ""):
-    """Inverse of ``_write_block``: a ``cls`` layer built from the ``head``
-    struct fields and the shared body, plus the offset past the block."""
+    """A ``cls`` layer from a block of ``magic``, the ``head`` struct
+    fields, then u32+values, u32+u16 c_ptr and u32+u16 f_idx, plus the
+    offset past the block."""
     r = Reader(buf, offset, f"{magic.decode()} block")
     r.magic(magic)
     *fields, n_arr = r.unpack(f"<{head}I")
@@ -292,22 +316,62 @@ def _read_block(buf: bytes, offset: int, dtype: str, cls, magic: bytes,
         raise CorruptionError(str(e)) from None
 
 
-def write_fwcs(layer: FwcsLayer) -> bytes:
-    """FWCS block: magic, u16 size, u32+arr bytes, u32+u16 c_ptr, u32+u16 f_idx."""
-    if not 0 <= layer.size <= _INDEX_MAX:
-        raise FormatError("size outside u16 range")
-    return _write_block(layer, FWCS_MAGIC,
-                        struct.pack("<" + INDEX_DTYPE.char, layer.size))
+def write_fwcs(layer: FwcsLayer, spec: ConvLayerSpec) -> bytes:
+    """FWCS block of ``layer``, checked against ``spec``: magic, each
+    filter's run count, each kept run's kernel position (filter by filter,
+    rising), both as ``check_fwcs_index(spec)``, then the kept values.
+    Everything else follows from the spec and the counts."""
+    index = check_fwcs_index(spec)
+    run, _ = layer.slots(spec)
+    return (FWCS_MAGIC + np.diff(layer.f_idx).astype(index).tobytes()
+            + run.astype(index).tobytes() + layer.arr.tobytes())
 
 
-def read_fwcs(buf: bytes, offset: int, dtype: str) -> tuple[FwcsLayer, int]:
+def read_fwcs(buf: bytes, offset: int, spec: ConvLayerSpec,
+              dtype: str) -> tuple[FwcsLayer, int]:
+    """Inverse of ``write_fwcs``: the layer, accepted for ``spec``, and the
+    offset past its block.  Counts must lie within the kernel and each
+    filter's positions rise strictly below kh*kw, else CorruptionError."""
+    try:
+        index = check_fwcs_index(spec)
+    except FormatError as e:
+        raise CorruptionError(str(e)) from None
+    p, n = spec.filterlets_per_filter, spec.n_filters
+    r = Reader(buf, offset, "FWCS block")
+    r.magic(FWCS_MAGIC)
+    counts = r.array(index, n)
+    if counts.max() > p:
+        raise CorruptionError("run count past the kernel")
+    filt = np.arange(n).repeat(counts)
+    run = r.array(index, filt.size).astype(np.int64)
+    if run.size and run.max() >= p:
+        raise CorruptionError("kernel position past the kernel")
+    # below p, the filter-major slots rise exactly when each filter's
+    # positions do
+    slots = run + filt * p
+    if np.count_nonzero(slots[1:] <= slots[:-1]):
+        raise CorruptionError("kernel positions not rising within a filter")
+    arr = r.array(DTYPES[dtype], run.size * spec.channels)
+    f_idx = np.zeros(n + 1, np.int64)
+    np.cumsum(counts, out=f_idx[1:])
+    layer = FwcsLayer(arr, spec.channels, run * spec.channels, f_idx, dtype)
+    layer._accept(spec, run, filt)
+    return layer, r.offset
+
+
+def read_fwcs_v1(buf: bytes, offset: int, dtype: str) -> tuple[FwcsLayer, int]:
+    """A bundle version 1 FWCS block: magic, u16 size, u32+values, u32+u16
+    c_ptr and u32+u16 f_idx, the arrays as stored; unchecked."""
     return _read_block(buf, offset, dtype, FwcsLayer, FWCS_MAGIC,
                        INDEX_DTYPE.char)
 
 
 def write_csr(layer: CsrLayer) -> bytes:
-    """CSR block: the FWCS block without the size field."""
-    return _write_block(layer, CSR_MAGIC)
+    """CSR block: magic, u32+values, u32+u16 c_ptr, u32+u16 f_idx."""
+    # a layer holds its values as DTYPES[dtype], already little-endian
+    return (CSR_MAGIC + struct.pack("<I", len(layer.arr)) + layer.arr.tobytes()
+            + _pack_index_array(layer.c_ptr, "c_ptr")
+            + _pack_index_array(layer.f_idx, "f_idx"))
 
 
 def read_csr(buf: bytes, offset: int, dtype: str) -> tuple[CsrLayer, int]:

@@ -597,7 +597,7 @@ def plan_and_pack(problem: ScheduleProblem, model: SequentialModel,
     """Search a strategy with the problem's importance map and pack the
     pruned model when one is feasible.  An infeasible search returns no
     bundle, only the result.  Raises FormatError before searching when a
-    layer's FWCS index can overflow u16.
+    layer's kernel has more positions than a u16 FWCS index holds.
     """
     if model.specs != problem.specs:
         raise DataError("model layers do not match the problem's specs")

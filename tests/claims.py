@@ -8,10 +8,13 @@ Entries:
   packed bundle's ``payload_bytes()`` and the flash budget, on the
   benchmark's ``prune-6L`` instance of that draw seed, annealed with its
   first operation's seed;
-- ``index/prune-6L/seed{1..5}``: the same bundles' index bytes as stored
-  (u16 ``c_ptr`` and ``f_idx`` entries), and as kept filterlets plus
-  filters, the size of a u8 kernel position per run and a u8 run count
-  per filter;
+- ``index/prune-6L/seed{1..5}``: the same bundles' index bytes in the
+  paper's layout (u16 ``c_ptr`` and ``f_idx`` entries), and as kept
+  filterlets plus filters, the size of a u8 kernel position per run and a
+  u8 run count per filter, as bundle version 2 stores them;
+- ``layout/prune-6L/seed{1..5}``: the same bundles' payload bytes as bundle
+  version 1 stored them (``bundle_v1.py``: u16 FWCS indices, each bias a
+  float32 tensor block) and as version 2 stores them (``payload_bytes()``);
 - ``pricing/prune-6L/seed{1..5}``: the same searches' predicted time, the
   time of the packed masks (``total_time`` at each packed layer's pruned
   share ``1 - n_retained/N``) and the relative gap between them;
@@ -40,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+import bundle_v1
 from filterlet.costmodel import LatencyParams, layer_latency, total_time
 from filterlet.cyclesim import ComputeSchedule, MachineConfig, VALID_LANES, \
     layer_stream
@@ -196,6 +200,10 @@ def compute() -> dict[str, dict]:
             "predicted": result.predicted_time,
             "packed": packed_time,
             "gap": result.predicted_time / packed_time - 1.0,
+        }
+        entries[f"layout/prune-6L/seed{seed}"] = {
+            "v1": sum(len(bundle_v1.layer_payload(bl)) for bl in bundle.layers),
+            "v2": bundle.payload_bytes(),
         }
         entries[f"index/prune-6L/seed{seed}"] = {
             "u16": sum(INDEX_DTYPE.itemsize * (len(p.c_ptr) + len(p.f_idx))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bundle_v1
 import filterlet.bundle
 import filterlet.fwcs
 import filterlet.scheduler
@@ -16,13 +17,15 @@ from filterlet.bundle import FORMATS, ROLES, BundleLayer, ModelBundle, \
     bundle_from_masks, bundle_from_model, gradients_from_bundle, \
     model_from_bundle, run_bundle
 from filterlet.cli import _build_parser, main
-from filterlet.convops import conv_dense
+from filterlet.convops import conv_csr, conv_dense
 from filterlet.costmodel import Budget, LatencyParams, model_size
 from filterlet.cyclesim import ComputeSchedule, MachineConfig, layer_stream
-from filterlet.errors import CorruptionError, DataError, TopologyError
+from filterlet.errors import CorruptionError, DataError, FormatError, \
+    TopologyError
 from filterlet.fwcs import CsrLayer, FilterletMask, encode_csr, encode_fwcs, \
-    write_csr
-from filterlet.importance import GradientBundle, score_model
+    kept_count, write_csr
+from filterlet.importance import GradientBundle, apply_mask_zeroing, \
+    score_model
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
 from filterlet.scheduler import ScheduleProblem, anneal
 from filterlet.tensor import ConvLayerSpec, Tensor, read_tensor, \
@@ -139,20 +142,25 @@ def parse_and_decode(raw):
         layer.decode_weights()
 
 
-def fuzz_bundles():
-    """A small int8 bundle with biases in each format, as bytes; the second
-    layer's mask empties its first and last filters."""
+def fuzz_chain():
+    """A small int8 chain with biases, and masks of which the second
+    empties its layer's first and last filters."""
     model = int8_chain(seed=21, n_layers=2)
     masks = random_masks(model, np.random.default_rng(22), keep=0.6)
     kept = masks[1].kept.copy()
     kept[[0, -1]] = False
     masks[1] = FilterletMask(masks[1].spec, kept)
-    return {"dense": bundle_from_model(model).to_bytes(),
-            **{fmt: bundle_from_masks(model, masks, fmt).to_bytes()
+    return model, masks
+
+
+def packed(model, masks):
+    """``model`` as a bundle in each format, pruned by ``masks`` when packed."""
+    return {"dense": bundle_from_model(model),
+            **{fmt: bundle_from_masks(model, masks, fmt)
                for fmt in ("fwcs", "csr")}}
 
 
-FUZZ_BUNDLES = fuzz_bundles()
+FUZZ_BUNDLES = {fmt: b.to_bytes() for fmt, b in packed(*fuzz_chain()).items()}
 
 
 class TestLayerQuant:
@@ -207,26 +215,44 @@ class TestBundleContainer:
             assert a.quant == b.quant
 
     def test_inexact_integer_bias_rejected(self):
+        # an int8 layer stores its bias as int32: every integer within
+        # int32 packs exactly, anything else is refused at pack time
         model = int8_chain(n_layers=1)
         layer = model.layers[0]
-        bias = layer.bias.copy()
-        bias[0] = 2 ** 24  # still exact as float32
-        layer.bias = bias
-        assert np.array_equal(
-            model_from_bundle(bundle_from_model(model)).layers[0].bias, bias)
-        bias[0] = 2 ** 24 + 1
-        with pytest.raises(DataError):
-            bundle_from_model(model)
+        keep = [FilterletMask.all_kept(layer.spec)]
+        for value in (2 ** 24, 2 ** 24 + 1, 2 ** 31 - 1, -2 ** 31):
+            layer.bias = np.array([value, 0, 0, 0], np.int64)
+            for bundle in (bundle_from_model(model),
+                           bundle_from_masks(model, keep)):
+                back = model_from_bundle(ModelBundle.from_bytes(bundle.to_bytes()))
+                assert np.array_equal(back.layers[0].bias, layer.bias)
+        for bias in ([2 ** 31, 0, 0, 0], [0, -2 ** 31 - 1, 0, 0],
+                     [2.5, 0, 0, 0], [0, 0, 2.0 ** 31, 0], [0, np.nan, 0, 0],
+                     [np.inf, 0, 0, 0]):
+            layer.bias = np.array(bias)
+            for fmt in FORMATS:
+                with pytest.raises(DataError, match="layer conv0"):
+                    if fmt == "dense":
+                        bundle_from_model(model)
+                    else:
+                        bundle_from_masks(model, keep, fmt)
 
     def test_bias_that_does_not_fit_the_layer_is_corruption(self):
-        # not an integer, beyond int64 (whose least value, -2^63, is
-        # rejected too), or not one value per filter
+        # version 1 stored a float32 bias tensor: one that is not an
+        # integer, is beyond int32, or is not one value per filter
         layer = int8_chain(n_layers=1).layers[0]
+        manifest = bundle_from_model(SequentialModel("c", [layer])).manifest()
         for bias in ([np.nan, 0, 0, 0], [2.5, 0, 0, 0], [1e30, 0, 0, 0],
                      [np.inf, 0, 0, 0], [0, -np.inf, 0, 0],
-                     [0, 0, 2.0 ** 63, 0], [0, 0, 0, -2.0 ** 63], [0, 0, 0]):
+                     [0, 0, 2.0 ** 31, 0], [0, 0, 0, -2.0 ** 31 - 256],
+                     [0, 0, 0]):
             payload = write_tensor(layer.weights) + write_tensor(
                 Tensor.from_array(np.array(bias, np.float32)))
+            with pytest.raises(CorruptionError):
+                ModelBundle.from_bytes(bundle_v1.container(manifest, [payload]))
+        # version 2 stores one raw int32 per filter
+        for n in (3, 5):
+            payload = write_tensor(layer.weights) + bytes(4 * n)
             bl = BundleLayer(layer.name, "dense", layer.spec, "int8", True,
                              layer.quant, payload)
             with pytest.raises(CorruptionError):
@@ -371,12 +397,85 @@ class TestRunBundle:
         x = Tensor.from_array(rng.integers(-100, 100, (10, 10, 3)).astype(np.int8))
         got = run_bundle(bundle, x)
         # oracle: zero the pruned filterlets and run the dense pipeline
-        from filterlet.importance import apply_mask_zeroing
         zeroed = SequentialModel(model.name, [
             LayerDef(l.name, l.spec, apply_mask_zeroing(l.weights, m),
                      l.bias, l.quant)
             for l, m in zip(model.layers, masks)])
         assert np.array_equal(got.output.to_array(), pipeline_oracle(zeroed, x))
+
+    def test_int32_edge_biases_run_exactly(self):
+        # int8_chain's sums reach about +-5e4: the biases at +-(2^31 - 1)
+        # take some accumulators past int32, where run_bundle clips them
+        model = int8_chain(seed=26, n_layers=1)
+        layer = model.layers[0]
+        layer.bias = np.array([2 ** 24 + 1, 2 ** 31 - 1, -(2 ** 31 - 1), 0])
+        x = Tensor.from_array(np.random.default_rng(27).integers(
+            -100, 100, layer.spec.input_dims).astype(np.int8))
+        acc = conv_dense(x, layer.weights, layer.spec) + layer.bias
+        saturated = (acc < -2 ** 31) | (acc > 2 ** 31 - 1)
+        assert saturated[..., 1].any() and saturated[..., 2].any()
+        q = layer.quant
+        want = np.clip(np.rint(np.clip(acc, -2 ** 31, 2 ** 31 - 1)
+                               * (q.input_scale * q.weight_scale
+                                  / q.output_scale)), -128, 127)
+        masks = random_masks(model, np.random.default_rng(28), keep=0.7)
+        zeroed = SequentialModel(model.name, [LayerDef(
+            layer.name, layer.spec, apply_mask_zeroing(layer.weights, masks[0]),
+            layer.bias, layer.quant)])
+        acc = conv_dense(x, zeroed.layers[0].weights, layer.spec) + layer.bias
+        masked = np.clip(np.rint(np.clip(acc, -2 ** 31, 2 ** 31 - 1)
+                                 * (q.input_scale * q.weight_scale
+                                    / q.output_scale)), -128, 127)
+        for fmt, bundle in packed(model, masks).items():
+            back = ModelBundle.from_bytes(bundle.to_bytes())
+            assert np.array_equal(back.layers[0].decode_weights()[1], layer.bias)
+            got = run_bundle(back, x)
+            assert got.saturated
+            assert np.array_equal(got.output.to_array(),
+                                  want if fmt == "dense" else masked)
+
+    def test_csr_index_overflow_is_caught_before_encoding(self, monkeypatch):
+        # a 64x3x3x128 layer after a layer that gives it 128 channels: CSR
+        # counts every kept weight in a u16 f_idx entry
+        first = ConvLayerSpec(n_filters=128, kernel_h=1, kernel_w=1,
+                              channels=3, input_h=5, input_w=5)
+        wide = ConvLayerSpec(n_filters=64, kernel_h=3, kernel_w=3,
+                             channels=128, input_h=5, input_w=5)
+        rng = np.random.default_rng(29)
+        quant = LayerQuant(input_scale=0.05, weight_scale=0.02,
+                           output_scale=4.0)
+        model = SequentialModel("wide", [
+            LayerDef(f"conv{i}", spec, Tensor.from_array(rng.integers(
+                -100, 100, spec.weight_dims).astype(np.int8)),
+                rng.integers(-500, 500, spec.n_filters), quant)
+            for i, spec in enumerate((first, wide))])
+
+        def masks(keep):
+            kept = np.zeros(64 * 9, bool)
+            kept[rng.choice(kept.size, kept_count(kept.size, 1 - keep),
+                            replace=False)] = True
+            return [FilterletMask.all_kept(first),
+                    FilterletMask(wide, kept.reshape(64, 9))]
+
+        def no_encoding(*args):
+            raise AssertionError("a CSR layer was encoded")
+
+        over = masks(0.9)
+        assert over[1].kept.sum() * 128 == 518 * 128 > 65535
+        with monkeypatch.context() as m:
+            for name in ("encode_csr", "write_csr"):
+                m.setattr(filterlet.bundle, name, no_encoding)
+            with pytest.raises(FormatError, match="f_idx entry 66304"):
+                bundle_from_masks(model, over, "csr")
+        fits = masks(0.85)
+        assert fits[1].kept.sum() * 128 == 490 * 128 <= 65535
+        bundle = ModelBundle.from_bytes(
+            bundle_from_masks(model, fits, "csr").to_bytes())
+        weights, bias = bundle.layers[1].decode_weights()
+        x = Tensor.from_array(rng.integers(-128, 128, wide.input_dims).astype(np.int8))
+        dense = apply_mask_zeroing(model.layers[1].weights, fits[1])
+        assert np.array_equal(conv_csr(x, weights, wide, bias),
+                              conv_dense(x, dense, wide, model.layers[1].bias))
 
     def test_run_and_bench_never_densify(self, tmp_path, monkeypatch, capsys):
         model = int8_chain(seed=17)
@@ -450,8 +549,8 @@ def stored_arrays(weights):
 
 
 class TestDenseDtype:
-    """A dense layer's weights are stored as its manifest's dtype and its
-    bias as float32; anything else is corruption."""
+    """A dense layer's weights are stored as its manifest's dtype, and a
+    version-1 bias as a float32 tensor; anything else is corruption."""
 
     QUANT = {"input_scale": 0.05, "weight_scale": 0.02, "output_scale": 0.4,
              "input_zero_point": 0, "output_zero_point": 0}
@@ -481,19 +580,25 @@ class TestDenseDtype:
     def test_bias_not_stored_as_float32_is_corruption(self, tmp_path):
         spec = ConvLayerSpec(n_filters=2, kernel_h=1, kernel_w=1, channels=1,
                              input_h=2, input_w=2)
-        w = Tensor.from_array(np.ones(spec.weight_dims, np.float32))
+        w = write_tensor(Tensor.from_array(np.ones(spec.weight_dims, np.float32)))
         bias = write_tensor(Tensor.from_array(np.ones(2, np.int8)))
         for role in ROLES:
-            bundle = ModelBundle("b", role, [BundleLayer(
-                "conv0", "dense", spec, "float32", True, None,
-                write_tensor(w) + bias)])
+            layer = BundleLayer("conv0", "dense", spec, "float32", True, None,
+                                w + np.ones(2, "<f4").tobytes())
+            raw = bundle_v1.container(
+                ModelBundle("b", role, [layer]).manifest(), [w + bias])
             with pytest.raises(CorruptionError, match="bias stored as int8"):
-                bundle.layers[0].decode_weights()
+                ModelBundle.from_bytes(raw)
+            # version 2: two raw float32 values, not two bytes
+            layer.payload = w + bytes(2)
+            with pytest.raises(CorruptionError, match="truncated"):
+                layer.decode_weights()
         bp = tmp_path / "bias.fltb"
-        bundle.save(bp)
+        bp.write_bytes(raw)
         with pytest.raises(CorruptionError):
             gradients_from_bundle(ModelBundle.load(bp))
-        ModelBundle("b", "model", bundle.layers).save(bp)
+        bp.write_bytes(bundle_v1.container(
+            ModelBundle("b", "model", [layer]).manifest(), [w + bias]))
         xp = tmp_path / "x.dttn"
         xp.write_bytes(write_tensor(Tensor.from_array(
             np.zeros(spec.input_dims, np.float32))))
@@ -556,6 +661,81 @@ class TestAliasing:
         first.layer_counts[0]["macs"] = -1
         first.layer_counts[1].clear()
         assert run_bundle(bundle, self.X).layer_counts == want
+
+
+def version_bundles():
+    """``fuzz_chain``'s bundles, the first bias of the chain 2^24 (the
+    largest integer of a run that float32 holds), saved as version 1 and
+    as version 2."""
+    model, masks = fuzz_chain()
+    model.layers[0].bias[0] = 2 ** 24
+    bundles = packed(model, masks)
+    return ({fmt: bundle_v1.to_bytes(b) for fmt, b in bundles.items()},
+            {fmt: b.to_bytes() for fmt, b in bundles.items()})
+
+
+V1_BUNDLES, V2_BUNDLES = version_bundles()
+
+
+class TestVersion1:
+    """Bundles saved before version 2 read as their version-2 copies."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_loads_and_saves_as_version_2(self, fmt):
+        old, new = V1_BUNDLES[fmt], V2_BUNDLES[fmt]
+        assert old[4:6] == b"\x01\x00" and new[4:6] == b"\x02\x00"
+        bundle = ModelBundle.from_bytes(old)
+        assert bundle.to_bytes() == new
+        assert bundle.layers[0].decode_weights()[1][0] == 2 ** 24
+
+    def test_dense_runs_as_the_pipeline_oracle(self):
+        model, _ = fuzz_chain()
+        model.layers[0].bias[0] = 2 ** 24
+        x = TestAliasing.X
+        got = run_bundle(ModelBundle.from_bytes(V1_BUNDLES["dense"]), x)
+        assert np.array_equal(got.output.to_array(), pipeline_oracle(model, x))
+
+    def test_run_bench_and_compare_read_version_1(self, tmp_path, fuzz_input):
+        def outputs(version):
+            got = []
+            for fmt, raw in (V1_BUNDLES if version == 1 else V2_BUNDLES).items():
+                path = tmp_path / f"{fmt}.fltb"
+                path.write_bytes(raw)
+                out = tmp_path / "y.dttn"
+                for argv in (["run", path, fuzz_input, "--out", out],
+                             ["bench", path, "--schedule", "default"]):
+                    stdout = io.StringIO()
+                    with redirect_stdout(stdout):
+                        assert main([str(a) for a in argv]) == 0
+                    got.append(stdout.getvalue())
+                got.append(out.read_bytes())
+            model = model_from_bundle(ModelBundle.from_bytes(V2_BUNDLES["dense"]))
+            grads = grads_bundle_for(model)
+            grads_path = tmp_path / "g.fltb"
+            grads_path.write_bytes(bundle_v1.to_bytes(grads) if version == 1
+                                   else grads.to_bytes())
+            stdout = io.StringIO()
+            with redirect_stdout(stdout):
+                assert main(["compare", str(tmp_path / "dense.fltb"),
+                             str(grads_path), "--ratio", "0.5"]) == 0
+            return got + [stdout.getvalue()]
+
+        assert outputs(1) == outputs(2)
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(fmt=st.sampled_from(FORMATS), data=st.data())
+    def test_mutated_payload_exits_0_or_4(self, fuzz_input, fmt, data):
+        # one to eight bytes of the layer payloads overwritten, the CRC made
+        # to match
+        raw = V1_BUNDLES[fmt]
+        _, _, crc_at = manifest_span(raw)
+        raw = with_crc(overwrite(raw, data, crc_at + 4), crc_at)
+        path = fuzz_input.parent / "v1.fltb"
+        path.write_bytes(raw)
+        for command in ("run", "bench"):
+            argv = [command, str(path)] + ([str(fuzz_input)]
+                                          if command == "run" else [])
+            assert quiet_main(argv) in (0, 4)
 
 
 class TestCliOnMutatedBundles:
@@ -672,6 +852,38 @@ class TestCli:
         y, _ = read_tensor((tmp / "y.dttn").read_bytes())
         assert y.dtype == "int8"
 
+    @pytest.mark.parametrize("flash_share, dlmax, exit_code, binding", [
+        (0.6, 1e9, 0, None), (0.01, 0.0, 2, "flash"),
+        # everything pruned, and the packed payload still over the budget
+        (0.01, 1e9, 0, "flash_payload")])
+    def test_prune_report_gives_each_slack_and_the_binding_constraint(
+            self, workdir, capsys, flash_share, dlmax, exit_code, binding):
+        tmp, model, model_path, grads_path, _ = workdir
+        flash = int(flash_share * model_size(model.specs, [0.0] * 3))
+        ram, report = 10 ** 6, tmp / "report.json"
+        assert main(["prune", str(model_path), str(grads_path),
+                     str(tmp / "out.fltb"), "--flash", str(flash), "--ram",
+                     str(ram), "--dlmax", repr(dlmax), "--iters", "300",
+                     "--report", str(report)]) == exit_code
+        rep = json.loads(report.read_text())
+        pred = rep["predicted"]
+        values = {"flash": pred["size_bytes"], "ram": pred["ram_bytes"],
+                  "dl": pred["delta_loss"]}
+        limits = {"flash": flash, "flash_payload": flash, "ram": ram,
+                  "dl": dlmax}
+        if exit_code == 0:
+            values["flash_payload"] = rep["actual_payload_bytes"]
+        assert rep["slack"] == {k: limits[k] - v for k, v in values.items()}
+        # the least slack as a share of its limit; a zero limit met exactly
+        # has none left
+        shares = {k: 0.0 if limits[k] == 0 else 1 - v / limits[k]
+                  for k, v in values.items()}
+        assert rep["binding"] == min(shares, key=shares.get)
+        if binding is not None:
+            assert rep["binding"] == binding
+        else:
+            assert rep["binding"] in ("flash", "flash_payload")
+
     @pytest.mark.parametrize("flash, dlmax, exit_code", [
         (10000000, 1e9, 0), (10, 0.0, 2)])
     def test_prune_writes_the_annealing_trace(self, workdir, capsys, flash,
@@ -738,30 +950,32 @@ class TestCli:
         rep = json.loads(capsys.readouterr().out)
         assert rep["predicted"]["size_bytes"] == \
             model_size(model.specs, rep["strategy"], m=32)
-        # the prediction leaves out only f_idx, the size field and the framing
-        assert 0 < rep["actual_payload_bytes"] - rep["predicted"]["size_bytes"] < 100
+        # the prediction prices a u16 index entry per kept filterlet; each
+        # stored block adds its magic and a u8 count per filter, and stores
+        # each position as u8
+        kept = [bl.decode_weights()[0].n_retained
+                for bl in ModelBundle.load(out).layers]
+        assert rep["actual_payload_bytes"] == rep["predicted"]["size_bytes"] \
+            + sum(4 + spec.n_filters - k for spec, k in zip(model.specs, kept))
 
-    @pytest.mark.parametrize("dims, entry", [
-        ((1, 3, 3, 8192), "c_ptr"), ((7282, 3, 3, 1), "f_idx"),
-        ((1, 1, 1, 65536), "size")])
-    def test_prune_rejects_an_index_past_u16_before_searching(
-            self, tmp_path, capsys, monkeypatch, dims, entry):
+    def test_prune_rejects_a_kernel_past_u16_positions_before_searching(
+            self, tmp_path, capsys, monkeypatch):
         def no_search(*args, **kwargs):
             raise AssertionError("anneal ran")
 
         monkeypatch.setattr(filterlet.scheduler, "anneal", no_search)
-        n, kh, kw, c = dims
-        spec = ConvLayerSpec(n_filters=n, kernel_h=kh, kernel_w=kw,
-                             channels=c, input_h=kh, input_w=kw)
-        w = np.random.default_rng(5).normal(size=dims).astype(np.float32)
+        # 65792 kernel positions: a filter's run count needs more than u16
+        spec = ConvLayerSpec(n_filters=1, kernel_h=256, kernel_w=257,
+                             channels=1, input_h=256, input_w=257)
+        w = np.random.default_rng(5).normal(size=spec.weight_dims)
         model = SequentialModel("wide", [
-            LayerDef("conv0", spec, Tensor.from_array(w))])
+            LayerDef("conv0", spec, Tensor.from_array(w.astype(np.float32)))])
         mp, gp, out = tmp_path / "m.fltb", tmp_path / "g.fltb", tmp_path / "o.fltb"
         bundle_from_model(model).save(mp)
         grads_bundle_for(model).save(gp)
         assert main(["prune", str(mp), str(gp), str(out), "--flash", "10000000",
                      "--ram", "10000000", "--dlmax", "1e9"]) == 3
-        assert f"{entry} entry" in capsys.readouterr().err
+        assert "run count entry 65792" in capsys.readouterr().err
         assert not out.exists()
 
     def test_prune_rejects_mismatched_grad_names(self, workdir, capsys):

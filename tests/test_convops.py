@@ -255,13 +255,17 @@ class TestInt8Exactness:
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("bias, saturated", [
-        # float32-exact biases: the accumulator is 2^26 + bias
-        ([2 ** 31 - 2 ** 26 - 128, -2 ** 31 - 2 ** 26, 0, 5], False),
-        ([2 ** 31 - 2 ** 26, -2 ** 31 - 2 ** 26, 0, 5], True),
-        ([2 ** 31 - 2 ** 26 - 128, -2 ** 31 - 2 ** 26 - 256, 0, 5], True),
+        # int32 biases: filter 0 sums to 2^26 before its bias, filter 1,
+        # whose weights are 127, to -127 * 2^19
+        ([2 ** 31 - 2 ** 26 - 1, -2 ** 31 + 127 * 2 ** 19, 0, 5], False),
+        ([2 ** 31 - 2 ** 26, -2 ** 31 + 127 * 2 ** 19, 0, 5], True),
+        ([2 ** 31 - 2 ** 26 - 1, -2 ** 31 + 127 * 2 ** 19 - 1, 0, 5], True),
     ])
     def test_run_bundle_saturation_flag(self, bias, saturated):
         spec, x, w = self.operands()
+        w = w.to_array().copy()
+        w[1] = 127
+        w = Tensor.from_array(w)
         quant = LayerQuant(input_scale=1.0, weight_scale=1.0,
                            output_scale=2.0 ** 24)
         bias = np.array(bias, np.int64)
@@ -447,8 +451,7 @@ class TestSaturationBound:
                              channels=c, input_h=kh + 1, input_w=kw)
         limit = _INT32_MAX - k * 2 ** 14
         # the bias added is the stored bias minus zero_in * (sum w) =
-        # stored + 128 * zero_in * k; stored biases step by 128 here, the
-        # spacing of float32 near 2^31, so each one packs exactly
+        # stored + 128 * zero_in * k
         added = np.array([limit + 1 if a else limit - 127 for a in above])
         quant = LayerQuant(input_scale=131.0, weight_scale=1.0,
                            output_scale=2.0 ** 32, input_zero_point=zero_in,
@@ -456,8 +459,16 @@ class TestSaturationBound:
         layer = LayerDef("c0", spec,
                          Tensor.from_array(np.full(spec.weight_dims, -128, np.int8)),
                          added - 128 * zero_in * k, quant)
+        model = SequentialModel("sat", [layer])
+        if layer.bias.max() > _INT32_MAX:
+            # at zero_in -128 every input minus its zero point is 0, so the
+            # accumulator is the stored bias: past int32 only where the
+            # bias is, and such a bias is refused when packed
+            with pytest.raises(DataError, match="layer c0"):
+                bundle_from_model(model)
+            return
         x = Tensor.from_array(np.full(spec.input_dims, -128, np.int8))
-        got = run_bundle(bundle_from_model(SequentialModel("sat", [layer])), x)
+        got = run_bundle(bundle_from_model(model), x)
         acc = np.broadcast_to(k * 2 ** 14 + added,
                               (spec.out_h, spec.out_w, n)).astype(np.int64)
         assert got.saturated == bool(((acc < _INT32_MIN) |

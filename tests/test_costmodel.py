@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+import bundle_v1
+
 from filterlet.costmodel import Budget, LatencyParams, StrategyVector, \
     _design_row, fit_latency_params, layer_latency, load_latency_params, load_samples_csv, \
     model_size, normalized_mse, runtime_memory, save_latency_params, \
     save_samples_csv, total_time
 from filterlet.cyclesim import ComputeSchedule, MachineConfig, layer_stream
 from filterlet.errors import DataError, FitError, TopologyError
-from filterlet.fwcs import FWCS_FRAMING_BYTES, FilterletMask, encode_fwcs, \
+from filterlet.fwcs import FilterletMask, check_fwcs_index, encode_fwcs, \
     kept_count, write_fwcs
 from filterlet.importance import ImportanceMap, build_mask
 from filterlet.tensor import ConvLayerSpec, Tensor
@@ -94,13 +96,20 @@ class TestModelSize:
             rng.integers(-100, 100, spec.weight_dims).astype(np.int8))
         imp = ImportanceMap([spec], [rng.random(
             (spec.n_filters, spec.filterlets_per_filter))])
+        width = check_fwcs_index(spec).itemsize
         for alpha in (0.0, 0.3, 0.62, 1.0):
             mask = build_mask(imp, [alpha])[0]
-            blob = write_fwcs(encode_fwcs(w, mask))
+            layer = encode_fwcs(w, mask)
             predicted = model_size([spec], [alpha])
-            # framing plus the f_idx table and size field are the only slack
-            slack = FWCS_FRAMING_BYTES + 2 * (spec.n_filters + 1) + 2
-            assert len(blob) - predicted == slack
+            # the paper's layout is the version-1 block: its framing, the
+            # f_idx table and the size field are the only slack
+            slack = bundle_v1.FWCS_FRAMING_BYTES + 2 * (spec.n_filters + 1) + 2
+            assert len(bundle_v1.fwcs_block(layer)) - predicted == slack
+            # the stored block: magic, a count per filter, and each kept
+            # filterlet's position at the index width in place of a u16
+            keep = layer.n_retained
+            assert len(write_fwcs(layer, spec)) - predicted == \
+                4 + width * spec.n_filters + (width - 2) * keep
 
     def test_monotone_non_increasing(self):
         specs = chain_specs()

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bundle_v1
 from filterlet.bundle import BundleLayer
 from filterlet.convops import conv_csr, conv_fwcs
 from filterlet.errors import CorruptionError, DataError, FormatError
-from filterlet.fwcs import CSR_FRAMING_BYTES, FWCS_FRAMING_BYTES, \
-    CsrLayer, FilterletMask, FwcsLayer, check_fwcs_index, decode_csr, \
-    decode_fwcs, encode_csr, encode_fwcs, kept_count, read_csr, read_fwcs, storage_footprint, \
-    write_csr, write_fwcs
+from filterlet.fwcs import CSR_FRAMING_BYTES, CsrLayer, FilterletMask, \
+    FwcsLayer, check_csr_index, check_fwcs_index, decode_csr, decode_fwcs, \
+    encode_csr, encode_fwcs, kept_count, read_csr, read_fwcs, read_fwcs_v1, \
+    storage_footprint, write_csr, write_fwcs
 from filterlet.model import LayerQuant
 from filterlet.tensor import ConvLayerSpec, Tensor
 
@@ -205,6 +206,16 @@ def layer_from_rows(fmt, spec, rows):
     return CsrLayer(np.ones(len(entries), np.int8), entries, f_idx, "int8")
 
 
+def fwcs_block(layer):
+    """The version-2 FWCS block of an FWCS layer of at most 255 filterlets
+    per filter, written without ``write_fwcs``'s check: counts and kernel
+    positions as u8, then the values."""
+    counts = np.diff(layer.f_idx)
+    return (b"FWCS" + counts.astype(np.uint8).tobytes()
+            + (layer.c_ptr // layer.size).astype(np.uint8).tobytes()
+            + layer.arr.tobytes())
+
+
 class TestCPtrCheck:
     """The c_ptr rules FWCS and CSR share, through ``validate`` and through a
     bundle layer's ``decode_weights``; 4 filters of 4 filterlets of 2."""
@@ -227,7 +238,7 @@ class TestCPtrCheck:
 
     @staticmethod
     def decode(fmt, layer):
-        block = write_fwcs(layer) if fmt == "fwcs" else write_csr(layer)
+        block = fwcs_block(layer) if fmt == "fwcs" else write_csr(layer)
         quant = LayerQuant(input_scale=0.05, weight_scale=0.02, output_scale=0.4)
         return BundleLayer("conv0", fmt, TestCPtrCheck.SPEC, "int8", False,
                            quant, block).decode_weights()
@@ -389,7 +400,13 @@ class TestLayerArrays:
         if fmt == "fwcs":
             def make(arr, dtype="int8"):
                 return FwcsLayer(arr, 2, [0], [0, 1], dtype)
-            write, read, conv = write_fwcs, read_fwcs, conv_fwcs
+
+            def write(layer):
+                return write_fwcs(layer, spec)
+
+            def read(blob, offset, dtype):
+                return read_fwcs(blob, offset, spec, dtype)
+            conv = conv_fwcs
         else:
             def make(arr, dtype="int8"):
                 return CsrLayer(arr, [0, 1], [0, 2], dtype)
@@ -435,37 +452,166 @@ class TestFootprint:
         assert total > storage_footprint(self.w)
 
     def test_footprint_equals_serialized_payload(self):
+        # FWCS: the paper's layout, the version-1 block; version 2 stores
+        # the index narrower, see TestVersion2Block
         rng = np.random.default_rng(10)
         for dtype in ("int8", "float32"):
             w = random_weights(self.spec, rng, dtype)
             fw = encode_fwcs(w, self.mask)
             cs = encode_csr(w, self.mask.to_weight_mask())
-            assert len(write_fwcs(fw)) - FWCS_FRAMING_BYTES == \
-                storage_footprint(fw)
+            assert len(bundle_v1.fwcs_block(fw)) - \
+                bundle_v1.FWCS_FRAMING_BYTES == storage_footprint(fw)
             assert len(write_csr(cs)) - CSR_FRAMING_BYTES == \
                 storage_footprint(cs)
 
 
 class TestIndexWidth:
+    """FWCS stores run counts and kernel positions, bounded by the kernel;
+    CSR stores u16 weight offsets and running totals, bounded by the layer."""
+
     @pytest.mark.parametrize("dims, entry", [
-        ((1, 3, 3, 8192), "c_ptr"), ((7282, 3, 3, 1), "f_idx"),
-        ((1, 1, 1, 65536), "size")])
+        ((1, 3, 3, 8192), "c_ptr"), ((7282, 3, 3, 1), "f_idx")])
     def test_an_entry_past_u16_under_some_mask_is_rejected(self, dims, entry):
         spec = make_spec(*dims)
         with pytest.raises(FormatError, match=f"{entry} entry"):
-            check_fwcs_index(spec)
-        # the layer with every filterlet kept is one such mask
+            check_csr_index(spec, spec.weight_count)
+        # the CSR layer with every weight kept is one such mask
         w = Tensor.from_array(np.zeros(spec.weight_dims, np.int8))
         with pytest.raises(FormatError, match=f"{entry} .*outside u16"):
-            write_fwcs(encode_fwcs(w, FilterletMask.all_kept(spec)))
+            write_csr(encode_csr(w, np.ones((spec.n_filters, spec.weight_count
+                                             // spec.n_filters), bool)))
 
-    @pytest.mark.parametrize("dims", [(1, 1, 4, 21845), (65535, 1, 1, 1),
-                                      (1, 1, 1, 65535)])
-    def test_entries_at_the_u16_limit_pass(self, dims):
+    @pytest.mark.parametrize("dims", [(1, 3, 3, 8192), (7282, 3, 3, 1),
+                                      (1, 1, 1, 65536)])
+    def test_fwcs_layers_past_u16_offsets_pack(self, dims):
+        # their u16 c_ptr, f_idx or size field overflowed in version 1
         spec = make_spec(*dims)
-        check_fwcs_index(spec)
+        assert check_fwcs_index(spec) == np.uint8
         w = Tensor.from_array(np.zeros(spec.weight_dims, np.int8))
-        write_fwcs(encode_fwcs(w, FilterletMask.all_kept(spec)))
+        layer = encode_fwcs(w, FilterletMask.all_kept(spec))
+        back, _ = read_fwcs(write_fwcs(layer, spec), 0, spec, "int8")
+        assert np.array_equal(back.c_ptr, layer.c_ptr)
+        assert np.array_equal(back.f_idx, layer.f_idx)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 65535, 1), (65535, 1, 1, 1),
+                                      (1, 1, 1, 65536)])
+    def test_entries_at_the_u16_limit_pass(self, dims):
+        # FWCS: up to 65535 positions per filter; CSR: c_ptr 65535 (the
+        # last of 65536 weights) and f_idx 65535 (that many kept)
+        spec = make_spec(*dims)
+        w = Tensor.from_array(np.zeros(spec.weight_dims, np.int8))
+        layer = encode_fwcs(w, FilterletMask.all_kept(spec))
+        write_fwcs(layer, spec)
+        kept = np.ones((spec.n_filters, spec.weight_count // spec.n_filters),
+                       bool)
+        kept.reshape(-1)[:-65535] = False
+        check_csr_index(spec, int(kept.sum()))
+        write_csr(encode_csr(w, kept))
+
+    @pytest.mark.parametrize("kernel, width", [
+        ((15, 17), np.uint8), ((16, 16), np.uint16), ((1, 65535), np.uint16)])
+    def test_the_index_width_follows_the_kernel(self, kernel, width):
+        spec = make_spec(2, *kernel, 1)
+        assert check_fwcs_index(spec) == width
+
+    def test_a_kernel_past_u16_positions_is_rejected_from_the_spec(self):
+        spec = make_spec(1, 256, 257, 1)
+        with pytest.raises(FormatError, match="run count entry 65792"):
+            check_fwcs_index(spec)
+        with pytest.raises(CorruptionError, match="65792"):
+            read_fwcs(b"FWCS" + bytes(8), 0, spec, "int8")
+
+
+class TestVersion2Block:
+    """The FWCS block: magic, per filter its run count, per kept run its
+    kernel position, then the kept values; nothing else."""
+
+    SPEC = make_spec(n=3, kh=2, kw=2, c=2)
+
+    def block(self, counts, positions):
+        values = np.arange(2 * len(positions), dtype=np.int8)
+        return b"FWCS" + bytes(counts) + bytes(positions) + values.tobytes()
+
+    def test_bytes_of_a_known_layer(self):
+        kept = np.array([[1, 0, 1, 0], [0, 0, 0, 0], [0, 1, 1, 1]], bool)
+        w = Tensor.from_array(np.arange(24, dtype=np.int8).reshape(
+            self.SPEC.weight_dims))
+        blob = write_fwcs(encode_fwcs(w, FilterletMask(self.SPEC, kept)),
+                          self.SPEC)
+        assert blob == b"FWCS" + bytes([2, 0, 3]) + bytes([0, 2, 1, 2, 3]) \
+            + bytes([0, 1, 4, 5, 18, 19, 20, 21, 22, 23])
+
+    def test_read_layer_is_accepted_for_its_spec(self, monkeypatch):
+        layer, end = read_fwcs(self.block([2, 0, 1], [1, 3, 0]), 0,
+                               self.SPEC, "int8")
+        assert end == 4 + 3 + 3 + 6
+        assert list(layer.c_ptr) == [2, 6, 0]
+        assert list(layer.f_idx) == [0, 2, 2, 3]
+
+        def no_check(*args):
+            raise AssertionError("checked again")
+
+        # the reader's checks stand in for the structural check
+        monkeypatch.setattr(np, "divmod", no_check)
+        layer.validate(self.SPEC)
+        assert decode_fwcs(layer, self.SPEC).to_array()[0, 0, 1, 1] == 1
+
+    def test_encoded_layer_is_accepted_for_its_spec(self, monkeypatch):
+        kept = np.array([[0, 1, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], bool)
+        w = random_weights(self.SPEC, np.random.default_rng(16), "int8")
+        layer = encode_fwcs(w, FilterletMask(self.SPEC, kept))
+        run, filt = layer.slots(self.SPEC)
+        assert list(run) == [1, 2, 0, 3] and list(filt) == [0, 0, 1, 2]
+        assert not run.flags.writeable and not filt.flags.writeable
+
+        def no_check(*args):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(np, "divmod", no_check)
+        back, _ = read_fwcs(write_fwcs(layer, self.SPEC), 0, self.SPEC, "int8")
+        assert np.array_equal(back.c_ptr, layer.c_ptr)
+
+    @pytest.mark.parametrize("counts, positions, what", [
+        ([5, 0, 0], [0, 1, 2, 3, 3], "run count past the kernel"),
+        ([1, 0, 1], [0, 4], "position past the kernel"),
+        ([2, 0, 0], [2, 1], "not rising"),
+        ([2, 0, 0], [1, 1], "not rising"),
+        ([1, 1, 2], [3, 0, 3, 2], "not rising")])
+    def test_malformed_index_is_corruption(self, counts, positions, what):
+        with pytest.raises(CorruptionError, match=what):
+            read_fwcs(self.block(counts, positions), 0, self.SPEC, "int8")
+
+    def test_a_filter_may_start_below_the_last(self):
+        layer, _ = read_fwcs(self.block([1, 1, 1], [3, 0, 2]), 0,
+                             self.SPEC, "int8")
+        assert list(layer.c_ptr) == [6, 0, 4]
+
+    def test_truncated_block_is_corruption(self):
+        blob = self.block([1, 1, 1], [3, 0, 2])
+        for cut in range(len(blob)):
+            with pytest.raises(CorruptionError):
+                read_fwcs(blob[:cut], 0, self.SPEC, "int8")
+
+    def test_u16_index_round_trip(self):
+        spec = make_spec(n=2, kh=16, kw=16, c=1)
+        kept = np.zeros((2, 256), bool)
+        kept[0, [0, 255]] = kept[1, 7] = True
+        w = random_weights(spec, np.random.default_rng(14), "int8")
+        layer = encode_fwcs(w, FilterletMask(spec, kept))
+        blob = write_fwcs(layer, spec)
+        assert blob[4:14] == np.array([2, 1, 0, 255, 7], "<u2").tobytes()
+        back, end = read_fwcs(blob, 0, spec, "int8")
+        assert end == len(blob) == 4 + 10 + 3
+        assert np.array_equal(back.c_ptr, layer.c_ptr)
+
+    def test_version_1_block_converts(self):
+        rng = np.random.default_rng(15)
+        spec = make_spec(n=4, kh=2, kw=3, c=5)
+        layer = encode_fwcs(random_weights(spec, rng, "float32"),
+                            FilterletMask(spec, rng.random((4, 6)) < 0.5))
+        old, end = read_fwcs_v1(bundle_v1.fwcs_block(layer), 0, "float32")
+        assert end == len(bundle_v1.fwcs_block(layer))
+        assert write_fwcs(old, spec) == write_fwcs(layer, spec)
 
 
 class TestSerialization:
@@ -476,8 +622,8 @@ class TestSerialization:
             w = random_weights(spec, rng, dtype)
             kept = rng.random((4, 6)) < 0.6
             layer = encode_fwcs(w, FilterletMask(spec, kept))
-            blob = write_fwcs(layer)
-            back, off = read_fwcs(blob, 0, dtype)
+            blob = write_fwcs(layer, spec)
+            back, off = read_fwcs(blob, 0, spec, dtype)
             assert off == len(blob)
             assert back.size == layer.size
             assert np.array_equal(back.arr, layer.arr)
@@ -499,8 +645,8 @@ class TestSerialization:
         spec = make_spec()
         layer = encode_fwcs(random_weights(spec, np.random.default_rng(13)),
                             FilterletMask.all_kept(spec))
-        blob = write_fwcs(layer)
+        blob = write_fwcs(layer, spec)
         with pytest.raises(CorruptionError):
-            read_fwcs(blob[:-3], 0, "float32")
+            read_fwcs(blob[:-3], 0, spec, "float32")
         with pytest.raises(CorruptionError):
-            read_fwcs(b"ZZZZ" + blob[4:], 0, "float32")
+            read_fwcs(b"ZZZZ" + blob[4:], 0, spec, "float32")
