@@ -978,6 +978,29 @@ class TestCli:
         assert "run count entry 65792" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_prune_packs_a_layer_past_the_old_u16_size_field(
+            self, tmp_path, capsys):
+        # 65536 weights per filter: the version-1 block's u16 size field
+        # overflowed; version 2 stores no such field, so the layer packs
+        spec = ConvLayerSpec(n_filters=1, kernel_h=1, kernel_w=1,
+                             channels=65536, input_h=1, input_w=1)
+        w = np.random.default_rng(5).normal(size=spec.weight_dims)
+        model = SequentialModel("wide", [
+            LayerDef("conv0", spec, Tensor.from_array(w.astype(np.float32)))])
+        mp, gp, out = tmp_path / "m.fltb", tmp_path / "g.fltb", tmp_path / "o.fltb"
+        bundle_from_model(model).save(mp)
+        grads_bundle_for(model).save(gp)
+        assert main(["prune", str(mp), str(gp), str(out), "--flash", "10000000",
+                     "--ram", "10000000", "--dlmax", "1e9", "--seed", "0",
+                     "--iters", "10"]) == 0
+        capsys.readouterr()
+        layer = ModelBundle.load(out).layers[0]
+        assert layer.fmt == "fwcs"
+        weights, _ = layer.decode_weights()
+        back = filterlet.fwcs.decode_fwcs(weights, spec).to_array()
+        kept = w if weights.n_retained else np.zeros_like(w)
+        assert np.array_equal(back, kept.astype(np.float32))
+
     def test_prune_rejects_mismatched_grad_names(self, workdir, capsys):
         tmp, model, model_path, _, _ = workdir
         other = SequentialModel("other", [
