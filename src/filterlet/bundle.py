@@ -82,11 +82,9 @@ class BundleLayer:
                                       f"{weights.dtype} != manifest {self.dtype}")
             if weights.dims != self.spec.weight_dims:
                 raise CorruptionError(f"layer {self.name}: decoded shape mismatch")
-        elif self.fmt == "fwcs":
-            weights, off = read_fwcs(self.payload, 0, self.spec, self.dtype)
         else:
-            weights, off = read_csr(self.payload, 0, self.dtype)
-            weights.validate(self.spec)
+            read = read_fwcs if self.fmt == "fwcs" else read_csr
+            weights, off = read(self.payload, 0, self.spec, self.dtype)
         r = Reader(self.payload, off, f"layer {self.name} payload")
         bias = None
         if self.has_bias:
@@ -205,7 +203,7 @@ def _payload_from_v1(layer: BundleLayer) -> bytes:
         block = write_fwcs(weights, spec)
     else:
         _, off = read_tensor(buf, 0) if layer.fmt == "dense" \
-            else read_csr(buf, 0, layer.dtype)
+            else read_csr(buf, 0, spec, layer.dtype)
         block = buf[:off]
     if layer.has_bias:
         bias_t, off = read_tensor(buf, off)
@@ -287,7 +285,8 @@ def bundle_from_masks(model: SequentialModel, masks: list[FilterletMask],
         if fmt == "fwcs":
             block = write_fwcs(encode_fwcs(layer.weights, mask), layer.spec)
         else:
-            block = write_csr(encode_csr(layer.weights, mask.to_weight_mask()))
+            block = write_csr(encode_csr(layer.weights, mask.to_weight_mask()),
+                              layer.spec)
         layers.append(_bundle_layer(layer, fmt, block))
     return ModelBundle(model.name, "model", layers)
 

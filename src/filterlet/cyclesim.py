@@ -61,7 +61,7 @@ from functools import cached_property, lru_cache, reduce
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .errors import ConfigError, StreamError
+from .errors import ConfigError, CorruptionError, StreamError
 from .fwcs import CsrLayer, FwcsLayer
 from .tensor import ConvLayerSpec, is_integer
 
@@ -699,7 +699,8 @@ def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
     reordered one.  A CsrLayer runs the per-weight baseline under either
     ``schedule``: one index, one weight and one feature load, then a scalar
     MAC, for every retained weight at every position.  A fully pruned layer
-    emits nothing.
+    emits nothing.  A packed layer that does not fit ``spec`` raises
+    CorruptionError.
     """
     # spec.out_positions and spec.filterlets_per_filter, read off the
     # fields once: each property call is a cost on every lowering
@@ -707,12 +708,18 @@ def layer_stream(weights, spec: ConvLayerSpec, schedule: ComputeSchedule,
     positions = ((spec.input_h - spec.kernel_h) // stride + 1) * \
         ((spec.input_w - spec.kernel_w) // stride + 1)
     patch = kernel * spec.channels
+    # integer checks only: pricing would pay for slots' array pass per call
     if isinstance(weights, CsrLayer):
         n = weights.n_retained
+        if n > spec.n_filters * patch:
+            raise CorruptionError(f"{n} kept weights past {spec.n_filters * patch}")
         blocks = (_Block(positions, patch, n, _csr_units(cfg)),) if n else ()
     else:
         if isinstance(weights, FwcsLayer):
             n, size = weights.n_retained, weights.size
+            if size != spec.channels or n > spec.n_filters * kernel:
+                raise CorruptionError(f"{n} runs of {size} do not fit "
+                                      f"{spec.n_filters * kernel} of {spec.channels}")
         else:
             n, size = spec.n_filters * kernel, spec.channels
         blocks = _fwcs_blocks(n, size, positions, patch, schedule,

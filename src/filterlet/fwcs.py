@@ -108,15 +108,6 @@ class _RunLayer:
         # the constructor checked that c_ptr has f_idx[-1] entries
         return self.c_ptr.size
 
-    def validate(self, spec: ConvLayerSpec) -> None:
-        """Structural invariants; raises CorruptionError when violated.
-
-        ``f_idx`` opens every filter and never decreases; each ``c_ptr``
-        entry starts a run inside its filter, strictly after the previous
-        entry of the same filter.  The arrays are private read-only copies,
-        so a spec once accepted is not checked again."""
-        self.slots(spec)
-
     def _accept(self, spec: ConvLayerSpec, run: np.ndarray,
                 filt: np.ndarray) -> None:
         """Take ``run`` and ``filt`` as ``slots(spec)``, unchecked: for a
@@ -128,39 +119,27 @@ class _RunLayer:
         object.__setattr__(self, "_accepted", spec)
 
     def slots(self, spec: ConvLayerSpec) -> tuple[np.ndarray, np.ndarray]:
-        """``validate(spec)``, then per retained run its run index r
-        within its filter and its filter n: it holds rows r*width to
-        (r+1)*width - 1 of column n of the (K, n_filters) operand."""
+        """Per retained run its run index r within its filter and its
+        filter n (rows r*width to (r+1)*width - 1 of column n of the
+        (K, n_filters) operand), once the run layout fits ``spec``, else
+        CorruptionError.  A spec once accepted is not checked again: the
+        arrays are private read-only copies."""
         if spec == self._accepted:
             return self._slots
-        f_idx, c_ptr, width = self.f_idx, self.c_ptr, self.width
+        f_idx, width = self.f_idx, self.width
         if len(f_idx) != spec.n_filters + 1 or f_idx[0] != 0:
             raise CorruptionError("f_idx length or leading entry wrong")
-        try:
-            # repeat rejects a negative count, that is a decreasing f_idx
-            filt = np.arange(spec.n_filters).repeat(f_idx[1:] - f_idx[:-1])
-        except ValueError:
-            raise CorruptionError("f_idx not non-decreasing") from None
-        if len(c_ptr) != f_idx[-1]:
-            raise CorruptionError("c_ptr length != retained count")
-        run, rem = np.divmod(c_ptr, width)
+        run, rem = np.divmod(self.c_ptr, width)
         if np.count_nonzero(rem):
             raise CorruptionError("c_ptr entry not a multiple of its width")
-        runs = spec.filterlets_per_filter * spec.channels // width
-        if run.size and (run.min() < 0 or run.max() >= runs):
-            raise CorruptionError("c_ptr entry outside its filter")
-        # every run lies inside its filter, so the filter-major slots
-        # increase strictly exactly when each filter's entries do
-        slots = run + filt * runs
-        if np.count_nonzero(slots[1:] <= slots[:-1]):
-            raise CorruptionError("c_ptr not strictly increasing within a filter")
-        slots = frozen(run), frozen(filt)
-        object.__setattr__(self, "_slots", slots)
-        object.__setattr__(self, "_accepted", spec)
-        return slots
+        # the steps of f_idx sum to the c_ptr length (the constructor)
+        filt = _check_runs(f_idx[1:] - f_idx[:-1], run,
+                           spec.filterlets_per_filter * spec.channels // width)
+        self._accept(spec, run, filt)
+        return self._slots
 
     def operand(self, spec: ConvLayerSpec, dtype) -> np.ndarray:
-        """``validate(spec)``, then the C-contiguous (K, n_filters) GEMM
+        """``slots(spec)``, then the C-contiguous (K, n_filters) GEMM
         operand as ``dtype``, K = filterlets_per_filter * channels: column
         n holds filter n's weights, every unkept run zero."""
         run, filt = self.slots(spec)
@@ -169,6 +148,26 @@ class _RunLayer:
                         width, spec.n_filters), dtype)
         out[run, :, filt] = self.arr.reshape(-1, width)
         return out.reshape(-1, spec.n_filters)
+
+
+def _check_runs(counts: np.ndarray, run: np.ndarray, runs: int) -> np.ndarray:
+    """Each run's filter, for ``counts[n]`` runs in filter n and ``run``
+    each run's index among its filter's ``runs``, filter by filter.
+    CorruptionError unless no count is negative, every index lies inside
+    its filter and indices rise strictly within each filter."""
+    try:
+        # repeat rejects a negative count
+        filt = np.arange(counts.size).repeat(counts)
+    except ValueError:
+        raise CorruptionError("negative run count") from None
+    if run.size and (run.min() < 0 or run.max() >= runs):
+        raise CorruptionError("run index outside its filter")
+    # every run lies inside its filter, so the filter-major slots rise
+    # strictly exactly when each filter's indices do
+    slots = run + filt * runs
+    if np.count_nonzero(slots[1:] <= slots[:-1]):
+        raise CorruptionError("run indices not rising strictly within a filter")
+    return filt
 
 
 @dataclass(frozen=True)
@@ -292,12 +291,6 @@ def check_csr_index(spec: ConvLayerSpec, kept: int) -> None:
             raise FormatError(f"{what} entry {top} outside u16 range")
 
 
-def _pack_index_array(vals: np.ndarray, what: str) -> bytes:
-    if vals.size and (vals.min() < 0 or vals.max() > _INDEX_MAX):
-        raise FormatError(f"{what} entry outside u16 range")
-    return struct.pack("<I", vals.size) + vals.astype(INDEX_DTYPE).tobytes()
-
-
 def _read_block(buf: bytes, offset: int, dtype: str, cls, magic: bytes,
                 head: str = ""):
     """A ``cls`` layer from a block of ``magic``, the ``head`` struct
@@ -330,30 +323,20 @@ def write_fwcs(layer: FwcsLayer, spec: ConvLayerSpec) -> bytes:
 def read_fwcs(buf: bytes, offset: int, spec: ConvLayerSpec,
               dtype: str) -> tuple[FwcsLayer, int]:
     """Inverse of ``write_fwcs``: the layer, accepted for ``spec``, and the
-    offset past its block.  Counts must lie within the kernel and each
-    filter's positions rise strictly below kh*kw, else CorruptionError."""
+    offset past its block.  Each filter's positions must rise strictly
+    below kh*kw, else CorruptionError."""
     try:
         index = check_fwcs_index(spec)
     except FormatError as e:
         raise CorruptionError(str(e)) from None
-    p, n = spec.filterlets_per_filter, spec.n_filters
     r = Reader(buf, offset, "FWCS block")
     r.magic(FWCS_MAGIC)
-    counts = r.array(index, n)
-    if counts.max() > p:
-        raise CorruptionError("run count past the kernel")
-    filt = np.arange(n).repeat(counts)
-    run = r.array(index, filt.size).astype(np.int64)
-    if run.size and run.max() >= p:
-        raise CorruptionError("kernel position past the kernel")
-    # below p, the filter-major slots rise exactly when each filter's
-    # positions do
-    slots = run + filt * p
-    if np.count_nonzero(slots[1:] <= slots[:-1]):
-        raise CorruptionError("kernel positions not rising within a filter")
-    arr = r.array(DTYPES[dtype], run.size * spec.channels)
-    f_idx = np.zeros(n + 1, np.int64)
+    counts = r.array(index, spec.n_filters)
+    f_idx = np.zeros(spec.n_filters + 1, np.int64)
     np.cumsum(counts, out=f_idx[1:])
+    run = r.array(index, int(f_idx[-1])).astype(np.int64)
+    filt = _check_runs(counts, run, spec.filterlets_per_filter)
+    arr = r.array(DTYPES[dtype], run.size * spec.channels)
     layer = FwcsLayer(arr, spec.channels, run * spec.channels, f_idx, dtype)
     layer._accept(spec, run, filt)
     return layer, r.offset
@@ -366,13 +349,21 @@ def read_fwcs_v1(buf: bytes, offset: int, dtype: str) -> tuple[FwcsLayer, int]:
                        INDEX_DTYPE.char)
 
 
-def write_csr(layer: CsrLayer) -> bytes:
-    """CSR block: magic, u32+values, u32+u16 c_ptr, u32+u16 f_idx."""
+def write_csr(layer: CsrLayer, spec: ConvLayerSpec) -> bytes:
+    """CSR block of ``layer``, checked against ``spec`` and then
+    ``check_csr_index``: magic, u32+values, u32+u16 c_ptr, u32+u16 f_idx."""
+    layer.slots(spec)
+    check_csr_index(spec, layer.n_retained)
     # a layer holds its values as DTYPES[dtype], already little-endian
-    return (CSR_MAGIC + struct.pack("<I", len(layer.arr)) + layer.arr.tobytes()
-            + _pack_index_array(layer.c_ptr, "c_ptr")
-            + _pack_index_array(layer.f_idx, "f_idx"))
+    return (CSR_MAGIC + struct.pack("<I", layer.arr.size) + layer.arr.tobytes()
+            + b"".join(struct.pack("<I", a.size) + a.astype(INDEX_DTYPE).tobytes()
+                       for a in (layer.c_ptr, layer.f_idx)))
 
 
-def read_csr(buf: bytes, offset: int, dtype: str) -> tuple[CsrLayer, int]:
-    return _read_block(buf, offset, dtype, CsrLayer, CSR_MAGIC)
+def read_csr(buf: bytes, offset: int, spec: ConvLayerSpec,
+             dtype: str) -> tuple[CsrLayer, int]:
+    """Inverse of ``write_csr``: the layer, accepted for ``spec``, and the
+    offset past its block; CorruptionError unless it fits ``spec``."""
+    layer, end = _read_block(buf, offset, dtype, CsrLayer, CSR_MAGIC)
+    layer.slots(spec)
+    return layer, end

@@ -20,7 +20,6 @@ import zlib
 
 import numpy as np
 
-from filterlet.fwcs import write_csr
 from filterlet.tensor import Tensor, write_tensor
 
 # magic and three u32 lengths: the bytes of a version-1 FWCS block that
@@ -42,6 +41,13 @@ def fwcs_block(layer) -> bytes:
             + u16_array(layer.f_idx))
 
 
+def csr_block(layer) -> bytes:
+    """The block of a ``CsrLayer``, unchecked, so it may hold a layer that
+    fits no spec; the same bytes in both versions."""
+    return (b"CSRW" + struct.pack("<I", layer.arr.size) + layer.arr.tobytes()
+            + u16_array(layer.c_ptr) + u16_array(layer.f_idx))
+
+
 def bias_block(bias) -> bytes:
     """A bias as version 1 stored it; integers must be exact as float32."""
     packed = np.asarray(bias).astype(np.float32)
@@ -53,7 +59,7 @@ def bias_block(bias) -> bytes:
 def layer_payload(layer) -> bytes:
     """The version-1 payload of a ``BundleLayer``."""
     weights, bias = layer.decode_weights()
-    block = {"dense": write_tensor, "csr": write_csr,
+    block = {"dense": write_tensor, "csr": csr_block,
              "fwcs": fwcs_block}[layer.fmt](weights)
     return block if bias is None else block + bias_block(bias)
 

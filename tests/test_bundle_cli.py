@@ -23,7 +23,7 @@ from filterlet.cyclesim import ComputeSchedule, MachineConfig, layer_stream
 from filterlet.errors import CorruptionError, DataError, FormatError, \
     TopologyError
 from filterlet.fwcs import CsrLayer, FilterletMask, encode_csr, encode_fwcs, \
-    kept_count, write_csr
+    kept_count
 from filterlet.importance import GradientBundle, apply_mask_zeroing, \
     score_model
 from filterlet.model import LayerDef, LayerQuant, SequentialModel
@@ -324,6 +324,14 @@ class TestBundleContainer:
         layers = bundle_from_model(int8_chain(n_layers=3)).layers
         with pytest.raises(TopologyError):
             ModelBundle("gap", "model", [layers[0], layers[2]])
+
+    def test_masks_must_match_the_layers_and_a_packed_format(self):
+        model = int8_chain(n_layers=2)
+        masks = [FilterletMask.all_kept(layer.spec) for layer in model.layers]
+        with pytest.raises(DataError, match="mask count != layer count"):
+            bundle_from_masks(model, masks[:1])
+        with pytest.raises(FormatError, match="cannot pack pruned layers as 'dense'"):
+            bundle_from_masks(model, masks, "dense")
 
 
 class TestRunBundle:
@@ -1072,6 +1080,27 @@ class TestCli:
         assert main([command, str(grads_path), *map(str, argv)]) == 3
         assert "expected a model bundle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stored", ["fwcs", "int8"])
+    @pytest.mark.parametrize("command", ["prune", "compare"])
+    def test_grads_not_dense_float32_exit_3(self, workdir, capsys, command,
+                                            stored):
+        tmp, model, model_path, _, _ = workdir
+        if stored == "fwcs":
+            packed = bundle_from_masks(float_chain(seed=8), [
+                FilterletMask.all_kept(layer.spec) for layer in model.layers])
+            grads = ModelBundle(packed.name, "grads", packed.layers)
+        else:
+            grads = bundle_from_model(model, role="grads")
+        grads_path = tmp / "grads.fltb"
+        grads.save(grads_path)
+        argv = {"prune": [tmp / "x.fltb", "--flash", "10000000", "--ram",
+                          "10000000", "--dlmax", "1e9"],
+                "compare": ["--ratio", "0.5"]}[command]
+        assert main([command, str(model_path), str(grads_path),
+                     *map(str, argv)]) == 3
+        assert "gradient bundles must hold dense float32 tensors" in \
+            capsys.readouterr().err
+
     def test_corrupt_bundle_exits_4(self, workdir, capsys):
         tmp, _, model_path, _, input_path = workdir
         raw = bytearray(model_path.read_bytes())
@@ -1083,9 +1112,9 @@ class TestCli:
     def test_csr_block_with_decreasing_f_idx_exits_4(self, tmp_path, capsys):
         spec = ConvLayerSpec(n_filters=3, kernel_h=1, kernel_w=1, channels=4,
                              input_h=2, input_w=2)
-        block = write_csr(CsrLayer(np.array([1, 2, 3, 4], np.int8),
-                                   np.array([0, 1, 2, 3]),
-                                   np.array([0, 3, 1, 4]), "int8"))
+        block = bundle_v1.csr_block(CsrLayer(np.array([1, 2, 3, 4], np.int8),
+                                             np.array([0, 1, 2, 3]),
+                                             np.array([0, 3, 1, 4]), "int8"))
         quant = LayerQuant(input_scale=0.05, weight_scale=0.02, output_scale=0.4)
         bp = tmp_path / "bad.fltb"
         ModelBundle("bad", "model", [BundleLayer(
@@ -1242,6 +1271,15 @@ class TestCli:
         for fmt in ("structured", "csr", "fwcs"):
             assert abs(row[fmt]["bytes"] - row["dense"]["bytes"]) <= \
                 slack * spec.channels
+
+    def test_bench_without_a_bundle_or_demo_exits_3(self, capsys):
+        assert main(["bench"]) == 3
+        assert "bench needs a bundle path unless --demo is given" in \
+            capsys.readouterr().err
+
+    def test_simulate_unknown_demo_exits_3(self, capsys):
+        assert main(["simulate", "--demo", "nope"]) == 3
+        assert "unknown demo 'nope'" in capsys.readouterr().err
 
     def test_simulate_demo_trace(self, capsys):
         assert main(["simulate", "--demo", "fig9b"]) == 0

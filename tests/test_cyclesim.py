@@ -14,7 +14,7 @@ from filterlet.cyclesim import ComputeSchedule, Instruction, LOAD_SCALAR, \
     _csr_units, _pinned_units, _rotating_units, _state_key, dump_trace, \
     layer_stream, lds, ldv, macs, macv, simulate, two_mac_default_stream, \
     two_mac_pinned_stream
-from filterlet.errors import ConfigError, StreamError
+from filterlet.errors import ConfigError, CorruptionError, StreamError
 from filterlet.fwcs import FilterletMask, encode_csr, encode_fwcs, kept_count
 from filterlet.tensor import ConvLayerSpec, Tensor
 
@@ -228,6 +228,25 @@ class TestLayerCycles:
         for schedule in ComputeSchedule:
             assert layer_stream(layer, spec, schedule, CFG).cycles() == \
                 spec.n_filters * spec.out_positions * CFG.post_cycles
+
+    def test_a_packed_layer_that_does_not_fit_its_spec_is_corruption(self):
+        spec = ConvLayerSpec(n_filters=4, kernel_h=3, kernel_w=3, channels=4,
+                             input_h=5, input_w=5)
+        w = Tensor.from_array(np.ones(spec.weight_dims, np.int8))
+        fw = encode_fwcs(w, FilterletMask.all_kept(spec))
+        cs = encode_csr(w, np.ones((4, 36), bool))
+        # FWCS: runs of 4 weights on 16 channels, or 36 runs where 2
+        # filters of one position hold 2; CSR: 144 weights where they hold 8
+        wider = ConvLayerSpec(n_filters=4, kernel_h=3, kernel_w=3,
+                              channels=16, input_h=5, input_w=5)
+        smaller = ConvLayerSpec(n_filters=2, kernel_h=1, kernel_w=1,
+                                channels=4, input_h=5, input_w=5)
+        for layer, other in ((fw, wider), (fw, smaller), (cs, smaller)):
+            for schedule in ComputeSchedule:
+                # every run or weight kept: the most its own spec holds
+                layer_stream(layer, spec, schedule, CFG).cycles()
+                with pytest.raises(CorruptionError):
+                    layer_stream(layer, other, schedule, CFG)
 
     def test_reordered_never_slower_and_usually_faster(self):
         rng = np.random.default_rng(4)

@@ -183,12 +183,14 @@ class TestEncodeCsr:
     def test_rejects_decreasing_f_idx(self):
         # filter 1 would span [3, 1) and filter 2 [1, 4): six weights from four
         spec = make_spec(n=3, kh=1, kw=1, c=4)
-        blob = write_csr(CsrLayer(np.array([1, 2, 3, 4], np.int8),
-                                  np.array([0, 1, 2, 3]),
-                                  np.array([0, 3, 1, 4]), "int8"))
-        layer, _ = read_csr(blob, 0, "int8")
+        layer = CsrLayer(np.array([1, 2, 3, 4], np.int8),
+                         np.array([0, 1, 2, 3]), np.array([0, 3, 1, 4]), "int8")
         with pytest.raises(CorruptionError):
-            layer.validate(spec)
+            read_csr(bundle_v1.csr_block(layer), 0, spec, "int8")
+        with pytest.raises(CorruptionError):
+            write_csr(layer, spec)
+        with pytest.raises(CorruptionError):
+            layer.slots(spec)
         with pytest.raises(CorruptionError):
             decode_csr(layer, spec)
 
@@ -217,8 +219,9 @@ def fwcs_block(layer):
 
 
 class TestCPtrCheck:
-    """The c_ptr rules FWCS and CSR share, through ``validate`` and through a
-    bundle layer's ``decode_weights``; 4 filters of 4 filterlets of 2."""
+    """The c_ptr rules FWCS and CSR share, through ``slots``, the block
+    writers and a bundle layer's ``decode_weights``; 4 filters of 4
+    filterlets of 2."""
 
     SPEC = make_spec(n=4, kh=2, kw=2, c=2)
     VALID = {
@@ -238,7 +241,8 @@ class TestCPtrCheck:
 
     @staticmethod
     def decode(fmt, layer):
-        block = fwcs_block(layer) if fmt == "fwcs" else write_csr(layer)
+        block = fwcs_block(layer) if fmt == "fwcs" \
+            else bundle_v1.csr_block(layer)
         quant = LayerQuant(input_scale=0.05, weight_scale=0.02, output_scale=0.4)
         return BundleLayer("conv0", fmt, TestCPtrCheck.SPEC, "int8", False,
                            quant, block).decode_weights()
@@ -248,7 +252,7 @@ class TestCPtrCheck:
     def test_valid(self, fmt, case):
         rows = self.VALID[case]
         layer = layer_from_rows(fmt, self.SPEC, rows)
-        layer.validate(self.SPEC)
+        layer.slots(self.SPEC)
         stored, _ = self.decode(fmt, layer)
         assert np.array_equal(stored.c_ptr, layer.c_ptr)
         decode = decode_fwcs if fmt == "fwcs" else decode_csr
@@ -268,46 +272,51 @@ class TestCPtrCheck:
         rows = self.INVALID.get(case, [[0], [top], [], []])
         layer = layer_from_rows(fmt, self.SPEC, rows)
         with pytest.raises(CorruptionError):
-            layer.validate(self.SPEC)
+            layer.slots(self.SPEC)
         with pytest.raises(CorruptionError):
             self.decode(fmt, layer)
+        with pytest.raises(CorruptionError):
+            (write_fwcs if fmt == "fwcs" else write_csr)(layer, self.SPEC)
 
     @pytest.mark.parametrize("fmt", ["fwcs", "csr"])
     def test_accepted_layer_is_still_checked_for_other_specs(self, fmt):
         layer = layer_from_rows(fmt, self.SPEC, self.VALID["empty last filter"])
-        layer.validate(self.SPEC)
-        layer.validate(self.SPEC)
+        write = write_fwcs if fmt == "fwcs" else write_csr
+        layer.slots(self.SPEC)
+        layer.slots(self.SPEC)
         # one filter fewer; three channels, which no FWCS run of 2 fits and
         # whose three weights per filter end before CSR entry 3
         for spec in (make_spec(n=3, kh=2, kw=2, c=2),
                      make_spec(n=4, kh=1, kw=1, c=3)):
             with pytest.raises(CorruptionError):
-                layer.validate(spec)
-        layer.validate(self.SPEC)
+                layer.slots(spec)
+            with pytest.raises(CorruptionError):
+                write(layer, spec)
+        layer.slots(self.SPEC)
 
 
-def reference_validate(layer, spec):
-    """``validate`` in its earlier form, with ``np.diff`` and a mask of the
-    entries that open a filter: the reference the one-pass check must match
-    in every decision and message."""
+def reference_slots(layer, spec):
+    """The check of ``slots`` in an earlier form, with ``np.diff`` and a
+    mask of the entries that open a filter: the reference the one-pass
+    check must match in every decision and message."""
     if isinstance(layer, FwcsLayer) and layer.size != spec.filterlet_length:
         raise CorruptionError(f"size {layer.size} != channels {spec.channels}")
     f_idx, c_ptr, width = layer.f_idx, layer.c_ptr, layer.width
     if len(f_idx) != spec.n_filters + 1 or f_idx[0] != 0:
         raise CorruptionError("f_idx length or leading entry wrong")
-    if np.any(np.diff(f_idx) < 0):
-        raise CorruptionError("f_idx not non-decreasing")
-    if len(c_ptr) != f_idx[-1]:
-        raise CorruptionError("c_ptr length != retained count")
     if np.any(c_ptr % width != 0):
         raise CorruptionError("c_ptr entry not a multiple of its width")
+    if np.any(np.diff(f_idx) < 0):
+        raise CorruptionError("negative run count")
+    if len(c_ptr) != f_idx[-1]:
+        raise CorruptionError("c_ptr length != retained count")
     if np.any(c_ptr < 0) or np.any(c_ptr + width > spec.filterlets_per_filter
                                    * spec.channels):
-        raise CorruptionError("c_ptr entry outside its filter")
+        raise CorruptionError("run index outside its filter")
     opens = np.zeros(len(c_ptr) + 1, bool)
     opens[f_idx] = True
     if np.any((np.diff(c_ptr) <= 0) & ~opens[1:-1]):
-        raise CorruptionError("c_ptr not strictly increasing within a filter")
+        raise CorruptionError("run indices not rising strictly within a filter")
 
 
 def small_spec():
@@ -374,10 +383,10 @@ class TestValidateMatchesReference:
     @given(case=run_layers())
     def test_same_decision_and_message(self, case):
         layer, spec = case
-        want = check_outcome(reference_validate, layer, spec)
-        assert check_outcome(type(layer).validate, layer, spec) == want
+        want = check_outcome(reference_slots, layer, spec)
+        assert check_outcome(type(layer).slots, layer, spec) == want
         # a second look, now from the memo, decides the same
-        assert check_outcome(type(layer).validate, layer, spec) == want
+        assert check_outcome(type(layer).slots, layer, spec) == want
 
 
 class TestLayerArrays:
@@ -400,13 +409,7 @@ class TestLayerArrays:
         if fmt == "fwcs":
             def make(arr, dtype="int8"):
                 return FwcsLayer(arr, 2, [0], [0, 1], dtype)
-
-            def write(layer):
-                return write_fwcs(layer, spec)
-
-            def read(blob, offset, dtype):
-                return read_fwcs(blob, offset, spec, dtype)
-            conv = conv_fwcs
+            write, read, conv = write_fwcs, read_fwcs, conv_fwcs
         else:
             def make(arr, dtype="int8"):
                 return CsrLayer(arr, [0, 1], [0, 2], dtype)
@@ -417,7 +420,7 @@ class TestLayerArrays:
         with pytest.raises(DataError, match="int16"):
             make(np.ones(2, np.int8), "int16")
         layer = make(np.ones(2, np.int8))
-        back, _ = read(write(layer), 0, "int8")
+        back, _ = read(write(layer, spec), 0, spec, "int8")
         assert conv(x, layer, spec)[0, 0, 0] == conv(x, back, spec)[0, 0, 0] == 2
 
 
@@ -461,7 +464,7 @@ class TestFootprint:
             cs = encode_csr(w, self.mask.to_weight_mask())
             assert len(bundle_v1.fwcs_block(fw)) - \
                 bundle_v1.FWCS_FRAMING_BYTES == storage_footprint(fw)
-            assert len(write_csr(cs)) - CSR_FRAMING_BYTES == \
+            assert len(write_csr(cs, self.spec)) - CSR_FRAMING_BYTES == \
                 storage_footprint(cs)
 
 
@@ -479,7 +482,7 @@ class TestIndexWidth:
         w = Tensor.from_array(np.zeros(spec.weight_dims, np.int8))
         with pytest.raises(FormatError, match=f"{entry} .*outside u16"):
             write_csr(encode_csr(w, np.ones((spec.n_filters, spec.weight_count
-                                             // spec.n_filters), bool)))
+                                             // spec.n_filters), bool)), spec)
 
     @pytest.mark.parametrize("dims", [(1, 3, 3, 8192), (7282, 3, 3, 1),
                                       (1, 1, 1, 65536)])
@@ -506,7 +509,7 @@ class TestIndexWidth:
                        bool)
         kept.reshape(-1)[:-65535] = False
         check_csr_index(spec, int(kept.sum()))
-        write_csr(encode_csr(w, kept))
+        write_csr(encode_csr(w, kept), spec)
 
     @pytest.mark.parametrize("kernel, width", [
         ((15, 17), np.uint8), ((16, 16), np.uint16), ((1, 65535), np.uint16)])
@@ -553,7 +556,7 @@ class TestVersion2Block:
 
         # the reader's checks stand in for the structural check
         monkeypatch.setattr(np, "divmod", no_check)
-        layer.validate(self.SPEC)
+        layer.slots(self.SPEC)
         assert decode_fwcs(layer, self.SPEC).to_array()[0, 0, 1, 1] == 1
 
     def test_encoded_layer_is_accepted_for_its_spec(self, monkeypatch):
@@ -572,8 +575,8 @@ class TestVersion2Block:
         assert np.array_equal(back.c_ptr, layer.c_ptr)
 
     @pytest.mark.parametrize("counts, positions, what", [
-        ([5, 0, 0], [0, 1, 2, 3, 3], "run count past the kernel"),
-        ([1, 0, 1], [0, 4], "position past the kernel"),
+        ([5, 0, 0], [0, 1, 2, 3, 3], "not rising"),
+        ([1, 0, 1], [0, 4], "outside"),
         ([2, 0, 0], [2, 1], "not rising"),
         ([2, 0, 0], [1, 1], "not rising"),
         ([1, 1, 2], [3, 0, 3, 2], "not rising")])
@@ -635,11 +638,30 @@ class TestSerialization:
         spec = make_spec(n=2, kh=2, kw=2, c=3)
         w = random_weights(spec, rng, "int8")
         layer = encode_csr(w, rng.random((2, 12)) < 0.5)
-        blob = write_csr(layer)
-        back, off = read_csr(blob, 0, "int8")
+        blob = write_csr(layer, spec)
+        back, off = read_csr(blob, 0, spec, "int8")
         assert off == len(blob)
         assert np.array_equal(back.arr, layer.arr)
         assert np.array_equal(back.c_ptr, layer.c_ptr)
+
+    def test_read_csr_layer_is_accepted_for_its_spec(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        spec = ConvLayerSpec(n_filters=2, kernel_h=2, kernel_w=2, channels=3,
+                             input_h=4, input_w=4)
+        layer = encode_csr(random_weights(spec, rng, "int8"),
+                           rng.random((2, 12)) < 0.5)
+        x = Tensor.from_array(rng.integers(-128, 128, spec.input_dims)
+                              .astype(np.int8))
+        want = conv_csr(x, layer, spec)
+        back, _ = read_csr(write_csr(layer, spec), 0, spec, "int8")
+
+        def no_check(*args):
+            raise AssertionError("checked again")
+
+        # read_csr checked the layer for spec, so nothing checks it again
+        monkeypatch.setattr(np, "divmod", no_check)
+        back.slots(spec)
+        assert np.array_equal(conv_csr(x, back, spec), want)
 
     def test_truncation_detected(self):
         spec = make_spec()
